@@ -29,10 +29,6 @@ def _bits_arg(text: str) -> core.BitString:
     return core.BitString(text)
 
 
-def _natset_text(h: core.NatSet) -> str:
-    return "{" + ",".join(str(v) for v in h) + "}"
-
-
 def _cmd_close(args: argparse.Namespace) -> tuple[int, str]:
     family = formats.parse_sigma(_read(args.sigma))
     return EXIT_OK, formats.render_tree(core.downward_closure(family))
@@ -164,9 +160,9 @@ def _cmd_dnr(args: argparse.Namespace) -> tuple[int, str]:
     lines = []
     failed = False
     for v in verdicts:
-        line = f"e={v.e} status={v.status} W={_natset_text(v.w_e)}"
+        line = f"e={v.e} status={v.status} W={v.w_e}"
         if v.g_e is not None:
-            line += f" g={_natset_text(v.g_e)}"
+            line += f" g={v.g_e}"
         if v.distinguishing is not None:
             line += f" differs={v.distinguishing}"
         if v.status == "equal":
@@ -318,13 +314,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, data = args.func(args)
+        if args.output:
+            Path(args.output).write_text(data, encoding="utf-8")
+        else:
+            sys.stdout.write(data)
     except _INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.output:
-        Path(args.output).write_text(data, encoding="utf-8")
-    else:
-        sys.stdout.write(data)
     return code
 
 

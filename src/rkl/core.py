@@ -11,7 +11,8 @@ with 0 < 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -30,23 +31,47 @@ class NotGraded(ValueError):
     """The operation needs exactly one string of each length 1..n."""
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class BitString:
     """A finite {0,1}-word; doubles as a tree node or the prefix of a path.
 
     Comparison is plain lexicographic on the symbols with 0 < 1, so a proper
-    prefix sorts before each of its extensions.
+    prefix sorts before each of its extensions.  Hashing, equality and order
+    are those of the underlying text.
     """
 
-    bits: str = ""
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        if self.bits.strip("01"):
-            raise ValueError(f"not a binary string: {self.bits!r}")
+    def __init__(self, bits: str = "") -> None:
+        if bits.strip("01"):
+            raise ValueError(f"not a binary string: {bits!r}")
+        _set_bits(self, bits)
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "BitString":
-        return cls("".join("1" if v else "0" for v in values))
+        return _trusted("".join("1" if v else "0" for v in values))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BitString is immutable")
+
+    def __repr__(self) -> str:
+        return f"BitString({self.bits!r})"
+
+    def __reduce__(self) -> tuple[type, tuple[str]]:
+        return (BitString, (self.bits,))
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is BitString:
+            return self.bits == other.bits
+        return NotImplemented
+
+    def __lt__(self, other: "BitString") -> bool:
+        if other.__class__ is BitString:
+            return self.bits < other.bits
+        return NotImplemented
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -67,20 +92,30 @@ class BitString:
 
     def prefix(self, t: int) -> "BitString":
         """The initial segment of length t (all of self if t is larger)."""
-        return BitString(self.bits[: max(0, t)])
+        return _trusted(self.bits[: max(0, t)])
 
     def prefixes(self) -> Iterator["BitString"]:
         """Every initial segment, shortest first, root and self included."""
-        return (BitString(self.bits[:i]) for i in range(len(self.bits) + 1))
+        return (_trusted(self.bits[:i]) for i in range(len(self.bits) + 1))
 
     def extended(self, bit: int) -> "BitString":
-        return BitString(self.bits + ("1" if bit else "0"))
+        return _trusted(self.bits + ("1" if bit else "0"))
 
     def padded(self, length: int, bit: int = 0) -> "BitString":
         """Self, extended with `bit` up to the requested length."""
         if length <= len(self.bits):
             return self
-        return BitString(self.bits + ("1" if bit else "0") * (length - len(self.bits)))
+        return _trusted(self.bits + ("1" if bit else "0") * (length - len(self.bits)))
+
+
+_set_bits = BitString.bits.__set__
+
+
+def _trusted(bits: str) -> BitString:
+    """A BitString from text already known to be binary; skips the check."""
+    s = object.__new__(BitString)
+    _set_bits(s, bits)
+    return s
 
 
 EMPTY = BitString()
@@ -95,47 +130,92 @@ def lenlex(s: BitString) -> tuple[int, str]:
     return (len(s.bits), s.bits)
 
 
-@dataclass(frozen=True)
+def _sorted_levels(closed: Iterable[str]) -> tuple[tuple[str, ...], ...]:
+    """A prefix-closed collection of distinct texts split by length, each
+    level sorted; texts given in (length, lex) order sort in linear time."""
+    levels: list[list[str]] = [[] for _ in range(max(map(len, closed)) + 1)]
+    for s in closed:
+        levels[len(s)].append(s)
+    for level in levels:
+        level.sort()
+    return tuple(map(tuple, levels))
+
+
+def _closed_levels(texts: Iterable[str]) -> tuple[tuple[str, ...], ...]:
+    """The levels of some texts plus the root; reject a set that is not closed."""
+    members = dict.fromkeys(texts)  # keeps the given order for _sorted_levels
+    members[""] = None
+    # The parent check suffices for closure; on failure report the
+    # lenlex-least orphan and its shortest missing prefix.
+    orphans = [s for s in members if s and s[:-1] not in members]
+    if orphans:
+        sigma = min(orphans, key=lambda s: (len(s), s))
+        missing = next(sigma[:i] for i in range(len(sigma)) if sigma[:i] not in members)
+        raise NotPrefixClosed(_trusted(sigma), _trusted(missing))
+    return _sorted_levels(members)
+
+
+def _all_binary(texts: list[str]) -> bool:
+    """Whether every text holds only 0s and 1s; one pass over their bytes."""
+    return not "".join(texts).encode("ascii", "replace").translate(None, b"01")
+
+
+def _texts(strings: Iterable[BitString | str]) -> list[str]:
+    """The bit texts of BitStrings and of plain texts, which must be binary."""
+    texts = [s.bits if isinstance(s, BitString) else s for s in strings]
+    if not _all_binary(texts):
+        bad = next(s for s in texts if s.strip("01"))
+        raise ValueError(f"not a binary string: {bad!r}")
+    return texts
+
+
+@dataclass(frozen=True, init=False)
 class FinTree:
-    """A finite prefix-closed set of binary strings; the root is a member."""
+    """A finite prefix-closed set of binary strings; the root is a member.
 
-    members: frozenset[BitString] = frozenset()
+    The tree is stored by levels: text_levels[l] holds the bit texts of the
+    members of length l, lexicographically sorted, for every l from 0 to the
+    horizon.  FinTree(members) checks closure; producers that are closed by
+    construction go through the unchecked _from_levels instead.
+    """
 
-    def __post_init__(self) -> None:
-        mem = frozenset(self.members) | {EMPTY}
-        object.__setattr__(self, "members", mem)
-        for sigma in sorted(mem, key=lenlex):
-            # The parent check suffices for closure; on failure report the
-            # shortest missing prefix.
-            if len(sigma) and BitString(sigma.bits[:-1]) not in mem:
-                for tau in sigma.prefixes():
-                    if tau not in mem:
-                        raise NotPrefixClosed(sigma, tau)
+    text_levels: tuple[tuple[str, ...], ...]
 
-    @cached_property
+    def __init__(self, members: Iterable[BitString] = frozenset()) -> None:
+        levels = _closed_levels([s.bits for s in members])
+        object.__setattr__(self, "text_levels", levels)
+
+    @classmethod
+    def _from_levels(cls, levels: Iterable[Iterable[str]]) -> "FinTree":
+        """Trusted: levels must be the sorted, prefix-closed levels 0..horizon."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "text_levels", tuple(tuple(level) for level in levels))
+        return t
+
+    @property
     def horizon(self) -> int:
         """Length of the longest member."""
-        return max(len(s) for s in self.members)
+        return len(self.text_levels) - 1
 
     @cached_property
-    def _levels(self) -> dict[int, tuple[BitString, ...]]:
-        levels: dict[int, list[BitString]] = {}
-        for s in sorted(self.members, key=lenlex):
-            levels.setdefault(len(s), []).append(s)
-        return {l: tuple(v) for l, v in levels.items()}
+    def members(self) -> frozenset[BitString]:
+        return frozenset(self)
 
     def level(self, l: int) -> tuple[BitString, ...]:
         """Members of length l, lexicographically sorted."""
-        return self._levels.get(l, ())
+        if not 0 <= l < len(self.text_levels):
+            return ()
+        return tuple(map(_trusted, self.text_levels[l]))
 
     def __contains__(self, s: BitString) -> bool:
         return s in self.members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(map(len, self.text_levels))
 
     def __iter__(self) -> Iterator[BitString]:
-        return iter(sorted(self.members, key=lenlex))
+        """Members in (length, lex) order."""
+        return map(_trusted, chain.from_iterable(self.text_levels))
 
 
 @dataclass(frozen=True)
@@ -278,22 +358,33 @@ class HomWitness:
 
 def validate_tree(strings: Iterable[BitString | str]) -> FinTree:
     """Wrap a string set as a tree, adding the root; reject unclosed sets."""
-    return FinTree(frozenset(_as_bitstring(s) for s in strings))
+    return FinTree._from_levels(_closed_levels(_texts(strings)))
 
 
 def downward_closure(family: StringFamily | Iterable[BitString | str]) -> FinTree:
     """The tree of all prefixes of the family's members."""
-    members = getattr(family, "members", family)
-    closed = {
-        tau for sigma in members for tau in _as_bitstring(sigma).prefixes()
-    }
-    closed.add(EMPTY)
-    return FinTree(frozenset(closed))
+    closed = {""}
+    for bits in _texts(getattr(family, "members", family)):
+        # Every prefix of a text already in the set is in it too.
+        while bits not in closed:
+            closed.add(bits)
+            bits = bits[:-1]
+    return FinTree._from_levels(_sorted_levels(closed))
+
+
+def _homog_text(h: NatSet, bits: str, symbol: str) -> bool:
+    n = len(bits)
+    for x in h:  # ascending, so the first x past the end ends the scan
+        if x >= n:
+            break
+        if bits[x] != symbol:
+            return False
+    return True
 
 
 def is_homog_string(h: NatSet, sigma: BitString, c: int) -> bool:
     """Whether sigma shows color c at every position of h it covers."""
-    return all(sigma[x] == c for x in h if x < len(sigma))
+    return _homog_text(h, sigma.bits, "1" if c else "0")
 
 
 def is_homog_path(h: NatSet, t: FinTree, horizon: int) -> HomWitness | None:
@@ -304,10 +395,15 @@ def is_homog_path(h: NatSet, t: FinTree, horizon: int) -> HomWitness | None:
     """
     if horizon > t.horizon:
         raise ValueError(f"horizon {horizon} exceeds tree horizon {t.horizon}")
-    for c in (0, 1):
-        wits = [s for s in t.members if len(s) >= horizon and is_homog_string(h, s, c)]
+    for c, symbol in enumerate("01"):
+        # Levels are sorted, so each level's first match is its least.
+        firsts = [
+            next((s for s in level if _homog_text(h, s, symbol)), None)
+            for level in t.text_levels[max(horizon, 0):]
+        ]
+        wits = [s for s in firsts if s is not None]
         if wits:
-            return HomWitness(color=c, witnesses=(min(wits),), thresholds=(horizon,))
+            return HomWitness(color=c, witnesses=(_trusted(min(wits)),), thresholds=(horizon,))
     return None
 
 

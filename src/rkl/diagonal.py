@@ -10,10 +10,13 @@ differs from every settled W_e.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from rkl import core
-from rkl.core import BitString, FinTree, NatSet
+from rkl.core import FinTree, NatSet
 
 
 class TooSmall(ValueError):
@@ -68,9 +71,18 @@ class StagedEnum:
             max_stage = max((s for _, s, _ in events), default=0)
         return cls(events=events, k=k, max_stage=max_stage)
 
+    @cached_property
+    def _by_index(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per index e, the stages and elements of its events in order."""
+        grouped: dict[int, list[tuple[int, int]]] = {}
+        for e, s, x in self.events:
+            grouped.setdefault(e, []).append((s, x))
+        return {e: tuple(zip(*pairs)) for e, pairs in grouped.items()}
+
     def w_at(self, e: int, s: int) -> tuple[int, ...]:
         """Elements of W_e entered by stage s, in enumeration order."""
-        return tuple(x for ee, ss, x in self.events if ee == e and ss <= s)
+        stages, elements = self._by_index.get(e, ((), ()))
+        return elements[: bisect_right(stages, s)]
 
     def w_final(self, e: int) -> tuple[int, ...]:
         return self.w_at(e, self.max_stage)
@@ -121,17 +133,21 @@ def build_diagonal_tree(enums: StagedEnum, l_max: int) -> DiagReport:
         fronts_by_level.append(active)
     levels: list[list[str]] = [[""]]
     for l in range(1, l_max + 1):
-        fronts = fronts_by_level[l]
-        keep: list[str] = []
-        for parent in levels[l - 1]:
-            for b in "01":
-                s = parent + b
-                if all(any(s[i] != s[front[0]] for i in front) for front in fronts):
-                    keep.append(s)
-        levels.append(keep)
-    members = frozenset(BitString(s) for level in levels for s in level)
+        # A front is split unless it reads all zeros or all ones.
+        checks = [
+            (itemgetter(*front), ("0",) * len(front), ("1",) * len(front))
+            for front in fronts_by_level[l]
+        ]
+        children = [s for parent in levels[l - 1] for s in (parent + "0", parent + "1")]
+        if checks:
+            children = [
+                s
+                for s in children
+                if all(read(s) not in (zeros, ones) for read, zeros, ones in checks)
+            ]
+        levels.append(children)
     return DiagReport(
-        tree=FinTree(members),
+        tree=FinTree._from_levels(levels),
         level_counts=tuple(len(level) for level in levels),
         triggered=frozenset(triggered),
     )

@@ -15,6 +15,8 @@ from rkl.core import (
     NatSet,
     PairColoring,
     StringFamily,
+    _all_binary,
+    downward_closure,
     lenlex,
     validate_tree,
 )
@@ -31,24 +33,24 @@ class FormatError(ValueError):
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, body))
-    return out
+    return [
+        (lineno, body)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (body := raw.partition("#")[0].strip())
+    ]
 
 
-def _parse_bits(token: str, lineno: int) -> BitString:
+def _parse_bits(token: str, lineno: int) -> str:
+    """The bit text of a token, with '-' standing for the empty string."""
     if token == "-":
-        return BitString()
+        return ""
     if token.strip("01"):
         raise FormatError(lineno, f"not a binary string: {token!r}")
-    return BitString(token)
+    return token
 
 
 def _parse_nat(token: str, lineno: int, minimum: int = 0) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise FormatError(lineno, f"not a natural number: {token!r}")
     value = int(token)
     if value < minimum:
@@ -56,18 +58,22 @@ def _parse_nat(token: str, lineno: int, minimum: int = 0) -> int:
     return value
 
 
-def _string_lines(text: str, what: str) -> list[BitString]:
-    seen: set[BitString] = set()
-    out: list[BitString] = []
-    for lineno, body in _data_lines(text):
+def _string_lines(text: str, what: str) -> list[str]:
+    """The bit texts listed one per line, in file order."""
+    lines = _data_lines(text)
+    texts = ["" if body == "-" else body for _, body in lines]
+    if _all_binary(texts) and len(set(texts)) == len(texts):
+        return texts
+    # Some line is bad: find the first, for its line number.
+    seen: set[str] = set()
+    for lineno, body in lines:
         if len(body.split()) != 1:
             raise FormatError(lineno, f"expected one {what} per line")
         s = _parse_bits(body, lineno)
         if s in seen:
-            raise FormatError(lineno, f"duplicate {what} {str(s)!r}")
+            raise FormatError(lineno, f"duplicate {what} {s or 'ε'!r}")
         seen.add(s)
-        out.append(s)
-    return out
+    raise AssertionError("a line failed the check above")
 
 
 def parse_tree(text: str, close: bool = False) -> FinTree:
@@ -75,12 +81,12 @@ def parse_tree(text: str, close: bool = False) -> FinTree:
     of insisting the listed strings are already prefix-closed."""
     strings = _string_lines(text, "string")
     if close:
-        return FinTree(frozenset(t for s in strings for t in s.prefixes()))
+        return downward_closure(strings)
     return validate_tree(strings)
 
 
 def parse_sigma(text: str) -> StringFamily:
-    return StringFamily(frozenset(_string_lines(text, "string")))
+    return StringFamily(frozenset(map(BitString, _string_lines(text, "string"))))
 
 
 def parse_coloring(text: str) -> PairColoring:
@@ -151,7 +157,7 @@ def parse_stages(text: str) -> tuple[list[tuple[int, BitString]], int]:
         if len(parts) != 2:
             raise FormatError(lineno, "expected 's string'")
         s = _parse_nat(parts[0], lineno, minimum=1)
-        events.append((s, _parse_bits(parts[1], lineno)))
+        events.append((s, BitString(_parse_bits(parts[1], lineno))))
     if not events:
         raise FormatError(None, "no stages listed")
     return events, max(s for s, _ in events)
@@ -162,7 +168,8 @@ def _bits_text(s: BitString) -> str:
 
 
 def render_tree(t: FinTree) -> str:
-    return "".join(f"{_bits_text(s)}\n" for s in sorted(t.members, key=lenlex))
+    # Level 0 is the root alone.
+    return "".join(["-\n", *(f"{s}\n" for level in t.text_levels[1:] for s in level)])
 
 
 def render_sigma(family: StringFamily) -> str:

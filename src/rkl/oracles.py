@@ -132,7 +132,7 @@ def ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
 
 def longest_path(t: FinTree) -> BitString:
     """The lexicographically least member of maximum length."""
-    return t.level(t.horizon)[0]
+    return BitString(t.text_levels[-1][0])
 
 
 def check_stable(f: PairColoring, x: int) -> StabilityEvidence:
@@ -149,10 +149,9 @@ def check_stable(f: PairColoring, x: int) -> StabilityEvidence:
 
 
 def _tree_sigma(t: FinTree, y: int) -> BitString:
-    level = t.level(y)
-    if not level:
+    if y > t.horizon:
         raise LevelEmpty(y)
-    return level[0]
+    return BitString(t.text_levels[y][0])
 
 
 def _family_sigma(family: StringFamily, y: int) -> BitString:

@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Mapping
 
 from rkl import predlang
 from rkl.core import (
-    EMPTY,
     BitString,
     FinTree,
     NatSet,
@@ -138,14 +137,10 @@ def path_pigeonhole(p: BitString) -> tuple[int, NatSet]:
 
 def tree_to_stable_coloring(t: FinTree, n: int) -> PairColoring:
     """Color (x, y) by the x-th symbol of the lex-least member of length y."""
-    sigmas: list[BitString] = [EMPTY]
-    for y in range(1, n + 1):
-        level = t.level(y)
-        if not level:
-            raise LevelEmpty(y)
-        sigmas.append(level[0])
+    if n > t.horizon:
+        raise LevelEmpty(t.horizon + 1)
     return PairColoring(
-        n, tuple(tuple(sigmas[y][x] for x in range(y)) for y in range(1, n + 1))
+        n, tuple(tuple(map(int, t.text_levels[y][0])) for y in range(1, n + 1))
     )
 
 
@@ -157,18 +152,20 @@ def stability_bound(t: FinTree, x: int) -> StabilityReport:
     """
     if x + 1 > t.horizon:
         raise ValueError(f"level {x + 1} is past the tree horizon {t.horizon}")
-    extendible: set[BitString] = set()
-    for leaf in t.level(t.horizon):
-        extendible.update(leaf.prefixes())
-    dead_bounds: dict[BitString, int] = {}
-    for tau in t.level(x + 1):
-        if tau not in extendible:
-            dead_bounds[tau] = max(len(s) for s in t.members if tau.is_prefix_of(s))
-    survivors = [tau for tau in t.level(x + 1) if tau in extendible]
+    # Levels ascend, so each level-(x+1) node ends up mapped to the length
+    # of its longest extension.
+    reach: dict[str, int] = {}
+    for l in range(x + 1, t.horizon + 1):
+        for s in t.text_levels[l]:
+            reach[s[: x + 1]] = l
+    dead_bounds = {
+        tau: reach[tau.bits] for tau in t.level(x + 1) if reach[tau.bits] < t.horizon
+    }
+    survivors = [tau for tau in t.level(x + 1) if reach[tau.bits] == t.horizon]
     return StabilityReport(
         x=x,
         bound=max(dead_bounds.values(), default=0),
-        limit_color=min(survivors)[x] if survivors else None,
+        limit_color=survivors[0][x] if survivors else None,
         dead_bounds=dead_bounds,
     )
 
@@ -293,5 +290,5 @@ def yokoyama_coloring(
 
 def set_to_path_tree(a: NatSet, l: int) -> FinTree:
     """The chain of prefixes of a's characteristic string, up to length l."""
-    chi = BitString.of(1 if x in a else 0 for x in range(l))
-    return FinTree(frozenset(chi.prefixes()))
+    chi = "".join("1" if x in a else "0" for x in range(l))
+    return FinTree._from_levels((chi[:i],) for i in range(len(chi) + 1))

@@ -78,3 +78,88 @@ def naive_ramsey(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
             if c is not None:
                 return c, NatSet(combo)
     return None
+
+
+# -- reference trees: the member texts as one (length, lex)-sorted list -----
+
+
+def lenlex_key(s: str) -> tuple[int, str]:
+    return (len(s), s)
+
+
+class RefTree:
+    """A tree kept the plainest way: its member texts, root included, as one
+    list sorted by (length, lex).  Every other view is read off that list."""
+
+    def __init__(self, texts) -> None:
+        self.texts = sorted(set(texts) | {""}, key=lenlex_key)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.texts[-1])
+
+    def level(self, l: int) -> tuple[BitString, ...]:
+        return tuple(BitString(s) for s in self.texts if len(s) == l)
+
+    def render(self) -> str:
+        return "".join((s or "-") + "\n" for s in self.texts)
+
+
+def ref_closure(texts) -> RefTree:
+    return RefTree(s[:i] for s in texts for i in range(len(s) + 1))
+
+
+def ref_unclosed(texts) -> tuple[str, str] | None:
+    """(offending, missing): the lenlex-least member with a prefix outside the
+    set, and its shortest such prefix; None when the set is prefix-closed."""
+    members = set(texts) | {""}
+    for s in sorted(members, key=lenlex_key):
+        for i in range(len(s)):
+            if s[:i] not in members:
+                return s, s[:i]
+    return None
+
+
+def ref_w_at(events, e: int, s: int) -> tuple[int, ...]:
+    """Scan every (stage, index, element)-ordered event for W_e at stage s."""
+    return tuple(x for ee, ss, x in events if ee == e and ss <= s)
+
+
+def ref_diagonal(enums, l_max: int) -> RefTree:
+    """Every string of length <= l_max whose prefixes each split all fronts
+    active at their own length, found by trying all strings."""
+    keep = {""}
+    for l in range(1, l_max + 1):
+        fronts = []
+        for e in range(enums.k):
+            w = ref_w_at(enums.events, e, l)
+            if len(w) >= e + 3 and max(w[: e + 3]) < l:
+                fronts.append(w[: e + 3])
+        for code in range(1 << l):
+            s = format(code, f"0{l}b")
+            if s[:-1] in keep and all(len({s[i] for i in f}) == 2 for f in fronts):
+                keep.add(s)
+    return RefTree(keep)
+
+
+def ref_homog_path(h: NatSet, ref: RefTree, horizon: int) -> tuple[int, str] | None:
+    """(color, lex-least witness) over every member of length >= horizon."""
+    for c in (0, 1):
+        wits = [
+            s
+            for s in ref.texts
+            if len(s) >= horizon and all(s[x] == str(c) for x in h if x < len(s))
+        ]
+        if wits:
+            return c, min(wits)
+    return None
+
+
+def ref_dead_bounds(ref: RefTree, x: int) -> dict[str, int]:
+    """Each level-(x+1) member missing the horizon, with its longest extension."""
+    return {
+        tau: max(len(s) for s in ref.texts if s.startswith(tau))
+        for tau in ref.texts
+        if len(tau) == x + 1
+        and not any(len(s) == ref.horizon and s.startswith(tau) for s in ref.texts)
+    }

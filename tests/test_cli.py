@@ -200,6 +200,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert out.endswith("verdict: fail\n")
 
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.tree"
+        code = cli.main(["close", "--sigma", fixture("alt.sigma"), "-o", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_non_ascii_digit_in_set_file(self, tmp_path, capsys):
+        bad = tmp_path / "h.set"
+        bad.write_text("1\n\u0663\n", encoding="utf-8")
+        assert cli.main(["info", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 2: not a natural number: '\u0663'\n"
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate"])

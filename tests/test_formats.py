@@ -155,6 +155,12 @@ class TestNatSet:
         with pytest.raises(FormatError):
             parse_natset("1\n1\n")
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])  # Arabic-Indic three, superscript two
+    def test_non_ascii_digits_rejected_with_line(self, digit):
+        with pytest.raises(FormatError) as info:
+            parse_natset(f"1\n{digit}\n")
+        assert info.value.line == 2
+
     @given(natsets())
     def test_round_trip(self, h):
         assert parse_natset(render_natset(h)) == h

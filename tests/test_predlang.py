@@ -43,6 +43,12 @@ class TestParse:
             parse("x +")
         assert info.value.offset == 3
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])  # Arabic-Indic three, superscript two
+    def test_non_ascii_digit_rejected_with_offset(self, digit):
+        with pytest.raises(ParseError) as info:
+            parse(f"z >= {digit}")
+        assert info.value.offset == 5
+
     def test_precedence_not_over_and_over_or(self):
         e = parse("not x = 0 and y = 1 or z = 2")
         assert e == Logic(
