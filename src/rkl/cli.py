@@ -9,10 +9,11 @@ identical arguments and files produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-from rkl import core, diagonal, formats, oracles, predlang, reductions
+from rkl import core, diagonal, formats, oracles, reductions
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -292,26 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INVALID_INPUT = (
-    formats.FormatError,
-    predlang.ParseError,
-    predlang.UnboundVariable,
-    core.NotPrefixClosed,
-    core.NotGraded,
-    reductions.EmptyPath,
-    reductions.LevelEmpty,
-    reductions.NoLongString,
-    reductions.BadStage,
-    reductions.CapExceeded,
-    diagonal.TooSmall,
-    OSError,
-    ValueError,
-)
+# Every library error about bad input is a ValueError; OSError covers files.
+_INVALID_INPUT = (ValueError, OSError)
+
+# Built on first use, then reused: parse_args leaves a parser as it was.
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, data = args.func(args)
         if args.output:

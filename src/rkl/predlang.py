@@ -18,13 +18,15 @@ are rejected at parse time, so a parsed expression never mixes kinds.
 
 Evaluation is total on a fully bound environment: subtraction truncates at
 zero, "a mod 0" is zero, and bit(i) reads 0 at any index past the end of the
-bound string.
+bound string.  compile turns a parsed expression into nested closures once,
+for callers that evaluate it many times; parse refuses nesting deeper than
+MAX_DEPTH, which bounds every recursion over an expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from rkl.core import BitString
 
@@ -144,11 +146,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 _PRIM_EXPECTED = ("a number", "a variable", "'bit('", "'('")
 
+# Nesting depth of an expression: a number or variable is 1, and each binary
+# operator, "not", "bit(...)" and pair of parentheses adds one level above
+# its deepest operand.  parse rejects anything deeper, so the parser,
+# compile and render never recurse more than a few hundred frames.
+MAX_DEPTH = 64
+_DEPTH_EXPECTED = (f"at most {MAX_DEPTH} levels of nesting",)
+
 
 class _Parser:
+    """Recursive descent; each parse_* returns (node, offset, depth)."""
+
     def __init__(self, tokens: list[tuple[str, str, int]]) -> None:
         self.tokens = tokens
         self.i = 0
+        self.open = 0  # enclosing "(", "bit(" and "not" tokens
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -176,104 +188,201 @@ class _Parser:
         if kind_of(node) != "nat":
             raise ParseError(offset, ("an arithmetic value",), "a comparison")
 
-    def parse_expr(self) -> tuple[PredExpr, int]:
-        node, offset = self.parse_and()
+    def nest(self, depth: int, offset: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(offset, _DEPTH_EXPECTED, "deeper nesting")
+        return depth
+
+    def nested(self, offset: int, parse) -> tuple[PredExpr, int, int]:
+        """Parse one level below the "(", "bit(" or "not" at offset.  Levels
+        are counted on the way down too, so deep nesting is refused early."""
+        self.open += 1
+        self.nest(self.open + 1, offset)
+        node, noff, depth = parse()
+        self.open -= 1
+        return node, noff, self.nest(depth + 1, offset)
+
+    def parse_expr(self) -> tuple[PredExpr, int, int]:
+        node, offset, depth = self.parse_and()
         while self.at_name("or"):
             self.require_bool(node, offset)
-            self.advance()
-            rhs, roff = self.parse_and()
+            _, _, op_off = self.advance()
+            rhs, roff, rdepth = self.parse_and()
             self.require_bool(rhs, roff)
             node = Logic("or", node, rhs)
-        return node, offset
+            depth = self.nest(max(depth, rdepth) + 1, op_off)
+        return node, offset, depth
 
-    def parse_and(self) -> tuple[PredExpr, int]:
-        node, offset = self.parse_unary()
+    def parse_and(self) -> tuple[PredExpr, int, int]:
+        node, offset, depth = self.parse_unary()
         while self.at_name("and"):
             self.require_bool(node, offset)
-            self.advance()
-            rhs, roff = self.parse_unary()
+            _, _, op_off = self.advance()
+            rhs, roff, rdepth = self.parse_unary()
             self.require_bool(rhs, roff)
             node = Logic("and", node, rhs)
-        return node, offset
+            depth = self.nest(max(depth, rdepth) + 1, op_off)
+        return node, offset, depth
 
-    def parse_unary(self) -> tuple[PredExpr, int]:
+    def parse_unary(self) -> tuple[PredExpr, int, int]:
         if self.at_name("not"):
             _, _, offset = self.advance()
-            operand, ooff = self.parse_unary()
+            operand, ooff, depth = self.nested(offset, self.parse_unary)
             self.require_bool(operand, ooff)
-            return Not(operand), offset
+            return Not(operand), offset, depth
         return self.parse_rel()
 
-    def parse_rel(self) -> tuple[PredExpr, int]:
-        left, offset = self.parse_sum()
-        kind, value, _ = self.peek()
+    def parse_rel(self) -> tuple[PredExpr, int, int]:
+        left, offset, depth = self.parse_sum()
+        kind, value, op_off = self.peek()
         if kind == "sym" and value in _CMP_OPS:
             self.require_nat(left, offset)
             self.advance()
-            right, roff = self.parse_sum()
+            right, roff, rdepth = self.parse_sum()
             self.require_nat(right, roff)
-            return Cmp(value, left, right), offset
-        return left, offset
+            return Cmp(value, left, right), offset, self.nest(max(depth, rdepth) + 1, op_off)
+        return left, offset, depth
 
-    def parse_sum(self) -> tuple[PredExpr, int]:
-        left, offset = self.parse_prod()
+    def parse_sum(self) -> tuple[PredExpr, int, int]:
+        left, offset, depth = self.parse_prod()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, op_off = self.peek()
             if kind == "sym" and value in ("+", "-"):
                 self.require_nat(left, offset)
                 self.advance()
-                right, roff = self.parse_prod()
+                right, roff, rdepth = self.parse_prod()
                 self.require_nat(right, roff)
                 left = Arith(value, left, right)
+                depth = self.nest(max(depth, rdepth) + 1, op_off)
             else:
-                return left, offset
+                return left, offset, depth
 
-    def parse_prod(self) -> tuple[PredExpr, int]:
-        left, offset = self.parse_prim()
+    def parse_prod(self) -> tuple[PredExpr, int, int]:
+        left, offset, depth = self.parse_prim()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, op_off = self.peek()
             if (kind == "sym" and value == "*") or (kind == "name" and value == "mod"):
                 self.require_nat(left, offset)
                 self.advance()
-                right, roff = self.parse_prim()
+                right, roff, rdepth = self.parse_prim()
                 self.require_nat(right, roff)
                 left = Arith(value, left, right)
+                depth = self.nest(max(depth, rdepth) + 1, op_off)
             else:
-                return left, offset
+                return left, offset, depth
 
-    def parse_prim(self) -> tuple[PredExpr, int]:
+    def parse_prim(self) -> tuple[PredExpr, int, int]:
         kind, value, offset = self.peek()
         if kind == "num":
             self.advance()
-            return Num(int(value)), offset
+            return Num(int(value)), offset, 1
         if kind == "name":
             if value in VARIABLES:
                 self.advance()
-                return Var(value), offset
+                return Var(value), offset, 1
             if value == "bit":
                 self.advance()
                 self.expect_sym("(")
-                index, ioff = self.parse_sum()
+                index, ioff, depth = self.nested(offset, self.parse_sum)
                 self.require_nat(index, ioff)
                 self.expect_sym(")")
-                return Bit(index), offset
+                return Bit(index), offset, depth
             raise ParseError(offset, _PRIM_EXPECTED, f"'{value}'")
         if kind == "sym" and value == "(":
             self.advance()
-            node, _ = self.parse_expr()
+            node, _, depth = self.nested(offset, self.parse_expr)
             self.expect_sym(")")
-            return node, offset
+            return node, offset, depth
         raise ParseError(offset, _PRIM_EXPECTED, value or "end of input")
 
 
 def parse(text: str) -> PredExpr:
-    """Parse a predicate or arithmetic expression; reject with byte offsets."""
+    """Parse a predicate or arithmetic expression; reject with byte offsets.
+
+    Expressions nested deeper than MAX_DEPTH are rejected too.
+    """
     parser = _Parser(_tokenize(text))
-    node, _ = parser.parse_expr()
+    node, _, _ = parser.parse_expr()
     kind, value, offset = parser.peek()
     if kind != "end":
         raise ParseError(offset, ("end of input",), value)
     return node
+
+
+Compiled = Callable[[Mapping[str, int], BitString | None], int | bool]
+
+
+def compile(expr: PredExpr) -> Compiled:
+    """Turn an expression once into a function of (env, tau).
+
+    The function gives what evaluate(expr, env, tau) gives, and raises the
+    same UnboundVariable: operands are computed left to right, and "and" and
+    "or" compute both of theirs.  Operators are picked here, not per call.
+    """
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda env, tau: value
+    if isinstance(expr, Var):
+        return _length if expr.name == "len" else _variable(expr.name)
+    if isinstance(expr, Bit):
+        return _bit(compile(expr.index))
+    if isinstance(expr, Not):
+        operand = compile(expr.operand)
+        return lambda env, tau: not operand(env, tau)
+    if isinstance(expr, (Arith, Cmp, Logic)):
+        return _BINARY[expr.op](compile(expr.left), compile(expr.right))
+    raise TypeError(f"not a predicate node: {expr!r}")
+
+
+def _variable(name: str) -> Compiled:
+    def read(env: Mapping[str, int], tau: BitString | None) -> int:
+        try:
+            return env[name]
+        except KeyError:
+            raise UnboundVariable(name) from None
+
+    return read
+
+
+def _length(env: Mapping[str, int], tau: BitString | None) -> int:
+    if tau is None:
+        raise UnboundVariable("len")
+    return len(tau.bits)
+
+
+def _bit(index: Compiled) -> Compiled:
+    def read(env: Mapping[str, int], tau: BitString | None) -> int:
+        if tau is None:
+            raise UnboundVariable("bit")
+        return 1 if tau.bits.startswith("1", index(env, tau)) else 0  # 0 past the end
+
+    return read
+
+
+def _mod(f: Compiled, g: Compiled) -> Compiled:
+    def run(env: Mapping[str, int], tau: BitString | None) -> int:
+        a, b = f(env, tau), g(env, tau)
+        return a % b if b else 0
+
+    return run
+
+
+# One closure factory per operator.  Subtraction truncates at zero, and the
+# logical operators take the bools that comparisons and "not" give.
+_BINARY: dict[str, Callable[[Compiled, Compiled], Compiled]] = {
+    "+": lambda f, g: lambda env, tau: f(env, tau) + g(env, tau),
+    "-": lambda f, g: lambda env, tau: max(f(env, tau) - g(env, tau), 0),
+    "*": lambda f, g: lambda env, tau: f(env, tau) * g(env, tau),
+    "mod": _mod,
+    "=": lambda f, g: lambda env, tau: f(env, tau) == g(env, tau),
+    "!=": lambda f, g: lambda env, tau: f(env, tau) != g(env, tau),
+    "<": lambda f, g: lambda env, tau: f(env, tau) < g(env, tau),
+    "<=": lambda f, g: lambda env, tau: f(env, tau) <= g(env, tau),
+    ">": lambda f, g: lambda env, tau: f(env, tau) > g(env, tau),
+    ">=": lambda f, g: lambda env, tau: f(env, tau) >= g(env, tau),
+    "and": lambda f, g: lambda env, tau: f(env, tau) & g(env, tau),
+    "or": lambda f, g: lambda env, tau: f(env, tau) | g(env, tau),
+}
 
 
 def evaluate(
@@ -284,53 +393,9 @@ def evaluate(
     """Evaluate with variables from env and bit/len reading tau.
 
     Total for fully bound input: no arithmetic below zero, mod 0 is 0, and
-    out-of-range bit reads give 0.
+    out-of-range bit reads give 0.  Compile once to evaluate many times.
     """
-    bindings = env or {}
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.name == "len":
-            if tau is None:
-                raise UnboundVariable("len")
-            return len(tau)
-        try:
-            return int(bindings[expr.name])
-        except KeyError:
-            raise UnboundVariable(expr.name) from None
-    if isinstance(expr, Bit):
-        if tau is None:
-            raise UnboundVariable("bit")
-        i = evaluate(expr.index, bindings, tau)
-        return tau[i] if i < len(tau) else 0
-    if isinstance(expr, Arith):
-        a = evaluate(expr.left, bindings, tau)
-        b = evaluate(expr.right, bindings, tau)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b if a > b else 0
-        if expr.op == "*":
-            return a * b
-        return a % b if b else 0
-    if isinstance(expr, Cmp):
-        a = evaluate(expr.left, bindings, tau)
-        b = evaluate(expr.right, bindings, tau)
-        return {
-            "=": a == b,
-            "!=": a != b,
-            "<": a < b,
-            "<=": a <= b,
-            ">": a > b,
-            ">=": a >= b,
-        }[expr.op]
-    if isinstance(expr, Not):
-        return not evaluate(expr.operand, bindings, tau)
-    if isinstance(expr, Logic):
-        a = bool(evaluate(expr.left, bindings, tau))
-        b = bool(evaluate(expr.right, bindings, tau))
-        return (a and b) if expr.op == "and" else (a or b)
-    raise TypeError(f"not a predicate node: {expr!r}")
+    return compile(expr)(env or {}, tau)
 
 
 _LEVEL_OR = 1

@@ -9,7 +9,6 @@ explicit cap.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -67,41 +66,20 @@ class PredMatrix:
     """A total decidable predicate over named natural variables.
 
     The wrapped function takes (env, tau) where env maps variable names to
-    naturals and tau is an optional bit string read by bit()/len.  Build one
-    from a plain callable with keyword parameters, from expression text, or
-    from a parsed expression.
+    naturals and tau is an optional bit string read by bit()/len; its result
+    is read for truth.  Build one from expression text or from a parsed
+    expression, which is compiled once here.
     """
 
-    fn: Callable[[Mapping[str, int], BitString | None], bool]
+    fn: Callable[[Mapping[str, int], BitString | None], object]
     source: str | None = None
 
     def __call__(self, tau: BitString | None = None, /, **bindings: int) -> bool:
         return bool(self.fn(bindings, tau))
 
     @classmethod
-    def from_callable(cls, fn: Callable[..., object], source: str | None = None) -> "PredMatrix":
-        params = [
-            p.name
-            for p in inspect.signature(fn).parameters.values()
-            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-        ]
-        wants_tau = "tau" in params
-        names = [p for p in params if p != "tau"]
-
-        def run(env: Mapping[str, int], tau: BitString | None) -> bool:
-            kwargs: dict[str, object] = {name: env[name] for name in names}
-            if wants_tau:
-                kwargs["tau"] = tau
-            return bool(fn(**kwargs))
-
-        return cls(fn=run, source=source)
-
-    @classmethod
     def from_expr(cls, expr: predlang.PredExpr) -> "PredMatrix":
-        def run(env: Mapping[str, int], tau: BitString | None) -> bool:
-            return bool(predlang.evaluate(expr, env, tau))
-
-        return cls(fn=run, source=predlang.render(expr))
+        return cls(fn=predlang.compile(expr), source=predlang.render(expr))
 
     @classmethod
     def from_text(cls, text: str) -> "PredMatrix":
@@ -224,36 +202,32 @@ def pi2_tree_to_sigma1(phi: PredMatrix, tau: BitString, bound: int) -> bool:
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    fn = phi.fn
     for x in range(len(tau) + 1):
         pref = tau.prefix(x)
         for y in range(len(tau) + 1):
-            if not any(phi(pref, y=y, z=z) for z in range(bound)):
+            env = {"y": y}
+            for z in range(bound):
+                env["z"] = z
+                if fn(env, pref):
+                    break
+            else:
                 return False
     return True
 
 
-def _side_holds(theta: PredMatrix, x: int, y: int, z: int) -> bool:
-    return all(any(theta(x=x, m=m, n=n) for n in range(z)) for m in range(y))
-
-
-def yokoyama_h(
-    theta0: PredMatrix, theta1: PredMatrix, x: int, y: int, cap: int
-) -> int:
-    """Least z <= cap below which one matrix covers every m < y at x."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    for z in range(cap + 1):
-        if _side_holds(theta0, x, y, z) or _side_holds(theta1, x, y, z):
-            return z
-    raise CapExceeded(x, y, cap)
-
-
 def _witness_table(theta: PredMatrix, x: int, m_count: int, cap: int) -> list[int | None]:
     """Least witness n < cap for each m, or None when a row has none."""
-    return [
-        next((n for n in range(cap) if theta(x=x, m=m, n=n)), None)
-        for m in range(m_count)
-    ]
+    fn = theta.fn
+    table: list[int | None] = [None] * m_count
+    for m in range(m_count):
+        env = {"x": x, "m": m}
+        for n in range(cap):
+            env["n"] = n
+            if fn(env, None):
+                table[m] = n
+                break
+    return table
 
 
 def _cover_bound(table: list[int | None], y: int) -> int | None:
@@ -269,8 +243,9 @@ def yokoyama_coloring(
 ) -> PairColoring:
     """Color (x, y) with 0 exactly when the first matrix covers m < y below h(x, y).
 
-    Semantically the same as calling yokoyama_h pointwise, computed through
-    least-witness tables so each matrix is consulted once per (x, m, n).
+    h(x, y) is the least z <= cap below which one matrix covers every m < y
+    at x.  It is read off least-witness tables, so each matrix is consulted
+    at most once per (x, m, n).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")

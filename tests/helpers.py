@@ -7,11 +7,25 @@ implementations are checked against something with no shared code.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+from typing import Callable, Mapping
 
 from hypothesis import strategies as st
 
+from rkl import reductions
 from rkl.core import BitString, NatSet, PairColoring, StringFamily, downward_closure
+from rkl.predlang import (
+    Arith,
+    Bit,
+    Cmp,
+    Logic,
+    Not,
+    Num,
+    PredExpr,
+    UnboundVariable,
+    Var,
+)
 
 
 def bitstrings(max_len: int = 10):
@@ -163,3 +177,96 @@ def ref_dead_bounds(ref: RefTree, x: int) -> dict[str, int]:
         if len(tau) == x + 1
         and not any(len(s) == ref.horizon and s.startswith(tau) for s in ref.texts)
     }
+
+
+# -- predicates: a tree-walking interpreter and pointwise covering bounds ---
+
+
+def ref_evaluate(
+    expr: PredExpr, env: Mapping[str, int] | None = None, tau: BitString | None = None
+) -> int | bool:
+    """Walk the tree on every call; the oracle for predlang.compile."""
+    bindings = env or {}
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        if expr.name == "len":
+            if tau is None:
+                raise UnboundVariable("len")
+            return len(tau)
+        try:
+            return int(bindings[expr.name])
+        except KeyError:
+            raise UnboundVariable(expr.name) from None
+    if isinstance(expr, Bit):
+        if tau is None:
+            raise UnboundVariable("bit")
+        i = ref_evaluate(expr.index, bindings, tau)
+        return tau[i] if i < len(tau) else 0
+    if isinstance(expr, Arith):
+        a = ref_evaluate(expr.left, bindings, tau)
+        b = ref_evaluate(expr.right, bindings, tau)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b if a > b else 0
+        if expr.op == "*":
+            return a * b
+        return a % b if b else 0
+    if isinstance(expr, Cmp):
+        a = ref_evaluate(expr.left, bindings, tau)
+        b = ref_evaluate(expr.right, bindings, tau)
+        return {
+            "=": a == b,
+            "!=": a != b,
+            "<": a < b,
+            "<=": a <= b,
+            ">": a > b,
+            ">=": a >= b,
+        }[expr.op]
+    if isinstance(expr, Not):
+        return not ref_evaluate(expr.operand, bindings, tau)
+    if isinstance(expr, Logic):
+        a = bool(ref_evaluate(expr.left, bindings, tau))
+        b = bool(ref_evaluate(expr.right, bindings, tau))
+        return (a and b) if expr.op == "and" else (a or b)
+    raise TypeError(f"not a predicate node: {expr!r}")
+
+
+class PredMatrix(reductions.PredMatrix):
+    """The library's matrix, plus one built from a plain Python callable."""
+
+    @classmethod
+    def from_callable(cls, fn: Callable[..., object], source: str | None = None) -> "PredMatrix":
+        params = [
+            p.name
+            for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        ]
+        wants_tau = "tau" in params
+        names = [p for p in params if p != "tau"]
+
+        def run(env: Mapping[str, int], tau: BitString | None) -> bool:
+            kwargs: dict[str, object] = {name: env[name] for name in names}
+            if wants_tau:
+                kwargs["tau"] = tau
+            return bool(fn(**kwargs))
+
+        return cls(fn=run, source=source)
+
+
+def _side_holds(theta: reductions.PredMatrix, x: int, y: int, z: int) -> bool:
+    return all(any(theta(x=x, m=m, n=n) for n in range(z)) for m in range(y))
+
+
+def yokoyama_h(
+    theta0: reductions.PredMatrix, theta1: reductions.PredMatrix, x: int, y: int, cap: int
+) -> int:
+    """Least z <= cap below which one matrix covers every m < y at x, by
+    trying each z in turn; the pointwise form of yokoyama_coloring."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    for z in range(cap + 1):
+        if _side_holds(theta0, x, y, z) or _side_holds(theta1, x, y, z):
+            return z
+    raise reductions.CapExceeded(x, y, cap)

@@ -227,6 +227,61 @@ class TestExitCodes:
         assert capsys.readouterr().out == "# none\n"
 
 
+DEEP_PREDICATES = {
+    "parentheses": "(" * 2000 + "z >= y" + ")" * 2000,
+    "sum chain": "z >= " + "+".join(["y"] * 3000),
+    "not run": "not " * 3000 + "z >= y",
+}
+
+
+class TestDeepPredicates:
+    @pytest.mark.parametrize("name", sorted(DEEP_PREDICATES))
+    def test_refused_with_one_error_line(self, name, capsys):
+        argv = ["pi2sigma1", "--phi", DEEP_PREDICATES[name], "--tau", "01", "--bound", "4"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: at offset ")
+        assert "levels of nesting" in captured.err and captured.err.count("\n") == 1
+
+    def test_no_traceback_from_a_fresh_process(self):
+        phi = DEEP_PREDICATES["parentheses"]
+        result = subprocess.run(
+            [sys.executable, "-m", "rkl.cli", "pi2sigma1", "--phi", phi, "--tau", "-",
+             "--bound", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: at offset ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+class TestParserReuse:
+    def test_identical_results_after_argparse_errors(self, capsys):
+        stable = ["stable", "--coloring", fixture("fork.color")]
+        expected = (GOLDEN / "stable_fork.txt").read_text(encoding="utf-8")
+        bad_calls = [
+            ["frobnicate"],
+            ["yoko", "--theta0", "x = 0"],
+            ["search", "--coloring", fixture("fork.color"), "--min-size", "two"],
+            stable + ["-x", "one"],
+        ]
+        for bad in bad_calls:
+            with pytest.raises(SystemExit) as info:
+                cli.main(bad)
+            assert info.value.code == 2
+            first_error = capsys.readouterr().err
+            with pytest.raises(SystemExit):
+                cli.main(bad)
+            assert capsys.readouterr().err == first_error
+            # A flag given to one call must not leak into the next.
+            assert cli.main(stable + ["-x", "1"]) == 0
+            capsys.readouterr()
+            assert cli.main(stable) == 0
+            assert capsys.readouterr().out == expected
+
+
 class TestDataErrorsBeforeOutput:
     def test_nothing_written_when_second_input_is_bad(self, tmp_path, capsys):
         # verify reads several files; a bad one must leave stdout empty.

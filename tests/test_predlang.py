@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import bitstrings, ref_evaluate
+from rkl import predlang
 from rkl.core import BitString
 from rkl.predlang import (
+    MAX_DEPTH,
     VARIABLES,
     Arith,
     Bit,
@@ -205,3 +208,109 @@ class TestFuzz:
     @given(any_exprs)
     def test_render_is_stable(self, e):
         assert render(parse(render(e))) == render(e)
+
+
+def outcome(run):
+    """The value with its type, or the name an UnboundVariable carries."""
+    try:
+        value = run()
+    except UnboundVariable as exc:
+        return ("unbound", exc.name)
+    return ("value", value, type(value))
+
+
+partial_envs = st.dictionaries(st.sampled_from(VARIABLES), st.integers(0, 40))
+
+
+class TestCompile:
+    @given(any_exprs, partial_envs, st.none() | bitstrings(6))
+    def test_matches_tree_walk(self, e, env, tau):
+        expected = outcome(lambda: ref_evaluate(e, env, tau))
+        assert outcome(lambda: predlang.compile(e)(env, tau)) == expected
+        assert outcome(lambda: evaluate(e, env, tau)) == expected
+
+    @given(any_exprs, bitstrings(6))
+    def test_one_closure_serves_many_environments(self, e, tau):
+        fn = predlang.compile(e)
+        for y in range(4):
+            env = dict(FULL_ENV, y=y, z=3 * y)
+            assert outcome(lambda: fn(env, tau)) == outcome(lambda: ref_evaluate(e, env, tau))
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("3 - 7", 0),
+            ("7 - 3", 4),
+            ("3 - 3", 0),
+            ("x - 9 + 1", 1),
+            ("5 mod 0", 0),
+            ("x mod (2 - 2)", 0),
+            ("7 mod 3", 1),
+            ("bit(1)", 1),
+            ("bit(2)", 0),
+            ("bit(99 * 99 * 99 * 99 * 99 * 99 * 99 * 99 * 99 * 99)", 0),
+            ("bit(len - 1) + bit(len)", 1),
+        ],
+    )
+    def test_total_edge_cases(self, text, value):
+        e = parse(text)
+        env, tau = {"x": 4}, BitString("01")
+        assert predlang.compile(e)(env, tau) == value == ref_evaluate(e, env, tau)
+
+    def test_both_operands_of_and_or_are_computed(self):
+        # A false left side does not hide the unbound right side.
+        for text in ("x < 0 and y = 1", "x >= 0 or y = 1"):
+            with pytest.raises(UnboundVariable) as info:
+                predlang.compile(parse(text))({"x": 4}, None)
+            assert info.value.name == "y"
+
+    def test_bit_and_len_need_tau(self):
+        for text, name in (("bit(0) = 1", "bit"), ("len > 0", "len"), ("bit(len) = 0", "bit")):
+            with pytest.raises(UnboundVariable) as info:
+                predlang.compile(parse(text))({}, None)
+            assert info.value.name == name
+
+
+def nested_parens(k: int) -> str:
+    return "(" * k + "x" + ")" * k
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            nested_parens(MAX_DEPTH - 1),
+            "+".join(["y"] * MAX_DEPTH),
+            "not " * (MAX_DEPTH - 2) + "x = 1",
+            "bit(" * (MAX_DEPTH - 1) + "0" + ")" * (MAX_DEPTH - 1),
+            "z >= " + "+".join(["y"] * (MAX_DEPTH - 1)),
+        ],
+    )
+    def test_deepest_accepted_expression_round_trips(self, text):
+        e = parse(text)
+        assert parse(render(e)) == e
+        env = {"x": 1, "y": 1, "z": 0}
+        tau = BitString("1")
+        assert predlang.compile(e)(env, tau) == ref_evaluate(e, env, tau)
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            # Refused at the first "(" that opens level MAX_DEPTH.
+            (nested_parens(MAX_DEPTH), MAX_DEPTH - 1),
+            (nested_parens(2000), MAX_DEPTH - 1),
+            # Refused at the operator that makes the chain too deep.
+            ("+".join(["y"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),
+            ("z >= " + "+".join(["y"] * 3000), 5 + 2 * MAX_DEPTH - 1),
+            (" or ".join(["x = 1"] * 100), 9 * (MAX_DEPTH - 2) + 6),
+            # One "not" too many over a comparison is refused at the outermost.
+            ("not " * (MAX_DEPTH - 1) + "x = 1", 0),
+            ("not " * 3000 + "x = 1", 4 * (MAX_DEPTH - 1)),
+            ("bit(" * 3000 + "0" + ")" * 3000, 4 * (MAX_DEPTH - 1)),
+        ],
+    )
+    def test_deeper_expression_refused_with_offset(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.offset == offset
+        assert info.value.expected == (f"at most {MAX_DEPTH} levels of nesting",)

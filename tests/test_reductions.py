@@ -5,12 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    PredMatrix,
     bitstrings,
     colorings,
     graded_families,
     nonempty_bitstrings,
     string_families,
     trees,
+    yokoyama_h,
 )
 from rkl.core import (
     BitString,
@@ -27,7 +29,6 @@ from rkl.reductions import (
     EmptyPath,
     LevelEmpty,
     NoLongString,
-    PredMatrix,
     ce_tree_to_sigma,
     coloring_to_sigma,
     path_pigeonhole,
@@ -37,7 +38,6 @@ from rkl.reductions import (
     stability_bound,
     tree_to_stable_coloring,
     yokoyama_coloring,
-    yokoyama_h,
 )
 
 B = BitString
