@@ -59,14 +59,14 @@ def _cmd_ce2sigma(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_pi2sigma1(args: argparse.Namespace) -> tuple[int, str]:
-    phi = reductions.PredMatrix.from_text(args.phi)
+    phi = reductions.PredMatrix.from_text(args.phi, reductions.PI2_NAMES)
     held = reductions.pi2_tree_to_sigma1(phi, _bits_arg(args.tau), args.bound)
     return EXIT_OK, ("true\n" if held else "false\n")
 
 
 def _cmd_yoko(args: argparse.Namespace) -> tuple[int, str]:
-    theta0 = reductions.PredMatrix.from_text(args.theta0)
-    theta1 = reductions.PredMatrix.from_text(args.theta1)
+    theta0 = reductions.PredMatrix.from_text(args.theta0, reductions.YOKO_NAMES)
+    theta1 = reductions.PredMatrix.from_text(args.theta1, reductions.YOKO_NAMES)
     f = reductions.yokoyama_coloring(theta0, theta1, args.n, args.cap)
     return EXIT_OK, formats.render_coloring(f)
 

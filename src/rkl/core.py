@@ -236,7 +236,7 @@ class PairColoring:
         for y, row in enumerate(self.rows, start=1):
             if len(row) != y:
                 raise ValueError(f"row for y={y} must have {y} entries")
-            if any(c not in (0, 1) for c in row):
+            if row.count(0) + row.count(1) != y:
                 raise ValueError(f"row for y={y} holds a non-color value")
 
     @classmethod

@@ -3,6 +3,13 @@
 Everything here recomputes from first principles: the search enumerates
 monochromatic sets with branch and bound, and the verifier re-derives each
 witness string from the source object rather than trusting the coloring.
+
+The search treats each color as a graph and looks for a largest clique.  It
+bounds each branch by a greedy colouring of its candidates (Tomita and
+Seki's bound): a clique holds at most one vertex of each colour class.  The
+bound only decides what need not be searched, so the canonical answer is
+unchanged: the largest size, the lexicographically least set of that size,
+and color 0 on a tie.
 """
 
 from __future__ import annotations
@@ -68,19 +75,46 @@ def _adjacency(f: PairColoring) -> tuple[list[int], list[int]]:
     return adj
 
 
-def _max_clique(adj: list[int], cand: int) -> int:
-    best = 0
+def _max_clique(adj: list[int], cand: int, floor: int = 0) -> int:
+    """Size of a largest clique within cand, or floor when none is larger.
+
+    Branch and bound with a greedy colouring bound: each node splits its
+    candidates into colour classes of pairwise non-adjacent vertices, lowest
+    vertex first, and branches on them in reverse colour order.  A vertex of
+    colour k extends the current clique by at most k more vertices, so the
+    node stops once size + k <= best; vertices that could never pass that
+    test are coloured but not kept.
+    """
+    best = floor
+    avoid = [~a for a in adj]  # the vertices not adjacent to v, v included
 
     def expand(size: int, cand: int) -> None:
         nonlocal best
         if size > best:
             best = size
-        while cand:
-            if size + cand.bit_count() <= best:
+        vertices: list[int] = []
+        colours: list[int] = []
+        skip = best - size
+        colour = 0
+        uncoloured = cand
+        while uncoloured:
+            colour += 1
+            keep = colour > skip
+            free = uncoloured
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                uncoloured ^= low
+                free = (free ^ low) & avoid[v]
+                if keep:
+                    vertices.append(v)
+                    colours.append(colour)
+        for i in range(len(vertices) - 1, -1, -1):
+            if size + colours[i] <= best:
                 return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
+            v = vertices[i]
             expand(size + 1, cand & adj[v])
+            cand ^= 1 << v
 
     expand(0, cand)
     return best
@@ -96,7 +130,9 @@ def _lex_least_clique(adj: list[int], universe: int, need: int) -> tuple[int, ..
             v = (m & -m).bit_length() - 1
             m &= m - 1
             rest = cand & adj[v] & -(1 << (v + 1))
-            if _max_clique(adj, rest) >= need - 1:
+            # Only whether rest holds a clique of need - 1 matters, so the
+            # search starts from need - 2 and prunes every smaller branch.
+            if need == 1 or _max_clique(adj, rest, need - 2) >= need - 1:
                 chosen.append(v)
                 cand = rest
                 need -= 1
@@ -117,7 +153,10 @@ def ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
         raise ValueError("min_size must be at least 2")
     adj = _adjacency(f)
     universe = (1 << (f.n + 1)) - 1
-    sizes = (_max_clique(adj[0], universe), _max_clique(adj[1], universe))
+    s0 = _max_clique(adj[0], universe)
+    # Exact whenever color 1 ties or beats color 0, which is all that matters.
+    s1 = _max_clique(adj[1], universe, s0 - 1)
+    sizes = (s0, s1)
     best = max(sizes)
     if best < min_size:
         return None
@@ -139,12 +178,13 @@ def check_stable(f: PairColoring, x: int) -> StabilityEvidence:
     """Scan column x for its last visible change."""
     if not 0 <= x < f.n:
         raise ValueError(f"x must satisfy 0 <= x < {f.n}")
+    rows = f.rows  # rows[y - 1][x] is the color of (x, y)
     last = x + 1
     for y in range(x + 2, f.n + 1):
-        if f.value(x, y) != f.value(x, y - 1):
+        if rows[y - 1][x] != rows[y - 2][x]:
             last = y
     return StabilityEvidence(
-        stabilized=last < f.n, last_change=last, final_color=f.value(x, f.n)
+        stabilized=last < f.n, last_change=last, final_color=rows[-1][x]
     )
 
 

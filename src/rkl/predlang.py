@@ -26,7 +26,7 @@ MAX_DEPTH, which bounds every recursion over an expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Collection, Mapping, Union
 
 from rkl.core import BitString
 
@@ -50,11 +50,17 @@ class ParseError(ValueError):
 
 
 class UnboundVariable(ValueError):
-    """Evaluation hit a variable (or the bound string) with no binding."""
+    """A variable (or the bound string) with no binding.
 
-    def __init__(self, name: str) -> None:
+    parse finds it at a byte offset when told which names the caller binds;
+    otherwise evaluation finds it, and offset is None.
+    """
+
+    def __init__(self, name: str, offset: int | None = None) -> None:
         self.name = name
-        super().__init__(f"unbound: {name}")
+        self.offset = offset
+        where = f"at offset {offset}: " if offset is not None else ""
+        super().__init__(f"{where}unbound: {name}")
 
 
 @dataclass(frozen=True)
@@ -157,10 +163,17 @@ _DEPTH_EXPECTED = (f"at most {MAX_DEPTH} levels of nesting",)
 class _Parser:
     """Recursive descent; each parse_* returns (node, offset, depth)."""
 
-    def __init__(self, tokens: list[tuple[str, str, int]]) -> None:
+    def __init__(
+        self, tokens: list[tuple[str, str, int]], names: Collection[str] | None
+    ) -> None:
         self.tokens = tokens
+        self.names = names
         self.i = 0
         self.open = 0  # enclosing "(", "bit(" and "not" tokens
+
+    def require_bound(self, name: str, offset: int) -> None:
+        if self.names is not None and name not in self.names:
+            raise UnboundVariable(name, offset)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -278,9 +291,11 @@ class _Parser:
             return Num(int(value)), offset, 1
         if kind == "name":
             if value in VARIABLES:
+                self.require_bound(value, offset)
                 self.advance()
                 return Var(value), offset, 1
             if value == "bit":
+                self.require_bound(value, offset)
                 self.advance()
                 self.expect_sym("(")
                 index, ioff, depth = self.nested(offset, self.parse_sum)
@@ -296,16 +311,21 @@ class _Parser:
         raise ParseError(offset, _PRIM_EXPECTED, value or "end of input")
 
 
-def parse(text: str) -> PredExpr:
+def parse(text: str, names: Collection[str] | None = None) -> PredExpr:
     """Parse a predicate or arithmetic expression; reject with byte offsets.
 
-    Expressions nested deeper than MAX_DEPTH are rejected too.
+    Expressions nested deeper than MAX_DEPTH are rejected too.  With names,
+    the text is a matrix whose caller binds just those names ("bit" standing
+    for bit(...)): any other variable raises UnboundVariable at its offset,
+    and an arithmetic value at the top level raises ParseError.
     """
-    parser = _Parser(_tokenize(text))
-    node, _, _ = parser.parse_expr()
+    parser = _Parser(_tokenize(text), names)
+    node, start, _ = parser.parse_expr()
     kind, value, offset = parser.peek()
     if kind != "end":
         raise ParseError(offset, ("end of input",), value)
+    if names is not None:
+        parser.require_bool(node, start)
     return node
 
 

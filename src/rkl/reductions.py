@@ -10,7 +10,7 @@ explicit cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from rkl import predlang
 from rkl.core import (
@@ -82,8 +82,16 @@ class PredMatrix:
         return cls(fn=predlang.compile(expr), source=predlang.render(expr))
 
     @classmethod
-    def from_text(cls, text: str) -> "PredMatrix":
-        return cls.from_expr(predlang.parse(text))
+    def from_text(cls, text: str, names: Collection[str] | None = None) -> "PredMatrix":
+        """Parse and compile; with names, refuse at parse time a matrix that
+        is not a comparison or reads a name outside them."""
+        return cls.from_expr(predlang.parse(text, names))
+
+
+# The names each reduction binds when it runs its matrix: "len" and "bit"
+# read the bound string.
+PI2_NAMES = ("y", "z", "len", "bit")
+YOKO_NAMES = ("x", "m", "n")
 
 
 @dataclass(frozen=True)
@@ -152,21 +160,19 @@ def sigma_to_coloring(family: StringFamily, n: int) -> PairColoring:
     """Color (x, y) by position x of the lex-least shortest member of length >= y."""
     members = sorted(family.members, key=lenlex)
     rows: list[tuple[int, ...]] = []
+    i = 0  # lengths ascend, so each y's string is at or after the last one
     for y in range(1, n + 1):
-        sigma_y = next((s for s in members if len(s) >= y), None)
-        if sigma_y is None:
+        while i < len(members) and len(members[i]) < y:
+            i += 1
+        if i == len(members):
             raise NoLongString(y)
-        rows.append(tuple(sigma_y[x] for x in range(y)))
+        rows.append(tuple(map(int, members[i].bits[:y])))
     return PairColoring(n, tuple(rows))
 
 
 def coloring_to_sigma(f: PairColoring) -> StringFamily:
     """The graded family whose length-y member spells column y of the coloring."""
-    return StringFamily(
-        frozenset(
-            BitString.of(f.value(x, y) for x in range(y)) for y in range(1, f.n + 1)
-        )
-    )
+    return StringFamily(frozenset(BitString.of(row) for row in f.rows))
 
 
 def ce_tree_to_sigma(
@@ -265,5 +271,7 @@ def yokoyama_coloring(
 
 def set_to_path_tree(a: NatSet, l: int) -> FinTree:
     """The chain of prefixes of a's characteristic string, up to length l."""
+    if l < 0:
+        raise ValueError("depth must be a natural number")
     chi = "".join("1" if x in a else "0" for x in range(l))
     return FinTree._from_levels((chi[:i],) for i in range(len(chi) + 1))

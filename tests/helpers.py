@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import random
 from typing import Callable, Mapping
 
 from hypothesis import strategies as st
@@ -63,6 +64,28 @@ def colorings(max_n: int = 8, min_n: int = 0):
         lambda n: st.lists(
             st.integers(0, 1), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
         ).map(lambda flat: _coloring_from_flat(n, flat))
+    )
+
+
+def planted_colorings(max_n: int = 40, min_n: int = 0):
+    """Random colorings in the benchmark's shape: a colour-1 density, then
+    maybe a planted monochromatic set of either colour."""
+
+    def build(n: int, density: float, planted: int, color: int, seed: int) -> PairColoring:
+        rng = random.Random(seed)
+        rows = [[int(rng.random() < density) for _ in range(y)] for y in range(n + 1)]
+        members = sorted(rng.sample(range(n + 1), min(planted, n + 1)))
+        for x, y in itertools.combinations(members, 2):
+            rows[y][x] = color
+        return PairColoring(n, tuple(tuple(row) for row in rows[1:]))
+
+    return st.builds(
+        build,
+        st.integers(min_n, max_n),
+        st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+        st.sampled_from([0, 0, 4, 6, 8]),
+        st.integers(0, 1),
+        st.integers(0, 2**32),
     )
 
 
@@ -270,3 +293,57 @@ def yokoyama_h(
         if _side_holds(theta0, x, y, z) or _side_holds(theta1, x, y, z):
             return z
     raise reductions.CapExceeded(x, y, cap)
+
+
+# -- colorings: the popcount-bounded clique search ---------------------------
+
+
+def ref_max_clique(adj: list[int], cand: int) -> int:
+    """Largest clique within cand, pruning only by size + |cand| <= best."""
+    best = 0
+
+    def expand(size: int, cand: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            expand(size + 1, cand & adj[v])
+
+    expand(0, cand)
+    return best
+
+
+def ref_ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
+    """Both colors searched in full with ref_max_clique, then the lex-least
+    largest clique built vertex by vertex; colour 0 wins a tie of sets."""
+    adj = ([0] * (f.n + 1), [0] * (f.n + 1))
+    for x, y, c in f.pairs():
+        adj[c][x] |= 1 << y
+        adj[c][y] |= 1 << x
+    universe = (1 << (f.n + 1)) - 1
+    sizes = [ref_max_clique(adj[c], universe) for c in (0, 1)]
+    best = max(sizes)
+    if best < min_size:
+        return None
+    found = []
+    for c in (0, 1):
+        if sizes[c] != best:
+            continue
+        chosen, cand, need = [], universe, best
+        while need:
+            v = next(
+                v
+                for v in range(f.n + 1)
+                if cand >> v & 1
+                and ref_max_clique(adj[c], cand & adj[c][v] & -(1 << (v + 1))) >= need - 1
+            )
+            chosen.append(v)
+            cand &= adj[c][v] & -(1 << (v + 1))
+            need -= 1
+        found.append((tuple(chosen), c))
+    h, c = min(found)
+    return c, NatSet(h)

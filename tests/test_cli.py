@@ -234,6 +234,51 @@ DEEP_PREDICATES = {
 }
 
 
+PARSE_TIME_REFUSALS = {
+    "numeric matrix": (
+        ["pi2sigma1", "--phi", "z", "--tau", "01", "--bound", "3"],
+        "error: at offset 0: expected a comparison, found an arithmetic value\n",
+    ),
+    "bit in yoko": (
+        ["yoko", "--theta0", "bit(0) = 1", "--theta1", "n >= m", "-n", "3", "--cap", "4"],
+        "error: at offset 0: unbound: bit\n",
+    ),
+    "x in pi2sigma1": (
+        ["pi2sigma1", "--phi", "x = 0", "--tau", "0", "--bound", "1"],
+        "error: at offset 0: unbound: x\n",
+    ),
+    "y in yoko's second matrix": (
+        ["yoko", "--theta0", "n >= m", "--theta1", "n >= m + y", "-n", "3", "--cap", "4"],
+        "error: at offset 9: unbound: y\n",
+    ),
+    "len after a bound name": (
+        ["yoko", "--theta0", "n >= len", "--theta1", "n >= m", "-n", "3", "--cap", "4"],
+        "error: at offset 5: unbound: len\n",
+    ),
+}
+
+
+class TestParseTimeRefusals:
+    @pytest.mark.parametrize("name", sorted(PARSE_TIME_REFUSALS))
+    def test_refused_with_offset(self, name, capsys):
+        argv, message = PARSE_TIME_REFUSALS[name]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    def test_settree_refuses_negative_depth(self, capsys):
+        argv = ["settree", "--set", fixture("evens.set"), "--depth", "-3"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: depth must be a natural number\n"
+
+    def test_settree_depth_zero_is_the_root(self, capsys):
+        assert cli.main(["settree", "--set", fixture("evens.set"), "--depth", "0"]) == 0
+        assert capsys.readouterr().out == "-\n"
+
+
 class TestDeepPredicates:
     @pytest.mark.parametrize("name", sorted(DEEP_PREDICATES))
     def test_refused_with_one_error_line(self, name, capsys):

@@ -9,6 +9,7 @@ from rkl.core import BitString, NatSet
 from rkl.diagonal import StagedEnum
 from rkl.formats import (
     FormatError,
+    _canonical_coloring,
     parse_coloring,
     parse_enum,
     parse_natset,
@@ -118,6 +119,79 @@ class TestColoring:
     @given(colorings())
     def test_round_trip(self, f):
         assert parse_coloring(render_coloring(f)) == f
+
+
+def _reshape(text: str, body) -> str:
+    """The text with each data line passed through body(lineno, line)."""
+    return "".join(body(i, line) + "\n" for i, line in enumerate(text.splitlines()))
+
+
+# Texts the general parser accepts that render_coloring never writes.
+NON_CANONICAL = {
+    "comment line": lambda t: "# a coloring\n" + t,
+    "inline comment": lambda t: _reshape(t, lambda i, l: l + "  # note" if i == 0 else l),
+    "blank line": lambda t: t.replace("\n", "\n\n", 1),
+    "extra spaces": lambda t: _reshape(t, lambda i, l: "  " + l.replace(" ", "   ") + " "),
+    "leading zeros": lambda t: _reshape(t, lambda i, l: "0" + l if i else "n 0" + l[2:]),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "no final newline": lambda t: t[:-1],
+    "tabs": lambda t: t.replace(" ", "\t"),
+}
+
+
+class TestCanonicalColoring:
+    """Canonical texts take one comparison; every other form the general parser."""
+
+    @given(colorings(max_n=12))
+    def test_canonical_text_takes_the_fast_path(self, f):
+        text = render_coloring(f)
+        assert _canonical_coloring(text) == f
+        assert parse_coloring(text) == f
+
+    @pytest.mark.parametrize("variant", sorted(NON_CANONICAL))
+    @given(f=colorings(max_n=10))
+    def test_variants_parse_to_the_same_coloring(self, variant, f):
+        text = NON_CANONICAL[variant](render_coloring(f))
+        assert _canonical_coloring(text) is None
+        assert parse_coloring(text) == f
+
+    @given(colorings(max_n=10, min_n=2), st.randoms(use_true_random=False))
+    def test_shuffled_lines_parse_to_the_same_coloring(self, f, rnd):
+        head, *pairs = render_coloring(f).splitlines(keepends=True)
+        shuffled = pairs[:]
+        rnd.shuffle(shuffled)
+        text = head + "".join(shuffled)
+        assert parse_coloring(text) == f
+        if shuffled != pairs:
+            assert _canonical_coloring(text) is None
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "missing 'n <N>' header"),
+            ("# only a comment\n", "missing 'n <N>' header"),
+            ("m 1\n0 1 0\n", "line 1: header must read 'n <N>'"),
+            ("n\n", "line 1: header must read 'n <N>'"),
+            ("n x\n", "line 1: not a natural number: 'x'"),
+            ("n -1\n", "line 1: not a natural number: '-1'"),
+            ("n \u0662\n0 1 0\n0 2 0\n1 2 0\n", "line 1: not a natural number: '\u0662'"),
+            ("n 1\n0 1\n", "line 2: expected 'x y c'"),
+            ("n 1\n0 1 0 1\n", "line 2: expected 'x y c'"),
+            ("n 1\n1 1 0\n", "line 2: pair (1,1) outside 0 <= x < y <= 1"),
+            ("n 1\n0 2 0\n", "line 2: pair (0,2) outside 0 <= x < y <= 1"),
+            ("n 2\n0 1 1\n0 2 0\n1 2 2\n", "line 4: color must be 0 or 1, got 2"),
+            ("n 2\n0 1 1\n0 2 0\n1 2 x\n", "line 4: not a natural number: 'x'"),
+            ("n 1\n0 1 1\n0 1 1\n", "line 3: pair (0,1) given twice"),
+            ("n 2\n0 1 1\n0 2 0\n", "pair (1,2) missing"),
+            ("n 2\n0 1 1\n0 2 0\n0 2 0\n", "line 4: pair (0,2) given twice"),
+            ("n 2\n0 1 1\n\n0 2 0\n", "pair (1,2) missing"),
+            ("n 1\n0 1 \u0661\n", "line 2: not a natural number: '\u0661'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_coloring(text)
+        assert str(info.value) == message
 
 
 class TestEnum:

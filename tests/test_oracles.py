@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import colorings, naive_ramsey, string_families, trees
+from helpers import (
+    colorings,
+    naive_ramsey,
+    planted_colorings,
+    ref_max_clique,
+    ref_ramsey_search,
+    string_families,
+    trees,
+)
 from rkl.core import (
     BitString,
     NatSet,
@@ -17,6 +26,8 @@ from rkl.core import (
 )
 from rkl.oracles import (
     NotHomogeneousForColoring,
+    _adjacency,
+    _max_clique,
     check_stable,
     longest_path,
     ramsey_search,
@@ -67,6 +78,43 @@ class TestRamseySearch:
         c, h = result
         for x, y in itertools.combinations(h, 2):
             assert f.value(x, y) == c
+
+
+class TestColourBoundedSearch:
+    """The colour-bounded search against the popcount-bounded reference."""
+
+    @given(planted_colorings(max_n=40), st.integers(2, 6))
+    def test_matches_popcount_reference(self, f, min_size):
+        assert ramsey_search(f, min_size) == ref_ramsey_search(f, min_size)
+
+    @given(planted_colorings(max_n=24), st.integers(0, 1), st.integers(-1, 27), st.data())
+    def test_max_clique_is_floor_or_the_true_size(self, f, c, floor, data):
+        adj = _adjacency(f)[c]
+        cand = data.draw(st.integers(0, (1 << (f.n + 1)) - 1), label="cand")
+        assert _max_clique(adj, cand, floor) == max(floor, ref_max_clique(adj, cand))
+
+    def test_color_one_wins_a_tie_with_a_lex_lesser_set(self):
+        # The pentagon and its complement: both colors have largest sets of
+        # two, and {0,1} (color 1) sorts before {0,2} (color 0).
+        f = PairColoring.from_function(4, lambda x, y: int(y - x in (1, 4)))
+        assert ramsey_search(f, 2) == (1, N([0, 1]))
+
+    def test_color_one_strictly_larger(self):
+        f = PairColoring.from_function(6, lambda x, y: int(x >= 2 or y == 1))
+        assert ramsey_search(f, 2) == ref_ramsey_search(f, 2) == (1, N([2, 3, 4, 5, 6]))
+
+    def test_color_zero_strictly_larger(self):
+        f = PairColoring.from_function(6, lambda x, y: int(x < 2 and y != 1))
+        assert ramsey_search(f, 2) == ref_ramsey_search(f, 2) == (0, N([2, 3, 4, 5, 6]))
+
+    @pytest.mark.parametrize("planted", [0, 12])
+    def test_benchmark_sized_coloring(self, planted):
+        rng = random.Random(planted)
+        rows = [[int(rng.random() < 0.4) for _ in range(y)] for y in range(73)]
+        for x, y in itertools.combinations(sorted(rng.sample(range(73), planted)), 2):
+            rows[y][x] = 1
+        f = PairColoring(72, tuple(tuple(row) for row in rows[1:]))
+        assert ramsey_search(f, 2) == ref_ramsey_search(f, 2)
 
 
 class TestLongestPath:

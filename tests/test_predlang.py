@@ -314,3 +314,55 @@ class TestDepthLimit:
             parse(text)
         assert info.value.offset == offset
         assert info.value.expected == (f"at most {MAX_DEPTH} levels of nesting",)
+
+
+def names_in_text_order(expr) -> list[str]:
+    """Every variable and "bit", in the order render(expr) spells them."""
+    if isinstance(expr, Var):
+        return [expr.name]
+    if isinstance(expr, Bit):
+        return ["bit", *names_in_text_order(expr.index)]
+    if isinstance(expr, Not):
+        return names_in_text_order(expr.operand)
+    if isinstance(expr, (Arith, Cmp, Logic)):
+        return names_in_text_order(expr.left) + names_in_text_order(expr.right)
+    return []
+
+
+BINDABLE = (*VARIABLES, "bit")
+
+
+class TestBoundNames:
+    @given(bool_exprs, st.sets(st.sampled_from(BINDABLE)))
+    def test_first_name_outside_the_bindings_is_refused_at_its_offset(self, e, names):
+        text = render(e)
+        outside = [name for name in names_in_text_order(e) if name not in names]
+        if not outside:
+            assert parse(text, names) == e
+            return
+        with pytest.raises(UnboundVariable) as info:
+            parse(text, names)
+        assert info.value.name == outside[0]
+        assert text.startswith(outside[0], info.value.offset)
+        assert str(info.value) == f"at offset {info.value.offset}: unbound: {outside[0]}"
+
+    @given(bool_exprs, st.text(alphabet="01", max_size=6).map(BitString))
+    def test_accepted_matrix_never_meets_an_unbound_name(self, e, tau):
+        names = set(names_in_text_order(e))
+        fn = predlang.compile(parse(render(e), names))
+        env = {name: 3 for name in names if name in VARIABLES}
+        assert fn(env, tau) in (True, False)
+
+    @given(nat_exprs)
+    def test_arithmetic_matrix_refused_at_its_start(self, e):
+        text = "  " + render(e)
+        with pytest.raises(ParseError) as info:
+            parse(text, BINDABLE)
+        assert info.value.offset == 2
+        assert str(info.value) == "at offset 2: expected a comparison, found an arithmetic value"
+        assert parse(text) == e
+
+    def test_evaluation_time_unbound_has_no_offset(self):
+        with pytest.raises(UnboundVariable) as info:
+            evaluate(parse("x = 1"), {})
+        assert info.value.offset is None and str(info.value) == "unbound: x"

@@ -151,6 +151,27 @@ class TestSigmaToColoring:
             sigma_to_coloring(StringFamily.of(["01"]), 3)
         assert info.value.y == 3
 
+    @given(string_families(max_len=8, max_members=8), st.integers(0, 9))
+    def test_matches_a_rescan_per_column(self, fam, n):
+        # Reference: for each y, scan every member for the lenlex-least long one.
+        def rescan():
+            rows = []
+            for y in range(1, n + 1):
+                long = [s for s in fam.members if len(s) >= y]
+                if not long:
+                    raise NoLongString(y)
+                rows.append(tuple(min(long, key=lenlex)[x] for x in range(y)))
+            return PairColoring(n, tuple(rows))
+
+        try:
+            expected = rescan()
+        except NoLongString as exc:
+            with pytest.raises(NoLongString) as info:
+                sigma_to_coloring(fam, n)
+            assert info.value.y == exc.y
+        else:
+            assert sigma_to_coloring(fam, n) == expected
+
 
 class TestColoringToSigma:
     def test_zero_coloring(self):
@@ -172,6 +193,13 @@ class TestColoringToSigma:
     @given(colorings())
     def test_round_trip_is_identity(self, f):
         assert sigma_to_coloring(coloring_to_sigma(f), f.n) == f
+
+    @given(colorings())
+    def test_members_spell_the_columns(self, f):
+        columns = {
+            BitString.of(f.value(x, y) for x in range(y)) for y in range(1, f.n + 1)
+        }
+        assert coloring_to_sigma(f).members == columns
 
 
 class TestCeTreeToSigma:
