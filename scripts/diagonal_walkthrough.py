@@ -55,7 +55,7 @@ def main() -> int:
     assert witness is not None
     print(
         f"\nhomogeneous set H = {h} "
-        f"(color {witness.color} along path {witness.witnesses[0]})"
+        f"(color {witness.color} along path {witness.witness})"
     )
 
     print("fixed-point-freeness verdicts:")

@@ -28,17 +28,14 @@ sorted by (length, lex) so equal inputs give byte-identical output.
 from __future__ import annotations
 
 from rkl.core import (
-    EMPTY,
     BitString,
     FinTree,
     HomWitness,
     NatSet,
-    NotGraded,
     NotPrefixClosed,
     PairColoring,
     StringFamily,
     downward_closure,
-    is_homog_graded,
     is_homog_path,
     is_homog_string,
     lenlex,
@@ -48,17 +45,14 @@ from rkl.core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EMPTY",
     "BitString",
     "FinTree",
     "HomWitness",
     "NatSet",
-    "NotGraded",
     "NotPrefixClosed",
     "PairColoring",
     "StringFamily",
     "downward_closure",
-    "is_homog_graded",
     "is_homog_path",
     "is_homog_string",
     "lenlex",

@@ -144,7 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if witness is None:
         lines.append("path-witness: none")
     else:
-        sigma = witness.witnesses[0]
+        sigma = witness.witness
         lines.append(f"path-witness: color={witness.color} sigma={sigma.bits or '-'}")
     lines.append("verdict: ok" if verdict.ok else "verdict: fail")
     return (EXIT_OK if verdict.ok else EXIT_FAIL), "".join(l + "\n" for l in lines)
@@ -209,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rkl",
         description="Finite-horizon workbench for trees, colorings, and string families.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized strategies (current subcommands are deterministic)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
 class NotPrefixClosed(ValueError):
@@ -25,10 +25,6 @@ class NotPrefixClosed(ValueError):
         super().__init__(
             f"'{offending}' is a member but its prefix '{missing}' is not"
         )
-
-
-class NotGraded(ValueError):
-    """The operation needs exactly one string of each length 1..n."""
 
 
 @total_ordering
@@ -118,23 +114,17 @@ def _trusted(bits: str) -> BitString:
     return s
 
 
-EMPTY = BitString()
-
-
-def _as_bitstring(s: "BitString | str") -> BitString:
-    return s if isinstance(s, BitString) else BitString(s)
-
-
 def lenlex(s: BitString) -> tuple[int, str]:
     """Sort key ordering strings by length first, then lexicographically."""
     return (len(s.bits), s.bits)
 
 
-def _sorted_levels(closed: Iterable[str]) -> tuple[tuple[str, ...], ...]:
-    """A prefix-closed collection of distinct texts split by length, each
-    level sorted; texts given in (length, lex) order sort in linear time."""
-    levels: list[list[str]] = [[] for _ in range(max(map(len, closed)) + 1)]
-    for s in closed:
+def _sorted_levels(texts: Collection[str]) -> tuple[tuple[str, ...], ...]:
+    """Distinct texts split by length, each level sorted, up to the longest
+    (one empty level 0 when there are none); texts given in (length, lex)
+    order sort in linear time."""
+    levels: list[list[str]] = [[] for _ in range(max(map(len, texts), default=0) + 1)]
+    for s in texts:
         levels[len(s)].append(s)
     for level in levels:
         level.sort()
@@ -170,32 +160,23 @@ def _texts(strings: Iterable[BitString | str]) -> list[str]:
 
 
 @dataclass(frozen=True, init=False)
-class FinTree:
-    """A finite prefix-closed set of binary strings; the root is a member.
+class _LevelStore:
+    """A finite set of binary strings stored by levels.
 
-    The tree is stored by levels: text_levels[l] holds the bit texts of the
-    members of length l, lexicographically sorted, for every l from 0 to the
-    horizon.  FinTree(members) checks closure; producers that are closed by
-    construction go through the unchecked _from_levels instead.
+    text_levels[l] holds the bit texts of the members of length l,
+    lexicographically sorted, for every l from 0 to the longest member, so
+    iterating the levels in turn gives (length, lex) order.  Producers that
+    already hold sorted levels go through the unchecked _from_levels.
     """
 
     text_levels: tuple[tuple[str, ...], ...]
 
-    def __init__(self, members: Iterable[BitString] = frozenset()) -> None:
-        levels = _closed_levels([s.bits for s in members])
-        object.__setattr__(self, "text_levels", levels)
-
     @classmethod
-    def _from_levels(cls, levels: Iterable[Iterable[str]]) -> "FinTree":
-        """Trusted: levels must be the sorted, prefix-closed levels 0..horizon."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "text_levels", tuple(tuple(level) for level in levels))
-        return t
-
-    @property
-    def horizon(self) -> int:
-        """Length of the longest member."""
-        return len(self.text_levels) - 1
+    def _from_levels(cls, levels: Iterable[Iterable[str]]):
+        """Trusted: levels must be the sorted levels 0..longest of the members."""
+        store = object.__new__(cls)
+        object.__setattr__(store, "text_levels", tuple(tuple(level) for level in levels))
+        return store
 
     @cached_property
     def members(self) -> frozenset[BitString]:
@@ -207,6 +188,15 @@ class FinTree:
             return ()
         return tuple(map(_trusted, self.text_levels[l]))
 
+    def sigma_text(self, y: int) -> str | None:
+        """The lex-least shortest member of length >= y, cut to length y; None
+        when no member is that long.  For a tree it is the least of level y."""
+        levels = self.text_levels
+        for l in range(y, len(levels)):
+            if levels[l]:
+                return levels[l][0][:y]
+        return None
+
     def __contains__(self, s: BitString) -> bool:
         return s in self.members
 
@@ -216,6 +206,24 @@ class FinTree:
     def __iter__(self) -> Iterator[BitString]:
         """Members in (length, lex) order."""
         return map(_trusted, chain.from_iterable(self.text_levels))
+
+
+@dataclass(frozen=True, init=False)
+class FinTree(_LevelStore):
+    """A finite prefix-closed set of binary strings; the root is a member.
+
+    No level from 0 to the horizon is empty.  FinTree(members) checks
+    closure; producers that are closed by construction skip the check.
+    """
+
+    def __init__(self, members: Iterable[BitString] = frozenset()) -> None:
+        levels = _closed_levels([s.bits for s in members])
+        object.__setattr__(self, "text_levels", levels)
+
+    @property
+    def horizon(self) -> int:
+        """Length of the longest member."""
+        return len(self.text_levels) - 1
 
 
 @dataclass(frozen=True)
@@ -257,45 +265,32 @@ class PairColoring:
                 yield x, y, self.rows[y - 1][x]
 
 
-@dataclass(frozen=True)
-class StringFamily:
-    """A finite set of binary strings.
+@dataclass(frozen=True, init=False)
+class StringFamily(_LevelStore):
+    """A finite set of binary strings, stored by levels like a tree.
 
     The family is graded when it holds exactly one string of each length
-    1..n and nothing else; gradedness is derived from the members so no
+    1..n and nothing else; gradedness is read off the levels, so no
     inconsistent state exists.
     """
 
-    members: frozenset[BitString] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
+    def __init__(self, members: Iterable[BitString] = frozenset()) -> None:
+        levels = _sorted_levels({s.bits for s in members})
+        object.__setattr__(self, "text_levels", levels)
 
     @classmethod
     def of(cls, strings: Iterable[BitString | str]) -> "StringFamily":
-        return cls(frozenset(_as_bitstring(s) for s in strings))
+        return cls._from_levels(_sorted_levels(set(_texts(strings))))
 
-    @cached_property
+    @property
     def n(self) -> int:
         """Length of the longest member (0 for the empty family)."""
-        return max((len(s) for s in self.members), default=0)
+        return len(self.text_levels) - 1
 
-    @cached_property
+    @property
     def graded(self) -> bool:
-        lengths = sorted(len(s) for s in self.members)
-        return lengths == list(range(1, self.n + 1))
-
-    def of_length(self, l: int) -> tuple[BitString, ...]:
-        return tuple(sorted(s for s in self.members if len(s) == l))
-
-    def __contains__(self, s: BitString) -> bool:
-        return s in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[BitString]:
-        return iter(sorted(self.members, key=lenlex))
+        levels = self.text_levels
+        return not levels[0] and all(len(level) == 1 for level in levels[1:])
 
 
 @dataclass(frozen=True)
@@ -319,9 +314,6 @@ class NatSet:
     def _lookup(self) -> frozenset[int]:
         return frozenset(self.elements)
 
-    def below(self, k: int) -> "NatSet":
-        return NatSet(tuple(v for v in self.elements if v < k))
-
     def __contains__(self, x: int) -> bool:
         return x in self._lookup
 
@@ -340,20 +332,10 @@ class NatSet:
 
 @dataclass(frozen=True)
 class HomWitness:
-    """A color together with members certifying homogeneity at thresholds."""
+    """A color and a long member that shows it at every position of h."""
 
     color: int
-    witnesses: tuple[BitString, ...]
-    thresholds: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.color not in (0, 1):
-            raise ValueError("color must be 0 or 1")
-        if len(self.witnesses) != len(self.thresholds):
-            raise ValueError("one threshold per witness")
-        for w, t in zip(self.witnesses, self.thresholds):
-            if len(w) < t:
-                raise ValueError(f"witness '{w}' shorter than its threshold {t}")
+    witness: BitString
 
 
 def validate_tree(strings: Iterable[BitString | str]) -> FinTree:
@@ -363,8 +345,12 @@ def validate_tree(strings: Iterable[BitString | str]) -> FinTree:
 
 def downward_closure(family: StringFamily | Iterable[BitString | str]) -> FinTree:
     """The tree of all prefixes of the family's members."""
+    if isinstance(family, StringFamily):
+        texts: Iterable[str] = chain.from_iterable(family.text_levels)
+    else:
+        texts = _texts(family)
     closed = {""}
-    for bits in _texts(getattr(family, "members", family)):
+    for bits in texts:
         # Every prefix of a text already in the set is in it too.
         while bits not in closed:
             closed.add(bits)
@@ -403,19 +389,5 @@ def is_homog_path(h: NatSet, t: FinTree, horizon: int) -> HomWitness | None:
         ]
         wits = [s for s in firsts if s is not None]
         if wits:
-            return HomWitness(color=c, witnesses=(_trusted(min(wits)),), thresholds=(horizon,))
-    return None
-
-
-def is_homog_graded(h: NatSet, family: StringFamily) -> int | None:
-    """The fixed color working for every member whose length lies in h.
-
-    Requires a graded family.  Vacuous instances resolve to color 0.
-    """
-    if not family.graded:
-        raise NotGraded("family is not graded")
-    relevant = [s for s in family.members if len(s) in h]
-    for c in (0, 1):
-        if all(is_homog_string(h, s, c) for s in relevant):
-            return c
+            return HomWitness(color=c, witness=_trusted(min(wits)))
     return None

@@ -16,8 +16,8 @@ from rkl.core import (
     PairColoring,
     StringFamily,
     _all_binary,
+    _sorted_levels,
     downward_closure,
-    lenlex,
     validate_tree,
 )
 from rkl.diagonal import StagedEnum
@@ -86,7 +86,7 @@ def parse_tree(text: str, close: bool = False) -> FinTree:
 
 
 def parse_sigma(text: str) -> StringFamily:
-    return StringFamily(frozenset(map(BitString, _string_lines(text, "string"))))
+    return StringFamily._from_levels(_sorted_levels(_string_lines(text, "string")))
 
 
 # Color characters to the byte values 0 and 1.
@@ -193,17 +193,13 @@ def parse_stages(text: str) -> tuple[list[tuple[int, BitString]], int]:
     return events, max(s for s, _ in events)
 
 
-def _bits_text(s: BitString) -> str:
-    return s.bits or "-"
+def render_tree(strings: FinTree | StringFamily) -> str:
+    """One member per line in (length, lex) order, '-' for the empty string."""
+    return "".join([f"{s or '-'}\n" for level in strings.text_levels for s in level])
 
 
-def render_tree(t: FinTree) -> str:
-    # Level 0 is the root alone.
-    return "".join(["-\n", *(f"{s}\n" for level in t.text_levels[1:] for s in level)])
-
-
-def render_sigma(family: StringFamily) -> str:
-    return "".join(f"{_bits_text(s)}\n" for s in sorted(family.members, key=lenlex))
+# A family is stored by levels like a tree, so it renders the same way.
+render_sigma = render_tree
 
 
 def render_coloring(f: PairColoring) -> str:

@@ -17,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from rkl.core import (
-    BitString,
-    FinTree,
-    NatSet,
-    PairColoring,
-    StringFamily,
-    is_homog_string,
-    lenlex,
-)
+from rkl.core import BitString, FinTree, NatSet, PairColoring, StringFamily, is_homog_string
 from rkl.reductions import LevelEmpty, NoLongString
 
 
@@ -56,8 +48,6 @@ class StabilityEvidence:
 class ReductionVerdict:
     """Per-threshold confirmation that a coloring matches its source object."""
 
-    kind: str  # "tree" | "family"
-    color: int
     checked: tuple[int, ...]
     counterexamples: tuple[int, ...]
 
@@ -87,9 +77,11 @@ def _max_clique(adj: list[int], cand: int, floor: int = 0) -> int:
     """
     best = floor
     avoid = [~a for a in adj]  # the vertices not adjacent to v, v included
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
+    # Open nodes wait on a stack as [size, candidates, vertices, colours],
+    # so the depth of the search is not limited by Python's recursion.
+    stack: list[list] = []
+    size = 0
+    while True:
         if size > best:
             best = size
         vertices: list[int] = []
@@ -109,15 +101,21 @@ def _max_clique(adj: list[int], cand: int, floor: int = 0) -> int:
                 if keep:
                     vertices.append(v)
                     colours.append(colour)
-        for i in range(len(vertices) - 1, -1, -1):
-            if size + colours[i] <= best:
-                return
-            v = vertices[i]
-            expand(size + 1, cand & adj[v])
-            cand ^= 1 << v
-
-    expand(0, cand)
-    return best
+        stack.append([size, cand, vertices, colours])
+        # Branch on the last kept vertex of the deepest node that may still
+        # beat best; a node whose last vertex cannot is finished.
+        while stack:
+            node = stack[-1]
+            size, cand, vertices, colours = node
+            if vertices and size + colours[-1] > best:
+                v = vertices.pop()
+                colours.pop()
+                node[1] = cand ^ (1 << v)
+                size, cand = size + 1, cand & adj[v]
+                break
+            stack.pop()
+        else:
+            return best
 
 
 def _lex_least_clique(adj: list[int], universe: int, need: int) -> tuple[int, ...]:
@@ -188,19 +186,6 @@ def check_stable(f: PairColoring, x: int) -> StabilityEvidence:
     )
 
 
-def _tree_sigma(t: FinTree, y: int) -> BitString:
-    if y > t.horizon:
-        raise LevelEmpty(y)
-    return BitString(t.text_levels[y][0])
-
-
-def _family_sigma(family: StringFamily, y: int) -> BitString:
-    candidates = [s for s in family.members if len(s) >= y]
-    if not candidates:
-        raise NoLongString(y)
-    return min(candidates, key=lenlex).prefix(y)
-
-
 def verify_reduction(
     source: FinTree | StringFamily, f: PairColoring, h: NatSet, c: int
 ) -> ReductionVerdict:
@@ -216,9 +201,9 @@ def verify_reduction(
         if f.value(x, y) != c:
             raise NotHomogeneousForColoring(x, y)
     if isinstance(source, FinTree):
-        kind, sigma_at = "tree", lambda y: _tree_sigma(source, y)
+        missing: type[LevelEmpty | NoLongString] = LevelEmpty
     elif isinstance(source, StringFamily):
-        kind, sigma_at = "family", lambda y: _family_sigma(source, y)
+        missing = NoLongString
     else:
         raise TypeError("source must be a FinTree or a StringFamily")
     checked: list[int] = []
@@ -227,8 +212,9 @@ def verify_reduction(
         if y < 1:
             continue
         checked.append(y)
-        if not is_homog_string(h, sigma_at(y), c):
+        sigma = source.sigma_text(y)
+        if sigma is None:
+            raise missing(y)
+        if not is_homog_string(h, BitString(sigma), c):
             bad.append(y)
-    return ReductionVerdict(
-        kind=kind, color=c, checked=tuple(checked), counterexamples=tuple(bad)
-    )
+    return ReductionVerdict(checked=tuple(checked), counterexamples=tuple(bad))

@@ -37,7 +37,7 @@ _UNICODE_OPS = {"≠": "!=", "≤": "<=", "≥": ">="}
 
 
 class ParseError(ValueError):
-    """Rejected input, with the byte offset and the tokens expected there."""
+    """Rejected input, with the character offset and the tokens expected there."""
 
     def __init__(self, offset: int, expected: tuple[str, ...], found: str = "") -> None:
         self.offset = offset
@@ -52,7 +52,7 @@ class ParseError(ValueError):
 class UnboundVariable(ValueError):
     """A variable (or the bound string) with no binding.
 
-    parse finds it at a byte offset when told which names the caller binds;
+    parse finds it at a character offset when told which names the caller binds;
     otherwise evaluation finds it, and offset is None.
     """
 
@@ -312,7 +312,7 @@ class _Parser:
 
 
 def parse(text: str, names: Collection[str] | None = None) -> PredExpr:
-    """Parse a predicate or arithmetic expression; reject with byte offsets.
+    """Parse a predicate or arithmetic expression; reject with character offsets.
 
     Expressions nested deeper than MAX_DEPTH are rejected too.  With names,
     the text is a matrix whose caller binds just those names ("bit" standing

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Mapping
 
 from rkl import predlang
-from rkl.core import (
-    BitString,
-    FinTree,
-    NatSet,
-    PairColoring,
-    StringFamily,
-    lenlex,
-)
+from rkl.core import BitString, FinTree, NatSet, PairColoring, StringFamily
 
 
 class EmptyPath(ValueError):
@@ -72,14 +65,10 @@ class PredMatrix:
     """
 
     fn: Callable[[Mapping[str, int], BitString | None], object]
-    source: str | None = None
-
-    def __call__(self, tau: BitString | None = None, /, **bindings: int) -> bool:
-        return bool(self.fn(bindings, tau))
 
     @classmethod
     def from_expr(cls, expr: predlang.PredExpr) -> "PredMatrix":
-        return cls(fn=predlang.compile(expr), source=predlang.render(expr))
+        return cls(fn=predlang.compile(expr))
 
     @classmethod
     def from_text(cls, text: str, names: Collection[str] | None = None) -> "PredMatrix":
@@ -106,7 +95,6 @@ class StabilityReport:
     x: int
     bound: int
     limit_color: int | None
-    dead_bounds: Mapping[BitString, int]
 
 
 def path_pigeonhole(p: BitString) -> tuple[int, NatSet]:
@@ -121,13 +109,23 @@ def path_pigeonhole(p: BitString) -> tuple[int, NatSet]:
     return c, NatSet(tuple(x for x in range(len(p)) if p[x] == c))
 
 
+def _column_coloring(
+    source: FinTree | StringFamily, n: int, missing: type[LevelEmpty | NoLongString]
+) -> PairColoring:
+    """Color (x, y) by position x of the source's sigma_text(y); the first y
+    with no member that long is reported as missing(y)."""
+    rows: list[tuple[int, ...]] = []
+    for y in range(1, n + 1):
+        sigma = source.sigma_text(y)
+        if sigma is None:
+            raise missing(y)
+        rows.append(tuple(map(int, sigma)))
+    return PairColoring(n, tuple(rows))
+
+
 def tree_to_stable_coloring(t: FinTree, n: int) -> PairColoring:
     """Color (x, y) by the x-th symbol of the lex-least member of length y."""
-    if n > t.horizon:
-        raise LevelEmpty(t.horizon + 1)
-    return PairColoring(
-        n, tuple(tuple(map(int, t.text_levels[y][0])) for y in range(1, n + 1))
-    )
+    return _column_coloring(t, n, LevelEmpty)
 
 
 def stability_bound(t: FinTree, x: int) -> StabilityReport:
@@ -144,35 +142,25 @@ def stability_bound(t: FinTree, x: int) -> StabilityReport:
     for l in range(x + 1, t.horizon + 1):
         for s in t.text_levels[l]:
             reach[s[: x + 1]] = l
-    dead_bounds = {
-        tau: reach[tau.bits] for tau in t.level(x + 1) if reach[tau.bits] < t.horizon
-    }
-    survivors = [tau for tau in t.level(x + 1) if reach[tau.bits] == t.horizon]
+    roots = t.text_levels[x + 1]
+    survivors = [tau for tau in roots if reach[tau] == t.horizon]
     return StabilityReport(
         x=x,
-        bound=max(dead_bounds.values(), default=0),
-        limit_color=survivors[0][x] if survivors else None,
-        dead_bounds=dead_bounds,
+        bound=max((reach[tau] for tau in roots if reach[tau] < t.horizon), default=0),
+        limit_color=int(survivors[0][x]) if survivors else None,
     )
 
 
 def sigma_to_coloring(family: StringFamily, n: int) -> PairColoring:
     """Color (x, y) by position x of the lex-least shortest member of length >= y."""
-    members = sorted(family.members, key=lenlex)
-    rows: list[tuple[int, ...]] = []
-    i = 0  # lengths ascend, so each y's string is at or after the last one
-    for y in range(1, n + 1):
-        while i < len(members) and len(members[i]) < y:
-            i += 1
-        if i == len(members):
-            raise NoLongString(y)
-        rows.append(tuple(map(int, members[i].bits[:y])))
-    return PairColoring(n, tuple(rows))
+    return _column_coloring(family, n, NoLongString)
 
 
 def coloring_to_sigma(f: PairColoring) -> StringFamily:
     """The graded family whose length-y member spells column y of the coloring."""
-    return StringFamily(frozenset(BitString.of(row) for row in f.rows))
+    # Row y has length y, so it is the one member of level y.
+    columns = ["".join(["01"[c] for c in row]) for row in f.rows]
+    return StringFamily._from_levels([(), *((column,) for column in columns)])
 
 
 def ce_tree_to_sigma(
@@ -188,15 +176,15 @@ def ce_tree_to_sigma(
         if s < 1 or s > max_stage or s in by_stage:
             raise BadStage(s)
         by_stage[s] = tau
-    members = set()
+    levels: list[tuple[str, ...]] = [()]
     for s in range(1, max_stage + 1):
         if s not in by_stage:
             raise BadStage(s)
         tau = by_stage[s]
         if len(tau) > s:
             raise BadStage(s)
-        members.add(tau.padded(s))
-    return StringFamily(frozenset(members))
+        levels.append((tau.padded(s).bits,))
+    return StringFamily._from_levels(levels)
 
 
 def pi2_tree_to_sigma1(phi: PredMatrix, tau: BitString, bound: int) -> bool:

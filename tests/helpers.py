@@ -117,29 +117,49 @@ def naive_ramsey(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
     return None
 
 
-# -- reference trees: the member texts as one (length, lex)-sorted list -----
+# -- reference families and trees: the member texts as one sorted list -----
 
 
 def lenlex_key(s: str) -> tuple[int, str]:
     return (len(s), s)
 
 
-class RefTree:
-    """A tree kept the plainest way: its member texts, root included, as one
-    list sorted by (length, lex).  Every other view is read off that list."""
+class RefFamily:
+    """A string family kept the plainest way: its member texts as one list
+    sorted by (length, lex).  Every other view is read off that list."""
 
     def __init__(self, texts) -> None:
-        self.texts = sorted(set(texts) | {""}, key=lenlex_key)
+        self.texts = sorted(set(texts), key=lenlex_key)
 
     @property
-    def horizon(self) -> int:
-        return len(self.texts[-1])
+    def n(self) -> int:
+        return max(map(len, self.texts), default=0)
+
+    @property
+    def graded(self) -> bool:
+        return [len(s) for s in self.texts] == list(range(1, self.n + 1))
 
     def level(self, l: int) -> tuple[BitString, ...]:
         return tuple(BitString(s) for s in self.texts if len(s) == l)
 
+    def sigma(self, y: int) -> str | None:
+        """The lex-least shortest member of length >= y, cut to y."""
+        long = [s for s in self.texts if len(s) >= y]
+        return min(long, key=lenlex_key)[:y] if long else None
+
     def render(self) -> str:
         return "".join((s or "-") + "\n" for s in self.texts)
+
+
+class RefTree(RefFamily):
+    """A reference family that always holds the root."""
+
+    def __init__(self, texts) -> None:
+        super().__init__(set(texts) | {""})
+
+    @property
+    def horizon(self) -> int:
+        return self.n
 
 
 def ref_closure(texts) -> RefTree:
@@ -257,10 +277,14 @@ def ref_evaluate(
 
 
 class PredMatrix(reductions.PredMatrix):
-    """The library's matrix, plus one built from a plain Python callable."""
+    """The library's matrix, callable with keyword bindings, plus one built
+    from a plain Python callable."""
+
+    def __call__(self, tau: BitString | None = None, /, **bindings: int) -> bool:
+        return bool(self.fn(bindings, tau))
 
     @classmethod
-    def from_callable(cls, fn: Callable[..., object], source: str | None = None) -> "PredMatrix":
+    def from_callable(cls, fn: Callable[..., object]) -> "PredMatrix":
         params = [
             p.name
             for p in inspect.signature(fn).parameters.values()
@@ -275,7 +299,7 @@ class PredMatrix(reductions.PredMatrix):
                 kwargs["tau"] = tau
             return bool(fn(**kwargs))
 
-        return cls(fn=run, source=source)
+        return cls(fn=run)
 
 
 def _side_holds(theta: reductions.PredMatrix, x: int, y: int, z: int) -> bool:

@@ -15,6 +15,7 @@ import random
 import time
 from pathlib import Path
 
+from helpers import PredMatrix
 from rkl import cli
 from rkl.core import (
     BitString,
@@ -42,7 +43,6 @@ from rkl.formats import (
 )
 from rkl.oracles import check_stable, ramsey_search, verify_reduction
 from rkl.reductions import (
-    PredMatrix,
     ce_tree_to_sigma,
     coloring_to_sigma,
     set_to_path_tree,

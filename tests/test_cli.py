@@ -93,14 +93,6 @@ class TestGolden:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_seed_flag_is_accepted_and_neutral(self, capsys):
-        _, argv = GOLDEN_CASES["search_fork.txt"]
-        cli.main(argv)
-        plain = capsys.readouterr().out
-        code = cli.main(["--seed", "7"] + argv)
-        seeded = capsys.readouterr().out
-        assert code == 0 and seeded == plain
-
 
 class TestOutputFile:
     def test_output_flag_writes_file_and_not_stdout(self, tmp_path, capsys):
@@ -220,6 +212,13 @@ class TestExitCodes:
         assert info.value.code == 2
         capsys.readouterr()
 
+    def test_no_global_seed_flag(self, capsys):
+        _, argv = GOLDEN_CASES["search_fork.txt"]
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--seed", "7"] + argv)
+        assert info.value.code == 2
+        assert "rkl: error:" in capsys.readouterr().err
+
     def test_search_none_result(self, tmp_path, capsys):
         small = tmp_path / "one.color"
         small.write_text("n 1\n0 1 0\n")
@@ -254,6 +253,11 @@ PARSE_TIME_REFUSALS = {
     "len after a bound name": (
         ["yoko", "--theta0", "n >= len", "--theta1", "n >= m", "-n", "3", "--cap", "4"],
         "error: at offset 5: unbound: len\n",
+    ),
+    # Offsets count characters: x is character 10 but byte 12, after the ≥.
+    "character offset past a non-ASCII operator": (
+        ["pi2sigma1", "--phi", "z ≥ y and x = 1", "--tau", "01", "--bound", "3"],
+        "error: at offset 10: unbound: x\n",
     ),
 }
 

@@ -6,17 +6,13 @@ from hypothesis import strategies as st
 
 from helpers import bitstrings, natsets, string_families, trees
 from rkl.core import (
-    EMPTY,
     BitString,
     FinTree,
-    HomWitness,
     NatSet,
-    NotGraded,
     NotPrefixClosed,
     PairColoring,
     StringFamily,
     downward_closure,
-    is_homog_graded,
     is_homog_path,
     is_homog_string,
     lenlex,
@@ -35,7 +31,7 @@ class TestBitString:
 
     def test_of_booleans(self):
         assert BitString.of([1, 0, 1]).bits == "101"
-        assert BitString.of([]) == EMPTY
+        assert BitString.of([]) == BitString()
 
     def test_indexing_domain(self):
         s = BitString("01")
@@ -46,11 +42,11 @@ class TestBitString:
             s[-1]
 
     def test_str_empty_marker(self):
-        assert str(EMPTY) == "ε"
+        assert str(BitString()) == "ε"
         assert str(BitString("10")) == "10"
 
     def test_prefix_relation(self):
-        assert EMPTY.is_prefix_of(BitString("0"))
+        assert BitString().is_prefix_of(BitString("0"))
         assert BitString("01").is_prefix_of(BitString("011"))
         assert not BitString("1").is_prefix_of(BitString("01"))
 
@@ -61,7 +57,7 @@ class TestBitString:
         s = BitString("110")
         assert s.prefix(2).bits == "11"
         assert s.prefix(9) == s
-        assert s.prefix(0) == EMPTY
+        assert s.prefix(0) == BitString()
 
     def test_extended_and_padded(self):
         assert BitString("1").extended(0).bits == "10"
@@ -96,7 +92,7 @@ class TestFinTree:
 
     def test_root_always_added(self):
         assert bits(validate_tree([])) == [""]
-        assert EMPTY in FinTree()
+        assert BitString() in FinTree()
 
     def test_horizon_and_levels(self):
         t = validate_tree(["0", "1", "11", "10"])
@@ -187,7 +183,7 @@ class TestStringFamily:
 
     def test_of_length(self):
         fam = StringFamily.of(["10", "01", "1"])
-        assert bits(fam.of_length(2)) == ["01", "10"]
+        assert bits(fam.level(2)) == ["01", "10"]
 
     @given(string_families())
     def test_iteration_is_lenlex(self, fam: StringFamily):
@@ -210,20 +206,11 @@ class TestNatSet:
     def test_membership_and_below(self):
         h = NatSet.of([1, 4, 6])
         assert 4 in h and 5 not in h
-        assert h.below(5).elements == (1, 4)
+        assert [v for v in h if v < 5] == [1, 4]
 
     def test_str(self):
         assert str(NatSet.of([2, 0])) == "{0,2}"
         assert str(NatSet()) == "{}"
-
-
-class TestHomWitness:
-    def test_validates_lengths(self):
-        with pytest.raises(ValueError):
-            HomWitness(0, (BitString("1"),), (2,))
-        with pytest.raises(ValueError):
-            HomWitness(2, (), ())
-        HomWitness(1, (BitString("11"),), (2,))
 
 
 class TestIsHomogString:
@@ -252,8 +239,7 @@ class TestIsHomogString:
 class TestIsHomogPath:
     def test_all_ones_chain(self):
         w = is_homog_path(NatSet.of([0, 2]), downward_closure(["111"]), 3)
-        assert (w.color, bits(w.witnesses)) == (1, ["111"])
-        assert w.thresholds == (3,)
+        assert (w.color, w.witness.bits) == (1, "111")
 
     def test_bicolored_path_has_no_witness(self):
         assert is_homog_path(NatSet.of([0, 1]), downward_closure(["01"]), 2) is None
@@ -261,12 +247,12 @@ class TestIsHomogPath:
     def test_lex_least_witness(self):
         t = downward_closure(["0101", "1111"])
         w = is_homog_path(NatSet.of([1, 3]), t, 4)
-        assert (w.color, bits(w.witnesses)) == (1, ["0101"])
+        assert (w.color, w.witness.bits) == (1, "0101")
 
     def test_color_zero_preferred(self):
         t = downward_closure(["00", "11"])
         w = is_homog_path(NatSet.of([0, 1]), t, 2)
-        assert (w.color, bits(w.witnesses)) == (0, ["00"])
+        assert (w.color, w.witness.bits) == (0, "00")
 
     def test_horizon_capped_by_tree(self):
         with pytest.raises(ValueError):
@@ -280,28 +266,7 @@ class TestIsHomogPath:
     def test_witness_certifies_itself(self, t: FinTree, h: NatSet):
         w = is_homog_path(h, t, t.horizon)
         if w is not None:
-            sigma = w.witnesses[0]
+            sigma = w.witness
             assert len(sigma) >= t.horizon
             assert sigma in t
             assert is_homog_string(h, sigma, w.color)
-
-
-class TestIsHomogGraded:
-    def test_constant_ones_family(self):
-        assert is_homog_graded(NatSet.of([1, 2]), StringFamily.of(["1", "11"])) == 1
-
-    def test_only_members_with_length_in_h_constrain(self):
-        # sigma="10" (length 2 in H) forces color 0 at position 1; sigma="1"
-        # (length 1 in H) constrains no position of H and stays vacuous.
-        assert is_homog_graded(NatSet.of([1, 2]), StringFamily.of(["1", "10"])) == 0
-
-    def test_vacuous_ties_break_to_zero(self):
-        assert is_homog_graded(NatSet.of([5]), StringFamily.of(["1", "00"])) == 0
-
-    def test_conflicting_members_give_none(self):
-        fam = StringFamily.of(["1", "10", "011"])
-        assert is_homog_graded(NatSet.of([1, 2, 3]), fam) is None
-
-    def test_requires_graded(self):
-        with pytest.raises(NotGraded):
-            is_homog_graded(NatSet(), StringFamily.of(["11"]))

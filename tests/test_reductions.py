@@ -104,12 +104,11 @@ class TestStabilityBound:
         rep = stability_bound(downward_closure(["000", "1111"]), 0)
         assert rep.bound == 3
         assert rep.limit_color == 1
-        assert {k.bits: v for k, v in rep.dead_bounds.items()} == {"0": 3}
 
     def test_full_tree_has_no_dead_branches(self):
         t = downward_closure([format(i, "04b") for i in range(16)])
         rep = stability_bound(t, 1)
-        assert (rep.bound, rep.limit_color, dict(rep.dead_bounds)) == (0, 0, {})
+        assert (rep.bound, rep.limit_color) == (0, 0)
 
     def test_single_chain(self):
         rep = stability_bound(downward_closure(["1111"]), 2)

