@@ -15,6 +15,11 @@ from functools import cached_property, total_ordering
 from itertools import chain
 from typing import Collection, Iterable, Iterator
 
+# The most digits a decimal literal in any input may have.  It is CPython's
+# default limit on int(str), fixed here so that every parser refuses a
+# longer literal with its own located message before int() can.
+MAX_DIGITS = 4300
+
 
 class NotPrefixClosed(ValueError):
     """A member's prefix is missing from a would-be tree."""

@@ -10,6 +10,7 @@ element), and naturals ascending.
 from __future__ import annotations
 
 from rkl.core import (
+    MAX_DIGITS,
     BitString,
     FinTree,
     NatSet,
@@ -52,6 +53,8 @@ def _parse_bits(token: str, lineno: int) -> str:
 def _parse_nat(token: str, lineno: int, minimum: int = 0) -> int:
     if not (token.isascii() and token.isdigit()):
         raise FormatError(lineno, f"not a natural number: {token!r}")
+    if len(token) > MAX_DIGITS:
+        raise FormatError(lineno, f"number longer than {MAX_DIGITS} digits")
     value = int(token)
     if value < minimum:
         raise FormatError(lineno, f"value {value} below minimum {minimum}")
@@ -105,6 +108,8 @@ def _canonical_coloring(text: str) -> PairColoring | None:
     digits = head[2:]
     if not (head[:2] == "n " and digits.isascii() and digits.isdigit()):
         return None
+    if len(digits) > MAX_DIGITS:
+        return None  # the general parser reports it on line 1
     n = int(digits)
     colors = "".join([line[-1:] for line in body.split("\n")])
     if len(colors) != n * (n + 1) // 2 or colors.strip("01"):

@@ -12,8 +12,10 @@ Grammar (EBNF, whitespace insignificant):
     prim   = number | "x" | "m" | "n" | "y" | "z" | "len"
            | "bit" "(" sum ")" | "(" expr ")" ;
 
-The unicode spellings ≠ ≤ ≥ are accepted for != <= >=.  Logical operators
-take boolean operands and comparisons take arithmetic operands; violations
+The unicode spellings ≠ ≤ ≥ are accepted for != <= >=.  The operator table
+_OPERATORS is the one place that declares each operator's precedence and
+operand kind; the tokenizer, the parser and render all read it.  Logical
+operators take boolean operands and comparisons arithmetic ones; violations
 are rejected at parse time, so a parsed expression never mixes kinds.
 
 Evaluation is total on a fully bound environment: subtraction truncates at
@@ -28,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Union
 
-from rkl.core import BitString
+from rkl.core import MAX_DIGITS, BitString
 
 VARIABLES = ("x", "m", "n", "y", "z", "len")
-_KEYWORDS = set(VARIABLES) | {"bit", "and", "or", "not", "mod"}
-_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 _UNICODE_OPS = {"≠": "!=", "≤": "<=", "≥": ">="}
 
 
@@ -114,6 +114,27 @@ def kind_of(expr: PredExpr) -> str:
     return "bool" if isinstance(expr, _BOOL_NODES) else "nat"
 
 
+_KIND_NAMES = {"bool": "a comparison", "nat": "an arithmetic value"}
+
+# The one declaration of the operators: spelling -> (precedence level, node,
+# operand kind).  A higher level binds tighter.  Binary levels associate to
+# the left, except that comparisons do not chain; "not" is the one prefix
+# operator, and numbers, variables, bit(...) and parentheses sit at _ATOM.
+_OPERATORS: dict[str, tuple[int, type, str]] = {
+    "or": (1, Logic, "bool"),
+    "and": (2, Logic, "bool"),
+    "not": (3, Not, "bool"),
+    **dict.fromkeys(("=", "!=", "<", "<=", ">", ">="), (4, Cmp, "nat")),
+    **dict.fromkeys(("+", "-"), (5, Arith, "nat")),
+    **dict.fromkeys(("*", "mod"), (6, Arith, "nat")),
+}
+_ATOM = 7
+_NOT = _OPERATORS["not"][0]
+_SUM = _OPERATORS["+"][0]
+# Symbol tokens, longest first so that "<=" is not read as "<" then "=".
+_SYMBOLS = sorted([op for op in _OPERATORS if not op.isalpha()] + ["(", ")"], key=len)[::-1]
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(type, value, offset) triples; type is one of num, name, sym, end."""
     tokens: list[tuple[str, str, int]] = []
@@ -135,22 +156,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
-        elif text[i : i + 2] in ("<=", ">=", "!="):
-            tokens.append(("sym", text[i : i + 2], i))
-            i += 2
         elif ch in _UNICODE_OPS:
             tokens.append(("sym", _UNICODE_OPS[ch], i))
             i += 1
-        elif ch in "=<>+-*()":
-            tokens.append(("sym", ch, i))
-            i += 1
         else:
-            raise ParseError(i, ("a token",), repr(ch))
+            sym = next((s for s in _SYMBOLS if text.startswith(s, i)), None)
+            if sym is None:
+                raise ParseError(i, ("a token",), repr(ch))
+            tokens.append(("sym", sym, i))
+            i += len(sym)
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 _PRIM_EXPECTED = ("a number", "a variable", "'bit('", "'('")
+_DIGITS_EXPECTED = (f"a number of at most {MAX_DIGITS} digits",)
 
 # Nesting depth of an expression: a number or variable is 1, and each binary
 # operator, "not", "bit(...)" and pair of parentheses adds one level above
@@ -193,100 +213,56 @@ class _Parser:
             raise ParseError(offset, (f"'{sym}'",), value or "end of input")
         self.advance()
 
-    def require_bool(self, node: PredExpr, offset: int) -> None:
-        if kind_of(node) != "bool":
-            raise ParseError(offset, ("a comparison",), "an arithmetic value")
-
-    def require_nat(self, node: PredExpr, offset: int) -> None:
-        if kind_of(node) != "nat":
-            raise ParseError(offset, ("an arithmetic value",), "a comparison")
+    def require(self, kind: str, node: PredExpr, offset: int) -> None:
+        if kind_of(node) != kind:
+            raise ParseError(offset, (_KIND_NAMES[kind],), _KIND_NAMES[kind_of(node)])
 
     def nest(self, depth: int, offset: int) -> int:
         if depth > MAX_DEPTH:
             raise ParseError(offset, _DEPTH_EXPECTED, "deeper nesting")
         return depth
 
-    def nested(self, offset: int, parse) -> tuple[PredExpr, int, int]:
-        """Parse one level below the "(", "bit(" or "not" at offset.  Levels
-        are counted on the way down too, so deep nesting is refused early."""
+    def nested(self, offset: int, level: int) -> tuple[PredExpr, int, int]:
+        """Parse an expression of the given level one level below the "(",
+        "bit(" or "not" at offset.  Levels are counted on the way down too,
+        so deep nesting is refused early."""
         self.open += 1
         self.nest(self.open + 1, offset)
-        node, noff, depth = parse()
+        node, noff, depth = self.parse_expr(level)
         self.open -= 1
         return node, noff, self.nest(depth + 1, offset)
 
-    def parse_expr(self) -> tuple[PredExpr, int, int]:
-        node, offset, depth = self.parse_and()
-        while self.at_name("or"):
-            self.require_bool(node, offset)
-            _, _, op_off = self.advance()
-            rhs, roff, rdepth = self.parse_and()
-            self.require_bool(rhs, roff)
-            node = Logic("or", node, rhs)
-            depth = self.nest(max(depth, rdepth) + 1, op_off)
-        return node, offset, depth
-
-    def parse_and(self) -> tuple[PredExpr, int, int]:
-        node, offset, depth = self.parse_unary()
-        while self.at_name("and"):
-            self.require_bool(node, offset)
-            _, _, op_off = self.advance()
-            rhs, roff, rdepth = self.parse_unary()
-            self.require_bool(rhs, roff)
-            node = Logic("and", node, rhs)
-            depth = self.nest(max(depth, rdepth) + 1, op_off)
-        return node, offset, depth
-
-    def parse_unary(self) -> tuple[PredExpr, int, int]:
-        if self.at_name("not"):
+    def parse_expr(self, level: int = 1) -> tuple[PredExpr, int, int]:
+        """An expression of the given precedence level or tighter."""
+        if level == _ATOM:
+            return self.parse_prim()
+        if level == _NOT:
+            if not self.at_name("not"):
+                return self.parse_expr(level + 1)
             _, _, offset = self.advance()
-            operand, ooff, depth = self.nested(offset, self.parse_unary)
-            self.require_bool(operand, ooff)
+            operand, ooff, depth = self.nested(offset, _NOT)
+            self.require("bool", operand, ooff)
             return Not(operand), offset, depth
-        return self.parse_rel()
-
-    def parse_rel(self) -> tuple[PredExpr, int, int]:
-        left, offset, depth = self.parse_sum()
-        kind, value, op_off = self.peek()
-        if kind == "sym" and value in _CMP_OPS:
-            self.require_nat(left, offset)
+        node, offset, depth = self.parse_expr(level + 1)
+        while True:
+            _, value, op_off = self.peek()
+            op_level, node_type, kind = _OPERATORS.get(value, (None, None, None))
+            if op_level != level:
+                return node, offset, depth
+            self.require(kind, node, offset)
             self.advance()
-            right, roff, rdepth = self.parse_sum()
-            self.require_nat(right, roff)
-            return Cmp(value, left, right), offset, self.nest(max(depth, rdepth) + 1, op_off)
-        return left, offset, depth
-
-    def parse_sum(self) -> tuple[PredExpr, int, int]:
-        left, offset, depth = self.parse_prod()
-        while True:
-            kind, value, op_off = self.peek()
-            if kind == "sym" and value in ("+", "-"):
-                self.require_nat(left, offset)
-                self.advance()
-                right, roff, rdepth = self.parse_prod()
-                self.require_nat(right, roff)
-                left = Arith(value, left, right)
-                depth = self.nest(max(depth, rdepth) + 1, op_off)
-            else:
-                return left, offset, depth
-
-    def parse_prod(self) -> tuple[PredExpr, int, int]:
-        left, offset, depth = self.parse_prim()
-        while True:
-            kind, value, op_off = self.peek()
-            if (kind == "sym" and value == "*") or (kind == "name" and value == "mod"):
-                self.require_nat(left, offset)
-                self.advance()
-                right, roff, rdepth = self.parse_prim()
-                self.require_nat(right, roff)
-                left = Arith(value, left, right)
-                depth = self.nest(max(depth, rdepth) + 1, op_off)
-            else:
-                return left, offset, depth
+            rhs, roff, rdepth = self.parse_expr(level + 1)
+            self.require(kind, rhs, roff)
+            node = node_type(value, node, rhs)
+            depth = self.nest(max(depth, rdepth) + 1, op_off)
+            if node_type is Cmp:  # comparisons do not chain
+                return node, offset, depth
 
     def parse_prim(self) -> tuple[PredExpr, int, int]:
         kind, value, offset = self.peek()
         if kind == "num":
+            if len(value) > MAX_DIGITS:
+                raise ParseError(offset, _DIGITS_EXPECTED, f"{len(value)} digits")
             self.advance()
             return Num(int(value)), offset, 1
         if kind == "name":
@@ -298,14 +274,14 @@ class _Parser:
                 self.require_bound(value, offset)
                 self.advance()
                 self.expect_sym("(")
-                index, ioff, depth = self.nested(offset, self.parse_sum)
-                self.require_nat(index, ioff)
+                index, ioff, depth = self.nested(offset, _SUM)
+                self.require("nat", index, ioff)
                 self.expect_sym(")")
                 return Bit(index), offset, depth
             raise ParseError(offset, _PRIM_EXPECTED, f"'{value}'")
         if kind == "sym" and value == "(":
             self.advance()
-            node, _, depth = self.nested(offset, self.parse_expr)
+            node, _, depth = self.nested(offset, 1)
             self.expect_sym(")")
             return node, offset, depth
         raise ParseError(offset, _PRIM_EXPECTED, value or "end of input")
@@ -314,10 +290,10 @@ class _Parser:
 def parse(text: str, names: Collection[str] | None = None) -> PredExpr:
     """Parse a predicate or arithmetic expression; reject with character offsets.
 
-    Expressions nested deeper than MAX_DEPTH are rejected too.  With names,
-    the text is a matrix whose caller binds just those names ("bit" standing
-    for bit(...)): any other variable raises UnboundVariable at its offset,
-    and an arithmetic value at the top level raises ParseError.
+    Nesting deeper than MAX_DEPTH and numbers longer than MAX_DIGITS digits
+    are rejected too.  With names, the text is a matrix whose caller binds
+    just those names ("bit" standing for bit(...)): any other variable raises
+    UnboundVariable at its offset, and an arithmetic top level, ParseError.
     """
     parser = _Parser(_tokenize(text), names)
     node, start, _ = parser.parse_expr()
@@ -325,7 +301,7 @@ def parse(text: str, names: Collection[str] | None = None) -> PredExpr:
     if kind != "end":
         raise ParseError(offset, ("end of input",), value)
     if names is not None:
-        parser.require_bool(node, start)
+        parser.require("bool", node, start)
     return node
 
 
@@ -418,25 +394,12 @@ def evaluate(
     return compile(expr)(env or {}, tau)
 
 
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_NOT = 3
-_LEVEL_CMP = 4
-_LEVEL_SUM = 5
-_LEVEL_PROD = 6
-_LEVEL_ATOM = 7
-
-
 def _level(expr: PredExpr) -> int:
-    if isinstance(expr, Logic):
-        return _LEVEL_OR if expr.op == "or" else _LEVEL_AND
     if isinstance(expr, Not):
-        return _LEVEL_NOT
-    if isinstance(expr, Cmp):
-        return _LEVEL_CMP
-    if isinstance(expr, Arith):
-        return _LEVEL_SUM if expr.op in ("+", "-") else _LEVEL_PROD
-    return _LEVEL_ATOM
+        return _NOT
+    if isinstance(expr, (Arith, Cmp, Logic)):
+        return _OPERATORS[expr.op][0]
+    return _ATOM
 
 
 def render(expr: PredExpr) -> str:
@@ -452,12 +415,11 @@ def _render(expr: PredExpr, floor: int) -> str:
         text = expr.name
     elif isinstance(expr, Bit):
         text = f"bit({_render(expr.index, 0)})"
-    elif isinstance(expr, (Arith, Cmp)):
-        lf = _LEVEL_SUM if isinstance(expr, Cmp) else level
-        rf = _LEVEL_SUM if isinstance(expr, Cmp) else level + 1
-        text = f"{_render(expr.left, lf)} {expr.op} {_render(expr.right, rf)}"
     elif isinstance(expr, Not):
-        text = f"not {_render(expr.operand, _LEVEL_NOT)}"
+        text = f"not {_render(expr.operand, level)}"
     else:
-        text = f"{_render(expr.left, level)} {expr.op} {_render(expr.right, level + 1)}"
+        # Left-associative, so only the right operand needs the tighter
+        # level; comparisons do not chain, so they need it on both sides.
+        lf = level + 1 if isinstance(expr, Cmp) else level
+        text = f"{_render(expr.left, lf)} {expr.op} {_render(expr.right, level + 1)}"
     return f"({text})" if level < floor else text

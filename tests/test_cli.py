@@ -283,6 +283,41 @@ class TestParseTimeRefusals:
         assert capsys.readouterr().out == "-\n"
 
 
+OVERLONG = "9" * 5000
+
+
+class TestOverlongNumbers:
+    @pytest.mark.parametrize(
+        "files, argv, message",
+        [
+            (
+                {},
+                ["pi2sigma1", "--phi", f"z >= {OVERLONG}", "--tau", "01", "--bound", "3"],
+                "error: at offset 5: expected a number of at most 4300 digits, found 5000 digits\n",
+            ),
+            (
+                {"a.set": f"{OVERLONG}\n"},
+                ["settree", "--set", "a.set", "--depth", "3"],
+                "error: line 1: number longer than 4300 digits\n",
+            ),
+            (
+                {"c.color": f"n {OVERLONG}\n"},
+                ["info", "c.color"],
+                "error: line 1: number longer than 4300 digits\n",
+            ),
+        ],
+        ids=["predicate literal", "set line", "coloring header"],
+    )
+    def test_refused_with_location(self, files, argv, message, tmp_path, capsys):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+
 class TestDeepPredicates:
     @pytest.mark.parametrize("name", sorted(DEEP_PREDICATES))
     def test_refused_with_one_error_line(self, name, capsys):

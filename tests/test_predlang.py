@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import bitstrings, ref_evaluate
 from rkl import predlang
-from rkl.core import BitString
+from rkl.core import MAX_DIGITS, BitString
 from rkl.predlang import (
     MAX_DEPTH,
     VARIABLES,
@@ -24,6 +24,7 @@ from rkl.predlang import (
     parse,
     render,
 )
+from rkl.reductions import PI2_NAMES, YOKO_NAMES
 
 FULL_ENV = {"x": 4, "m": 2, "n": 7, "y": 1, "z": 3, "len": 0}
 
@@ -366,3 +367,68 @@ class TestBoundNames:
         with pytest.raises(UnboundVariable) as info:
             evaluate(parse("x = 1"), {})
         assert info.value.offset is None and str(info.value) == "unbound: x"
+
+
+# --- token soup --------------------------------------------------------------
+
+_soup_tokens = st.one_of(
+    st.sampled_from(
+        [*VARIABLES, "bit", "and", "or", "not", "mod", "foo", "_x"]
+        + ["=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "(", ")", "(", ")"]
+        + ["≠", "≤", "≥", "!", "$", "é", "\u0663", "\u00b2", "#"]
+    ),
+    st.integers(0, 10**12).map(str),
+    st.characters(),
+)
+token_soup = st.lists(
+    st.tuples(_soup_tokens, st.sampled_from(["", " ", "  ", "\t", "\n"])), max_size=30
+).map(lambda parts: "".join(token + space for token, space in parts))
+
+
+class TestTokenSoup:
+    @given(token_soup)
+    @example("z >= " + "9" * (MAX_DIGITS + 1))
+    @example("(" * (MAX_DEPTH + 1) + "x")
+    def test_parse_gives_a_node_or_a_located_refusal(self, text):
+        for names in (None, YOKO_NAMES, PI2_NAMES):
+            try:
+                e = parse(text, names)
+            except (ParseError, UnboundVariable) as exc:
+                assert 0 <= exc.offset <= len(text)
+            else:
+                assert isinstance(e, (Num, Var, Bit, Arith, Cmp, Not, Logic))
+                assert names is None or kind_of(e) == "bool"
+
+    def test_longest_number_accepted_and_longer_refused_at_its_offset(self):
+        longest = "9" * MAX_DIGITS
+        assert parse(f"z >= {longest}") == Cmp(">=", Var("z"), Num(int(longest)))
+        with pytest.raises(ParseError) as info:
+            parse(f"z >= 1 + {longest}9")
+        assert info.value.offset == 9
+        assert str(info.value) == (
+            f"at offset 9: expected a number of at most {MAX_DIGITS} digits, "
+            f"found {MAX_DIGITS + 1} digits"
+        )
+
+
+class TestRefusalMessages:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 < 2 < 3", "at offset 6: expected end of input, found <"),
+            ("bit(x = 1)", "at offset 6: expected ')', found ="),
+            ("(x = 1) + 2", "at offset 0: expected an arithmetic value, found a comparison"),
+            ("x and y = 1", "at offset 0: expected a comparison, found an arithmetic value"),
+            ("x = 1 and 2", "at offset 10: expected a comparison, found an arithmetic value"),
+            ("not 3", "at offset 4: expected a comparison, found an arithmetic value"),
+            ("x = 1 not y", "at offset 6: expected end of input, found not"),
+            ("x <= = 1", "at offset 5: expected a number or a variable or 'bit(' or '(', found ="),
+            ("x ! 1", "at offset 2: expected a token, found '!'"),
+            ("x mod mod 2", "at offset 6: expected a number or a variable or 'bit(' or '(', "
+             "found 'mod'"),
+        ],
+    )
+    def test_exact_message(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
