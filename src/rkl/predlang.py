@@ -20,15 +20,20 @@ are rejected at parse time, so a parsed expression never mixes kinds.
 
 Evaluation is total on a fully bound environment: subtraction truncates at
 zero, "a mod 0" is zero, and bit(i) reads 0 at any index past the end of the
-bound string.  compile turns a parsed expression into nested closures once,
-for callers that evaluate it many times; parse refuses nesting deeper than
-MAX_DEPTH, which bounds every recursion over an expression.
+bound string.  compile lowers a parsed expression, never text, once into
+one Python code object with no builtins, which can also run a least-witness
+scan.  Its "and" and "or" may short-circuit unobservably: every operator is
+total, and compile refuses unbound names first.  parse refuses nesting
+deeper than MAX_DEPTH, which bounds every recursion over an expression.
 """
 
 from __future__ import annotations
 
+import ast
+import builtins
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Union
+from typing import Callable, Collection, Mapping, Sequence, Union
 
 from rkl.core import MAX_DIGITS, BitString
 
@@ -53,7 +58,7 @@ class UnboundVariable(ValueError):
     """A variable (or the bound string) with no binding.
 
     parse finds it at a character offset when told which names the caller binds;
-    otherwise evaluation finds it, and offset is None.
+    otherwise compile finds it, and offset is None.
     """
 
     def __init__(self, name: str, offset: int | None = None) -> None:
@@ -117,16 +122,19 @@ def kind_of(expr: PredExpr) -> str:
 _KIND_NAMES = {"bool": "a comparison", "nat": "an arithmetic value"}
 
 # The one declaration of the operators: spelling -> (precedence level, node,
-# operand kind).  A higher level binds tighter.  Binary levels associate to
-# the left, except that comparisons do not chain; "not" is the one prefix
-# operator, and numbers, variables, bit(...) and parentheses sit at _ATOM.
-_OPERATORS: dict[str, tuple[int, type, str]] = {
-    "or": (1, Logic, "bool"),
-    "and": (2, Logic, "bool"),
-    "not": (3, Not, "bool"),
-    **dict.fromkeys(("=", "!=", "<", "<=", ">", ">="), (4, Cmp, "nat")),
-    **dict.fromkeys(("+", "-"), (5, Arith, "nat")),
-    **dict.fromkeys(("*", "mod"), (6, Arith, "nat")),
+# operand kind, Python operator).  A higher level binds tighter.  Binary
+# levels associate to the left, except that comparisons do not chain; "not"
+# is the one prefix operator, and numbers, variables, bit(...) and
+# parentheses sit at _ATOM.  compile guards "-" and "mod" to keep them total.
+_OPERATORS: dict[str, tuple[int, type, str, type]] = {
+    "or": (1, Logic, "bool", ast.Or),
+    "and": (2, Logic, "bool", ast.And),
+    "not": (3, Not, "bool", ast.Not),
+    "=": (4, Cmp, "nat", ast.Eq), "!=": (4, Cmp, "nat", ast.NotEq),
+    "<": (4, Cmp, "nat", ast.Lt), "<=": (4, Cmp, "nat", ast.LtE),
+    ">": (4, Cmp, "nat", ast.Gt), ">=": (4, Cmp, "nat", ast.GtE),
+    "+": (5, Arith, "nat", ast.Add), "-": (5, Arith, "nat", ast.Sub),
+    "*": (6, Arith, "nat", ast.Mult), "mod": (6, Arith, "nat", ast.Mod),
 }
 _ATOM = 7
 _NOT = _OPERATORS["not"][0]
@@ -246,7 +254,7 @@ class _Parser:
         node, offset, depth = self.parse_expr(level + 1)
         while True:
             _, value, op_off = self.peek()
-            op_level, node_type, kind = _OPERATORS.get(value, (None, None, None))
+            op_level, node_type, kind, _ = _OPERATORS.get(value, (None,) * 4)
             if op_level != level:
                 return node, offset, depth
             self.require(kind, node, offset)
@@ -305,93 +313,84 @@ def parse(text: str, names: Collection[str] | None = None) -> PredExpr:
     return node
 
 
-Compiled = Callable[[Mapping[str, int], BitString | None], int | bool]
+def _name(name: str, ctx: type = ast.Load) -> ast.Name:
+    return ast.Name(name, ctx())
 
 
-def compile(expr: PredExpr) -> Compiled:
-    """Turn an expression once into a function of (env, tau).
+def compile(
+    expr: PredExpr, params: Sequence[str], witness: str | None = None
+) -> Callable[..., object]:
+    """Lower an expression once into a function of the names in params.
 
-    The function gives what evaluate(expr, env, tau) gives, and raises the
-    same UnboundVariable: operands are computed left to right, and "and" and
-    "or" compute both of theirs.  Operators are picked here, not per call.
+    "bits" binds the string bit(...) reads, and "len" its length.  Without
+    witness the function returns the expression's value; with witness it
+    takes one more argument, an iterable of candidates, and returns the
+    first at which the expression holds, or None.  A name that params and
+    witness leave unbound raises UnboundVariable before compiling: the first
+    in text order, "bit" standing for a missing "bits".
     """
-    if isinstance(expr, Num):
-        value = expr.value
-        return lambda env, tau: value
-    if isinstance(expr, Var):
-        return _length if expr.name == "len" else _variable(expr.name)
-    if isinstance(expr, Bit):
-        return _bit(compile(expr.index))
-    if isinstance(expr, Not):
-        operand = compile(expr.operand)
-        return lambda env, tau: not operand(env, tau)
-    if isinstance(expr, (Arith, Cmp, Logic)):
-        return _BINARY[expr.op](compile(expr.left), compile(expr.right))
-    raise TypeError(f"not a predicate node: {expr!r}")
+    bound = {*params, witness}
+    temps = itertools.count()
 
+    def temp(value: ast.expr) -> tuple[ast.NamedExpr, ast.Name]:
+        name = f"_{next(temps)}"
+        return ast.NamedExpr(_name(name, ast.Store), value), _name(name)
 
-def _variable(name: str) -> Compiled:
-    def read(env: Mapping[str, int], tau: BitString | None) -> int:
-        try:
-            return env[name]
-        except KeyError:
-            raise UnboundVariable(name) from None
+    def lower(e: PredExpr) -> ast.expr:
+        if isinstance(e, Num):
+            return ast.Constant(e.value)
+        if isinstance(e, Var):
+            if e.name not in bound:
+                raise UnboundVariable(e.name)
+            return _name(e.name)
+        if isinstance(e, Bit):  # reads 0 past the end
+            if "bits" not in bound:
+                raise UnboundVariable("bit")
+            read = ast.Attribute(_name("bits"), "startswith", ast.Load())
+            test = ast.Call(read, [ast.Constant("1"), lower(e.index)], [])
+            return ast.IfExp(test, ast.Constant(1), ast.Constant(0))
+        if isinstance(e, Not):
+            return ast.UnaryOp(ast.Not(), lower(e.operand))
+        op = _OPERATORS[e.op][3]()
+        left, right = lower(e.left), lower(e.right)
+        if isinstance(e, Logic):
+            return ast.BoolOp(op, [left, right])
+        if isinstance(e, Cmp):
+            return ast.Compare(left, [op], [right])
+        if e.op == "-":  # (a - b if (a := left) > (b := right) else 0)
+            (set_a, a), (set_b, b) = temp(left), temp(right)
+            test = ast.Compare(set_a, [ast.Gt()], [set_b])
+            return ast.IfExp(test, ast.BinOp(a, op, b), ast.Constant(0))
+        if e.op == "mod":  # (left % b if (b := right) else 0)
+            set_b, b = temp(right)
+            return ast.IfExp(set_b, ast.BinOp(left, op, b), ast.Constant(0))
+        return ast.BinOp(left, op, right)
 
-    return read
-
-
-def _length(env: Mapping[str, int], tau: BitString | None) -> int:
-    if tau is None:
-        raise UnboundVariable("len")
-    return len(tau.bits)
-
-
-def _bit(index: Compiled) -> Compiled:
-    def read(env: Mapping[str, int], tau: BitString | None) -> int:
-        if tau is None:
-            raise UnboundVariable("bit")
-        return 1 if tau.bits.startswith("1", index(env, tau)) else 0  # 0 past the end
-
-    return read
-
-
-def _mod(f: Compiled, g: Compiled) -> Compiled:
-    def run(env: Mapping[str, int], tau: BitString | None) -> int:
-        a, b = f(env, tau), g(env, tau)
-        return a % b if b else 0
-
-    return run
-
-
-# One closure factory per operator.  Subtraction truncates at zero, and the
-# logical operators take the bools that comparisons and "not" give.
-_BINARY: dict[str, Callable[[Compiled, Compiled], Compiled]] = {
-    "+": lambda f, g: lambda env, tau: f(env, tau) + g(env, tau),
-    "-": lambda f, g: lambda env, tau: max(f(env, tau) - g(env, tau), 0),
-    "*": lambda f, g: lambda env, tau: f(env, tau) * g(env, tau),
-    "mod": _mod,
-    "=": lambda f, g: lambda env, tau: f(env, tau) == g(env, tau),
-    "!=": lambda f, g: lambda env, tau: f(env, tau) != g(env, tau),
-    "<": lambda f, g: lambda env, tau: f(env, tau) < g(env, tau),
-    "<=": lambda f, g: lambda env, tau: f(env, tau) <= g(env, tau),
-    ">": lambda f, g: lambda env, tau: f(env, tau) > g(env, tau),
-    ">=": lambda f, g: lambda env, tau: f(env, tau) >= g(env, tau),
-    "and": lambda f, g: lambda env, tau: f(env, tau) & g(env, tau),
-    "or": lambda f, g: lambda env, tau: f(env, tau) | g(env, tau),
-}
+    body, args = lower(expr), [ast.arg(name) for name in params]
+    if witness is not None:  # next((w for w in candidates if body), None)
+        scan = ast.comprehension(_name(witness, ast.Store), _name("candidates"), [body], 0)
+        first = ast.GeneratorExp(_name(witness), [scan])
+        body = ast.Call(_name("next"), [first, ast.Constant(None)], [])
+        args.append(ast.arg("candidates"))
+    spec = ast.arguments(posonlyargs=[], args=args, kwonlyargs=[], kw_defaults=[], defaults=[])
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(spec, body)))
+    code = builtins.compile(tree, "<matrix>", "eval")
+    return eval(code, {"__builtins__": {}, "next": next})
 
 
 def evaluate(
-    expr: PredExpr,
-    env: Mapping[str, int] | None = None,
-    tau: BitString | None = None,
+    expr: PredExpr, env: Mapping[str, int] | None = None, tau: BitString | None = None
 ) -> int | bool:
     """Evaluate with variables from env and bit/len reading tau.
 
     Total for fully bound input: no arithmetic below zero, mod 0 is 0, and
-    out-of-range bit reads give 0.  Compile once to evaluate many times.
+    out-of-range bit reads give 0.  The first name in text order with no
+    binding raises UnboundVariable.  Compile once to evaluate many times.
     """
-    return compile(expr)(env or {}, tau)
+    bindings = {k: v for k, v in (env or {}).items() if k in VARIABLES and k != "len"}
+    if tau is not None:
+        bindings.update(bits=tau.bits, len=len(tau))
+    return compile(expr, list(bindings))(*bindings.values())
 
 
 def _level(expr: PredExpr) -> int:

@@ -10,7 +10,7 @@ explicit cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Collection, Iterable
 
 from rkl import predlang
 from rkl.core import BitString, FinTree, NatSet, PairColoring, StringFamily
@@ -56,24 +56,20 @@ class CapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class PredMatrix:
-    """A total decidable predicate over named natural variables.
-
-    The wrapped function takes (env, tau) where env maps variable names to
-    naturals and tau is an optional bit string read by bit()/len; its result
-    is read for truth.  Build one from expression text or from a parsed
-    expression, which is compiled once here.
+    """A total decidable predicate over named natural variables, kept as its
+    parse tree; each reduction lowers it once per call with predlang.compile.
     """
 
-    fn: Callable[[Mapping[str, int], BitString | None], object]
+    expr: predlang.PredExpr
 
     @classmethod
     def from_expr(cls, expr: predlang.PredExpr) -> "PredMatrix":
-        return cls(fn=predlang.compile(expr))
+        return cls(expr)
 
     @classmethod
     def from_text(cls, text: str, names: Collection[str] | None = None) -> "PredMatrix":
-        """Parse and compile; with names, refuse at parse time a matrix that
-        is not a comparison or reads a name outside them."""
+        """Parse; with names, refuse at parse time a matrix that is not a
+        comparison or reads a name outside them."""
         return cls.from_expr(predlang.parse(text, names))
 
 
@@ -196,40 +192,14 @@ def pi2_tree_to_sigma1(phi: PredMatrix, tau: BitString, bound: int) -> bool:
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    fn = phi.fn
+    least = predlang.compile(phi.expr, ("y", "bits", "len"), witness="z")
+    witnesses = range(bound)
     for x in range(len(tau) + 1):
-        pref = tau.prefix(x)
+        bits = tau.bits[:x]
         for y in range(len(tau) + 1):
-            env = {"y": y}
-            for z in range(bound):
-                env["z"] = z
-                if fn(env, pref):
-                    break
-            else:
+            if least(y, bits, x, witnesses) is None:
                 return False
     return True
-
-
-def _witness_table(theta: PredMatrix, x: int, m_count: int, cap: int) -> list[int | None]:
-    """Least witness n < cap for each m, or None when a row has none."""
-    fn = theta.fn
-    table: list[int | None] = [None] * m_count
-    for m in range(m_count):
-        env = {"x": x, "m": m}
-        for n in range(cap):
-            env["n"] = n
-            if fn(env, None):
-                table[m] = n
-                break
-    return table
-
-
-def _cover_bound(table: list[int | None], y: int) -> int | None:
-    """Least z whose witnesses cover all m < y, from a least-witness table."""
-    seen = table[:y]
-    if any(w is None for w in seen):
-        return None
-    return max(seen) + 1 if seen else 0
 
 
 def yokoyama_coloring(
@@ -238,22 +208,29 @@ def yokoyama_coloring(
     """Color (x, y) with 0 exactly when the first matrix covers m < y below h(x, y).
 
     h(x, y) is the least z <= cap below which one matrix covers every m < y
-    at x.  It is read off least-witness tables, so each matrix is consulted
-    at most once per (x, m, n).
+    at x.  It is read off the least witness n < cap of each (x, m), so each
+    matrix is consulted at most once per (x, m, n).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    least0 = predlang.compile(theta0.expr, ("x", "m"), witness="n")
+    least1 = predlang.compile(theta1.expr, ("x", "m"), witness="n")
+    witnesses = range(cap)
     columns: list[list[int]] = [[] for _ in range(n + 1)]
     for x in range(n):
-        w0 = _witness_table(theta0, x, n, cap)
-        w1 = _witness_table(theta1, x, n, cap)
-        for y in range(x + 1, n + 1):
-            z0 = _cover_bound(w0, y)
-            z1 = _cover_bound(w1, y)
-            h = min((z for z in (z0, z1) if z is not None), default=None)
-            if h is None or h > cap:
+        w0 = [least0(x, m, witnesses) for m in range(n)]
+        w1 = [least1(x, m, witnesses) for m in range(n)]
+        # Least z whose witnesses cover every m < y, or None once a row has none.
+        z0: int | None = 0
+        z1: int | None = 0
+        for y, (a, b) in enumerate(zip(w0, w1), start=1):
+            z0 = None if z0 is None or a is None else max(z0, a + 1)
+            z1 = None if z1 is None or b is None else max(z1, b + 1)
+            if y <= x:
+                continue
+            if z0 is None and z1 is None:
                 raise CapExceeded(x, y, cap)
-            columns[y].append(0 if (z0 is not None and z0 <= h) else 1)
+            columns[y].append(0 if z1 is None or (z0 is not None and z0 <= z1) else 1)
     return PairColoring(n, tuple(tuple(columns[y]) for y in range(1, n + 1)))
 
 

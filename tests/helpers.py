@@ -7,10 +7,9 @@ implementations are checked against something with no shared code.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
-from typing import Callable, Mapping
+from typing import Mapping
 
 from hypothesis import strategies as st
 
@@ -277,33 +276,28 @@ def ref_evaluate(
 
 
 class PredMatrix(reductions.PredMatrix):
-    """The library's matrix, callable with keyword bindings, plus one built
-    from a plain Python callable."""
+    """The library's matrix, callable with keyword bindings through
+    ref_evaluate."""
 
     def __call__(self, tau: BitString | None = None, /, **bindings: int) -> bool:
-        return bool(self.fn(bindings, tau))
+        return bool(ref_evaluate(self.expr, bindings, tau))
 
-    @classmethod
-    def from_callable(cls, fn: Callable[..., object]) -> "PredMatrix":
-        params = [
-            p.name
-            for p in inspect.signature(fn).parameters.values()
-            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-        ]
-        wants_tau = "tau" in params
-        names = [p for p in params if p != "tau"]
 
-        def run(env: Mapping[str, int], tau: BitString | None) -> bool:
-            kwargs: dict[str, object] = {name: env[name] for name in names}
-            if wants_tau:
-                kwargs["tau"] = tau
-            return bool(fn(**kwargs))
-
-        return cls(fn=run)
+def ref_pi2(phi: reductions.PredMatrix, tau: BitString, bound: int) -> bool:
+    """Every x, y <= |tau| has a witness z < bound on tau's length-x prefix,
+    each point evaluated with ref_evaluate; the form of pi2_tree_to_sigma1."""
+    return all(
+        any(ref_evaluate(phi.expr, {"y": y, "z": z}, tau.prefix(x)) for z in range(bound))
+        for x in range(len(tau) + 1)
+        for y in range(len(tau) + 1)
+    )
 
 
 def _side_holds(theta: reductions.PredMatrix, x: int, y: int, z: int) -> bool:
-    return all(any(theta(x=x, m=m, n=n) for n in range(z)) for m in range(y))
+    return all(
+        any(ref_evaluate(theta.expr, {"x": x, "m": m, "n": n}) for n in range(z))
+        for m in range(y)
+    )
 
 
 def yokoyama_h(

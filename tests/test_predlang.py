@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import types
+import warnings
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -137,6 +140,12 @@ class TestEvaluate:
         with pytest.raises(UnboundVariable):
             evaluate(parse("len"), {})
 
+    def test_len_reads_tau_not_env(self):
+        with pytest.raises(UnboundVariable) as info:
+            evaluate(parse("len = 0"), {"len": 0})
+        assert info.value.name == "len"
+        assert evaluate(parse("len = 0"), {"len": 5}, tau=BitString()) is True
+
 
 class TestRender:
     def test_round_trip_examples(self):
@@ -221,21 +230,41 @@ def outcome(run):
 
 
 partial_envs = st.dictionaries(st.sampled_from(VARIABLES), st.integers(0, 40))
+NAT_PARAMS = ("x", "m", "n", "y", "z")
+ALL_PARAMS = (*NAT_PARAMS, "bits", "len")
+
+
+def lower(e, params, witness=None):
+    """predlang.compile with every warning an error: the ast node
+    constructors warn about missing or stray fields on newer Pythons."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return predlang.compile(e, params, witness)
+
+
+def run_lowered(e, env, tau):
+    """Lower e over exactly the names env and tau bind, as evaluate does,
+    and call it once."""
+    bindings = {k: v for k, v in env.items() if k != "len"}
+    if tau is not None:
+        bindings.update(bits=tau.bits, len=len(tau))
+    return lower(e, tuple(bindings))(*bindings.values())
 
 
 class TestCompile:
     @given(any_exprs, partial_envs, st.none() | bitstrings(6))
     def test_matches_tree_walk(self, e, env, tau):
         expected = outcome(lambda: ref_evaluate(e, env, tau))
-        assert outcome(lambda: predlang.compile(e)(env, tau)) == expected
+        assert outcome(lambda: run_lowered(e, env, tau)) == expected
         assert outcome(lambda: evaluate(e, env, tau)) == expected
 
     @given(any_exprs, bitstrings(6))
     def test_one_closure_serves_many_environments(self, e, tau):
-        fn = predlang.compile(e)
+        fn = lower(e, ALL_PARAMS)
         for y in range(4):
             env = dict(FULL_ENV, y=y, z=3 * y)
-            assert outcome(lambda: fn(env, tau)) == outcome(lambda: ref_evaluate(e, env, tau))
+            args = [*(env[k] for k in NAT_PARAMS), tau.bits, len(tau)]
+            assert outcome(lambda: fn(*args)) == outcome(lambda: ref_evaluate(e, env, tau))
 
     @pytest.mark.parametrize(
         "text, value",
@@ -251,48 +280,116 @@ class TestCompile:
             ("bit(2)", 0),
             ("bit(99 * 99 * 99 * 99 * 99 * 99 * 99 * 99 * 99 * 99)", 0),
             ("bit(len - 1) + bit(len)", 1),
+            (f"{'9' * MAX_DIGITS} mod 1000 - x", 995),
+            (f"x - {'9' * MAX_DIGITS}", 0),
         ],
     )
     def test_total_edge_cases(self, text, value):
         e = parse(text)
         env, tau = {"x": 4}, BitString("01")
-        assert predlang.compile(e)(env, tau) == value == ref_evaluate(e, env, tau)
+        assert run_lowered(e, env, tau) == value == ref_evaluate(e, env, tau)
 
     def test_both_operands_of_and_or_are_computed(self):
         # A false left side does not hide the unbound right side.
         for text in ("x < 0 and y = 1", "x >= 0 or y = 1"):
             with pytest.raises(UnboundVariable) as info:
-                predlang.compile(parse(text))({"x": 4}, None)
+                lower(parse(text), ("x",))
             assert info.value.name == "y"
 
     def test_bit_and_len_need_tau(self):
         for text, name in (("bit(0) = 1", "bit"), ("len > 0", "len"), ("bit(len) = 0", "bit")):
             with pytest.raises(UnboundVariable) as info:
-                predlang.compile(parse(text))({}, None)
+                lower(parse(text), ())
             assert info.value.name == name
+
+
+def ref_least(e, env, tau, witness, candidates):
+    """The first candidate at which ref_evaluate holds, scanned one by one."""
+    return next((w for w in candidates if ref_evaluate(e, {**env, witness: w}, tau)), None)
+
+
+def code_names(code: types.CodeType) -> set[str]:
+    """Global and attribute names a code object and its nested code read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= code_names(const)
+    return names
+
+
+HUGE = int("9" * MAX_DIGITS)
+full_envs = st.fixed_dictionaries({k: st.integers(0, 40) for k in NAT_PARAMS})
+
+
+class TestWitness:
+    @given(bool_exprs, full_envs, bitstrings(6), st.sampled_from(NAT_PARAMS),
+           st.integers(0, 40), st.integers(0, 12))
+    @example(Cmp(">=", Arith("*", Var("n"), Num(HUGE)), Arith("mod", Num(HUGE), Var("x"))),
+             dict(FULL_ENV), BitString("01"), "n", 0, 3)
+    def test_first_witness_matches_brute_force_scan(self, e, env, tau, witness, start, size):
+        bindings = {k: v for k, v in env.items() if k != witness}
+        bindings.update(bits=tau.bits, len=len(tau))
+        window = range(start, start + size)
+        least = lower(e, tuple(bindings), witness)
+        assert least(*bindings.values(), window) == ref_least(e, env, tau, witness, window)
+
+    def test_unbound_name_is_refused_before_compiling(self):
+        with pytest.raises(UnboundVariable) as info:
+            lower(parse("n >= m + y"), ("x", "m"), "n")
+        assert info.value.name == "y" and info.value.offset is None
+
+
+class TestClosedLanguage:
+    @given(any_exprs, st.sampled_from((None, *NAT_PARAMS)))
+    def test_code_reads_no_name_but_next_and_startswith(self, e, witness):
+        fn = lower(e, tuple(k for k in ALL_PARAMS if k != witness), witness)
+        assert code_names(fn.__code__) <= {"next", "startswith"}
+        assert fn.__globals__["__builtins__"] == {}
 
 
 def nested_parens(k: int) -> str:
     return "(" * k + "x" + ")" * k
 
 
+def right_nested(op: str, k: int) -> str:
+    """y op (y op (... y)) with k operators, nesting 2k + 1 levels."""
+    return f"y {op} (" * k + "y" + ")" * k
+
+
+DEEPEST = [
+    nested_parens(MAX_DEPTH - 1),
+    "+".join(["y"] * MAX_DEPTH),
+    "not " * (MAX_DEPTH - 2) + "x = 1",
+    "bit(" * (MAX_DEPTH - 1) + "0" + ")" * (MAX_DEPTH - 1),
+    "z >= " + "+".join(["y"] * (MAX_DEPTH - 1)),
+    # "-" and "mod" nest walrus temporaries, three and two levels per operator.
+    "-".join(["y"] * MAX_DEPTH),
+    " mod ".join(["y"] * MAX_DEPTH),
+    "z >= " + "-".join(["y"] * (MAX_DEPTH - 1)),
+    f"({right_nested('-', MAX_DEPTH // 2 - 1)})",
+    f"({right_nested('mod', MAX_DEPTH // 2 - 1)})",
+    "z < " + right_nested("-", MAX_DEPTH // 2 - 1),
+    "bit(" * (MAX_DEPTH - 6) + "y - (y mod (y - y))" + ")" * (MAX_DEPTH - 6),
+    " or ".join(["x = 1"] * (MAX_DEPTH - 1)),
+    " and ".join(["not y - x = 0"] * (MAX_DEPTH - 3)),
+]
+
+
 class TestDepthLimit:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            nested_parens(MAX_DEPTH - 1),
-            "+".join(["y"] * MAX_DEPTH),
-            "not " * (MAX_DEPTH - 2) + "x = 1",
-            "bit(" * (MAX_DEPTH - 1) + "0" + ")" * (MAX_DEPTH - 1),
-            "z >= " + "+".join(["y"] * (MAX_DEPTH - 1)),
-        ],
-    )
+    @pytest.mark.parametrize("text", DEEPEST)
     def test_deepest_accepted_expression_round_trips(self, text):
         e = parse(text)
         assert parse(render(e)) == e
         env = {"x": 1, "y": 1, "z": 0}
         tau = BitString("1")
-        assert predlang.compile(e)(env, tau) == ref_evaluate(e, env, tau)
+        assert run_lowered(e, env, tau) == ref_evaluate(e, env, tau)
+        least = lower(e, ("x", "z", "bits", "len"), "y")
+        assert least(1, 0, tau.bits, 1, range(3)) == ref_least(e, env, tau, "y", range(3))
+
+    @pytest.mark.parametrize("text", DEEPEST)
+    def test_deepest_accepted_expression_is_the_limit(self, text):
+        with pytest.raises(ParseError):
+            parse(f"({text})")
 
     @pytest.mark.parametrize(
         "text, offset",
@@ -350,9 +447,8 @@ class TestBoundNames:
     @given(bool_exprs, st.text(alphabet="01", max_size=6).map(BitString))
     def test_accepted_matrix_never_meets_an_unbound_name(self, e, tau):
         names = set(names_in_text_order(e))
-        fn = predlang.compile(parse(render(e), names))
         env = {name: 3 for name in names if name in VARIABLES}
-        assert fn(env, tau) in (True, False)
+        assert run_lowered(parse(render(e), names), env, tau) in (True, False)
 
     @given(nat_exprs)
     def test_arithmetic_matrix_refused_at_its_start(self, e):

@@ -10,6 +10,7 @@ from helpers import (
     colorings,
     graded_families,
     nonempty_bitstrings,
+    ref_pi2,
     string_families,
     trees,
     yokoyama_h,
@@ -24,6 +25,8 @@ from rkl.core import (
     lenlex,
 )
 from rkl.reductions import (
+    PI2_NAMES,
+    YOKO_NAMES,
     BadStage,
     CapExceeded,
     EmptyPath,
@@ -241,6 +244,21 @@ class TestCeTreeToSigma:
             assert any(tau.is_prefix_of(m) for tau in inputs)
 
 
+pi2_matrices = st.builds(
+    lambda text, a, b: PredMatrix.from_text(text.format(a=a, b=b), PI2_NAMES),
+    st.sampled_from([
+        "z >= y",
+        "bit(y) + z >= y or len = {a}",
+        "z * {a} >= y + bit(y + {b})",
+        "bit(z) = 1 or z >= len + {a}",
+        "z + bit(len - {a}) > y mod {b}",
+        "z >= len - y and bit(y) = {b} mod 2",
+    ]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+
+
 class TestPi2TreeToSigma1:
     def test_bound_large_enough(self):
         assert pi2_tree_to_sigma1(PredMatrix.from_text("z >= y"), B("010"), 4)
@@ -255,6 +273,10 @@ class TestPi2TreeToSigma1:
         with pytest.raises(ValueError):
             pi2_tree_to_sigma1(ALWAYS, B("0"), 0)
 
+    @given(pi2_matrices, bitstrings(6), st.integers(1, 8))
+    def test_matches_pointwise_scan(self, phi, tau, bound):
+        assert pi2_tree_to_sigma1(phi, tau, bound) == ref_pi2(phi, tau, bound)
+
     @given(bitstrings(6), st.integers(1, 6), st.integers(0, 6))
     def test_monotone_in_bound(self, tau, bound, extra):
         phi = PredMatrix.from_text("z * 2 >= y + bit(y)")
@@ -267,6 +289,38 @@ class TestPi2TreeToSigma1:
         if pi2_tree_to_sigma1(phi, tau, bound):
             for shorter in tau.prefixes():
                 assert pi2_tree_to_sigma1(phi, shorter, bound)
+
+
+yoko_matrices = st.builds(
+    lambda text, a, b: PredMatrix.from_text(text.format(a=a, b=b), YOKO_NAMES),
+    st.sampled_from([
+        "n >= m + x",
+        "n >= m * (x mod {a})",
+        "n >= m + {a}",
+        "x mod {a} = {b} and n >= m",
+        "n * {a} >= m + x - {b}",
+        "n = {a} or m > {b}",
+        "n + {b} > m * {a} and x != {a}",
+        "0 = 1",
+    ]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+
+
+def pointwise_outcome(t0, t1, n: int, cap: int):
+    """yokoyama_coloring read off yokoyama_h pair by pair, or the first
+    CapExceeded that scan meets."""
+    columns: list[list[int]] = [[] for _ in range(n + 1)]
+    for x in range(n):
+        for y in range(x + 1, n + 1):
+            try:
+                h = yokoyama_h(t0, t1, x, y, cap)
+            except CapExceeded as exc:
+                return ("cap", exc.x, exc.y, exc.cap)
+            covered0 = all(any(t0(x=x, m=m, n=w) for w in range(h)) for m in range(y))
+            columns[y].append(0 if covered0 else 1)
+    return ("coloring", PairColoring(n, tuple(tuple(columns[y]) for y in range(1, n + 1))))
 
 
 class TestYokoyamaH:
@@ -285,7 +339,7 @@ class TestYokoyamaH:
         assert yokoyama_h(ALWAYS, NEVER, 4, 1, 8) == 1
 
     def test_host_callable_matrix(self):
-        theta = PredMatrix.from_callable(lambda x, m, n: n >= m + x)
+        theta = PredMatrix.from_text("n >= m + x")
         # x=1, y=3: need n >= m+1 for m<3, i.e. n=3 works for all; z=4.
         assert yokoyama_h(theta, NEVER, 1, 3, 16) == 4
 
@@ -315,8 +369,8 @@ class TestYokoyamaColoring:
 
     def test_matches_pointwise_h(self):
         # The tabulated coloring must agree with the direct mu-scan pointwise.
-        t0 = PredMatrix.from_callable(lambda x, m, n: n >= m * (x % 3))
-        t1 = PredMatrix.from_callable(lambda x, m, n: n >= m + 2)
+        t0 = PredMatrix.from_text("n >= m * (x mod 3)")
+        t1 = PredMatrix.from_text("n >= m + 2")
         f = yokoyama_coloring(t0, t1, 6, 64)
         for x, y, c in f.pairs():
             h = yokoyama_h(t0, t1, x, y, 64)
@@ -324,6 +378,23 @@ class TestYokoyamaColoring:
                 any(t0(x=x, m=m, n=n) for n in range(h)) for m in range(y)
             )
             assert c == (0 if covered0 else 1)
+
+    def test_cap_exceeded_where_the_pointwise_scan_stops(self):
+        # At x = 0 row m has witness m, so rows m >= cap have none and the
+        # running cover bound must fail at y = cap + 1, not sooner or later.
+        theta = PredMatrix.from_text("n >= m + x")
+        with pytest.raises(CapExceeded) as info:
+            yokoyama_coloring(theta, NEVER, 6, 4)
+        assert (info.value.x, info.value.y, info.value.cap) == (0, 5, 4)
+        assert pointwise_outcome(theta, NEVER, 6, 4) == ("cap", 0, 5, 4)
+
+    @given(yoko_matrices, yoko_matrices, st.integers(0, 6), st.integers(1, 6))
+    def test_matches_pointwise_scan(self, t0, t1, n, cap):
+        try:
+            f = ("coloring", yokoyama_coloring(t0, t1, n, cap))
+        except CapExceeded as exc:
+            f = ("cap", exc.x, exc.y, exc.cap)
+        assert f == pointwise_outcome(t0, t1, n, cap)
 
     def test_color_certifies_covering(self):
         f = yokoyama_coloring(PARITY_0, PARITY_1, 6, 64)
