@@ -6,6 +6,10 @@ whose first e+3 entries all sit below the current length, every member must
 take both values on that front, so no homogeneous set can contain it.  The
 function taking a homogeneous set to the least e+3 of its elements then
 differs from every settled W_e.
+
+The first e+3 elements of W_e never change once entered, so each front is
+derived once and fires at one level: the first that has enumerated all of it
+and lies past its largest element.  It stays active at every later level.
 """
 
 from __future__ import annotations
@@ -113,38 +117,31 @@ def build_diagonal_tree(enums: StagedEnum, l_max: int) -> DiagReport:
 
     A string of length l is a member when, for each index e whose W at stage
     l holds at least e+3 elements with the first e+3 of them all below l, it
-    takes both values on that front.  The condition only strengthens along
-    extensions, so the member set is prefix-closed, and at most half of each
-    level is ever excluded.
+    takes both values on that front.  The front of e is fixed once entered,
+    so it fires at one level and stays active from there on; a child agrees
+    with its parent on every older front, so each level is filtered only by
+    the fronts that first fire there.  The member set is prefix-closed, and
+    at most half of each level is ever excluded.
     """
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
+    firing: dict[int, list[tuple[int, ...]]] = {}
     triggered: set[tuple[int, int]] = set()
-    fronts_by_level: list[list[tuple[int, ...]]] = []
-    for l in range(l_max + 1):
-        active: list[tuple[int, ...]] = []
-        for e in range(enums.k):
-            w = enums.w_at(e, l)
-            if len(w) >= e + 3:
-                front = w[: e + 3]
-                if max(front) < l:
-                    active.append(front)
-                    triggered.add((e, l))
-        fronts_by_level.append(active)
+    for e, (stages, elements) in enums._by_index.items():
+        if len(elements) < e + 3:
+            continue
+        front = elements[: e + 3]
+        first = max(stages[e + 2], max(front) + 1)
+        firing.setdefault(first, []).append(front)
+        triggered.update((e, l) for l in range(first, l_max + 1))
     levels: list[list[str]] = [[""]]
     for l in range(1, l_max + 1):
-        # A front is split unless it reads all zeros or all ones.
-        checks = [
-            (itemgetter(*front), ("0",) * len(front), ("1",) * len(front))
-            for front in fronts_by_level[l]
-        ]
         children = [s for parent in levels[l - 1] for s in (parent + "0", parent + "1")]
-        if checks:
-            children = [
-                s
-                for s in children
-                if all(read(s) not in (zeros, ones) for read, zeros, ones in checks)
-            ]
+        for front in firing.get(l, ()):
+            # A front is split unless it reads all zeros or all ones.
+            read = itemgetter(*front)
+            same = (("0",) * len(front), ("1",) * len(front))
+            children = [s for s in children if read(s) not in same]
         levels.append(children)
     return DiagReport(
         tree=FinTree._from_levels(levels),

@@ -123,6 +123,9 @@ def _lex_least_clique(adj: list[int], universe: int, need: int) -> tuple[int, ..
     chosen: list[int] = []
     cand = universe
     while need:
+        if cand.bit_count() == need:
+            # cand holds a clique of need vertices and has no other vertex.
+            return (*chosen, *(v for v in range(cand.bit_length()) if cand >> v & 1))
         m = cand
         while m:
             v = (m & -m).bit_length() - 1

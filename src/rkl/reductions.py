@@ -209,7 +209,8 @@ def yokoyama_coloring(
 
     h(x, y) is the least z <= cap below which one matrix covers every m < y
     at x.  It is read off the least witness n < cap of each (x, m), so each
-    matrix is consulted at most once per (x, m, n).
+    matrix is consulted at most once per (x, m, n), and no more at x after
+    a row m with no witness below the cap.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -218,14 +219,17 @@ def yokoyama_coloring(
     witnesses = range(cap)
     columns: list[list[int]] = [[] for _ in range(n + 1)]
     for x in range(n):
-        w0 = [least0(x, m, witnesses) for m in range(n)]
-        w1 = [least1(x, m, witnesses) for m in range(n)]
-        # Least z whose witnesses cover every m < y, or None once a row has none.
+        # Least z whose witnesses cover every m < y, or None once a row has
+        # none; a side that is None is not consulted again.
         z0: int | None = 0
         z1: int | None = 0
-        for y, (a, b) in enumerate(zip(w0, w1), start=1):
-            z0 = None if z0 is None or a is None else max(z0, a + 1)
-            z1 = None if z1 is None or b is None else max(z1, b + 1)
+        for y in range(1, n + 1):
+            if z0 is not None:
+                a = least0(x, y - 1, witnesses)
+                z0 = None if a is None else max(z0, a + 1)
+            if z1 is not None:
+                b = least1(x, y - 1, witnesses)
+                z1 = None if b is None else max(z1, b + 1)
             if y <= x:
                 continue
             if z0 is None and z1 is None:

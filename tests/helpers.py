@@ -181,16 +181,24 @@ def ref_w_at(events, e: int, s: int) -> tuple[int, ...]:
     return tuple(x for ee, ss, x in events if ee == e and ss <= s)
 
 
+def ref_triggered(enums, l_max: int) -> frozenset[tuple[int, int]]:
+    """Every (e, l) with l <= l_max where W_e at stage l holds e+3 elements,
+    the first e+3 of them all below l, checked pair by pair."""
+    return frozenset(
+        (e, l)
+        for e in range(enums.k)
+        for l in range(l_max + 1)
+        if len(w := ref_w_at(enums.events, e, l)) >= e + 3 and max(w[: e + 3]) < l
+    )
+
+
 def ref_diagonal(enums, l_max: int) -> RefTree:
     """Every string of length <= l_max whose prefixes each split all fronts
     active at their own length, found by trying all strings."""
+    triggered = ref_triggered(enums, l_max)
     keep = {""}
     for l in range(1, l_max + 1):
-        fronts = []
-        for e in range(enums.k):
-            w = ref_w_at(enums.events, e, l)
-            if len(w) >= e + 3 and max(w[: e + 3]) < l:
-                fronts.append(w[: e + 3])
+        fronts = [ref_w_at(enums.events, e, l)[: e + 3] for e, at in triggered if at == l]
         for code in range(1 << l):
             s = format(code, f"0{l}b")
             if s[:-1] in keep and all(len({s[i] for i in f}) == 2 for f in fronts):

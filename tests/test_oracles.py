@@ -108,6 +108,12 @@ class TestColourBoundedSearch:
         f = PairColoring.from_function(6, lambda x, y: int(x < 2 and y != 1))
         assert ramsey_search(f, 2) == ref_ramsey_search(f, 2) == (0, N([2, 3, 4, 5, 6]))
 
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_constant_coloring_of_401_points(self, c):
+        # Every vertex joins one clique: the answer is read off, not searched.
+        f = PairColoring.from_function(400, lambda x, y: c)
+        assert ramsey_search(f, 2) == (c, N(range(401)))
+
     @pytest.mark.parametrize("planted", [0, 12])
     def test_benchmark_sized_coloring(self, planted):
         rng = random.Random(planted)

@@ -302,6 +302,7 @@ yoko_matrices = st.builds(
         "n = {a} or m > {b}",
         "n + {b} > m * {a} and x != {a}",
         "0 = 1",
+        "not x mod {a} = {b} and n = m + {a}",
     ]),
     st.integers(0, 4),
     st.integers(0, 4),

@@ -14,6 +14,7 @@ from helpers import (
     ref_dead_bounds,
     ref_diagonal,
     ref_homog_path,
+    ref_triggered,
     ref_unclosed,
     ref_w_at,
 )
@@ -80,12 +81,13 @@ class TestTrustedProducers:
     def test_parse_tree_with_close(self, strings):
         assert_trusted_matches(parse_tree(tree_text(strings), close=True), ref_closure(strings))
 
-    @given(front_heavy_enums(), st.integers(6, 9))
+    @given(front_heavy_enums(), st.integers(1, 9))
     def test_build_diagonal_tree(self, enums, l_max):
         report = build_diagonal_tree(enums, l_max)
         ref = ref_diagonal(enums, l_max)
         assert_trusted_matches(report.tree, ref)
         assert report.level_counts == tuple(len(ref.level(l)) for l in range(l_max + 1))
+        assert report.triggered == ref_triggered(enums, l_max)
 
     @given(natsets(max_value=12), st.integers(0, 12))
     def test_set_to_path_tree(self, a, l):
