@@ -14,6 +14,7 @@ from rkl.core import (
     BitString,
     FinTree,
     NatSet,
+    NotPrefixClosed,
     PairColoring,
     StringFamily,
     _all_binary,
@@ -85,7 +86,12 @@ def parse_tree(text: str, close: bool = False) -> FinTree:
     strings = _string_lines(text, "string")
     if close:
         return downward_closure(strings)
-    return validate_tree(strings)
+    try:
+        return validate_tree(strings)
+    except NotPrefixClosed as exc:
+        member = exc.offending.bits
+        lineno = next(n for n, body in _data_lines(text) if body == member)
+        raise FormatError(lineno, str(exc)) from exc
 
 
 def parse_sigma(text: str) -> StringFamily:

@@ -4,18 +4,22 @@ Everything here recomputes from first principles: the search enumerates
 monochromatic sets with branch and bound, and the verifier re-derives each
 witness string from the source object rather than trusting the coloring.
 
-The search treats each color as a graph and looks for a largest clique.  It
-bounds each branch by a greedy colouring of its candidates (Tomita and
-Seki's bound): a clique holds at most one vertex of each colour class.  The
-bound only decides what need not be searched, so the canonical answer is
-unchanged: the largest size, the lexicographically least set of that size,
-and color 0 on a tie.
+The search treats each color as a graph, renumbered once by degree, highest
+first (the initial order of Tomita and Seki's MCQ), and looks for a largest
+clique, bounding each branch by a greedy colouring of its candidates: a
+clique holds at most one vertex of each colour class.  The clique found is
+the witness the lexicographically least step starts from, so that step asks
+only whether a candidate below the witness's next vertex starts a clique of
+the remaining size, and each such query has a ceiling: it returns at the
+first clique of the size asked.  None of this changes the canonical answer:
+the largest size, then the lexicographically least set, then color 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from rkl.core import BitString, FinTree, NatSet, PairColoring, StringFamily, is_homog_string
 from rkl.reductions import LevelEmpty, NoLongString
@@ -56,34 +60,65 @@ class ReductionVerdict:
         return not self.counterexamples
 
 
+# The color bytes 0 and 1 to the digits '0' and '1'.
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _adjacency(f: PairColoring) -> tuple[list[int], list[int]]:
+    """Each color's graph on {0..n} as neighbour masks: row y read as binary
+    gives y's color-1 neighbours below it; color 0 is the complement."""
     size = f.n + 1
-    adj = ([0] * size, [0] * size)
-    for x, y, c in f.pairs():
-        adj[c][x] |= 1 << y
-        adj[c][y] |= 1 << x
-    return adj
+    ones = [0] * size
+    for y, row in enumerate(f.rows, start=1):
+        below = int(bytes(row).translate(_BIT_CHARS)[::-1], 2)
+        ones[y] |= below
+        bit = 1 << y
+        while below:
+            low = below & -below
+            ones[low.bit_length() - 1] |= bit
+            below ^= low
+    full = (1 << size) - 1
+    return [full ^ m ^ (1 << v) for v, m in enumerate(ones)], ones
 
 
-def _max_clique(adj: list[int], cand: int, floor: int = 0) -> int:
-    """Size of a largest clique within cand, or floor when none is larger.
+def _by_degree(adj: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(adjacency, order, pos): the graph renumbered by degree, highest
+    first and ties by label; new vertex i is old order[i], old v is new pos[v]."""
+    size = len(adj)
+    order = sorted(range(size), key=lambda v: adj[v].bit_count(), reverse=True)
+    pos = sorted(range(size), key=order.__getitem__)
+    # Binary text runs from the highest bit down: pick each new bit's old one.
+    pick = itemgetter(*[size - 1 - v for v in reversed(order)])
+    return [int("".join(pick(format(adj[v], f"0{size}b"))), 2) for v in order], order, pos
+
+
+def _max_clique(
+    adj: list[int], cand: int, floor: int = 0, ceiling: int = -1
+) -> tuple[int, list[int] | None]:
+    """(size, vertices) of a largest clique within cand, or (floor, None)
+    when none is larger.  With a ceiling above floor the search returns at
+    the first clique of that size, so the size is min(ceiling, true size).
 
     Branch and bound with a greedy colouring bound: each node splits its
     candidates into colour classes of pairwise non-adjacent vertices, lowest
     vertex first, and branches on them in reverse colour order.  A vertex of
     colour k extends the current clique by at most k more vertices, so the
     node stops once size + k <= best; vertices that could never pass that
-    test are coloured but not kept.
+    test are coloured but not kept.  On a graph numbered by _by_degree the
+    lowest vertices have the most neighbours, which gives fewer colours.
     """
-    best = floor
+    best, clique = floor, None
     avoid = [~a for a in adj]  # the vertices not adjacent to v, v included
-    # Open nodes wait on a stack as [size, candidates, vertices, colours],
-    # so the depth of the search is not limited by Python's recursion.
+    # Open nodes wait on a stack as [size, candidates, vertices, colours,
+    # vertex branched on], so the depth of the search is not limited by
+    # Python's recursion, and the current clique is read off the stack.
     stack: list[list] = []
     size = 0
     while True:
         if size > best:
-            best = size
+            best, clique = size, [node[4] for node in stack]
+            if size == ceiling:
+                return best, clique
         vertices: list[int] = []
         colours: list[int] = []
         skip = best - size
@@ -101,46 +136,50 @@ def _max_clique(adj: list[int], cand: int, floor: int = 0) -> int:
                 if keep:
                     vertices.append(v)
                     colours.append(colour)
-        stack.append([size, cand, vertices, colours])
+        stack.append([size, cand, vertices, colours, -1])
         # Branch on the last kept vertex of the deepest node that may still
         # beat best; a node whose last vertex cannot is finished.
         while stack:
             node = stack[-1]
-            size, cand, vertices, colours = node
+            size, cand, vertices, colours, _ = node
             if vertices and size + colours[-1] > best:
                 v = vertices.pop()
                 colours.pop()
-                node[1] = cand ^ (1 << v)
+                node[1], node[4] = cand ^ (1 << v), v
                 size, cand = size + 1, cand & adj[v]
                 break
             stack.pop()
         else:
-            return best
+            return best, clique
 
 
-def _lex_least_clique(adj: list[int], universe: int, need: int) -> tuple[int, ...]:
-    """Lexicographically least clique of the given size; one must exist."""
-    chosen: list[int] = []
-    cand = universe
-    while need:
-        if cand.bit_count() == need:
-            # cand holds a clique of need vertices and has no other vertex.
-            return (*chosen, *(v for v in range(cand.bit_length()) if cand >> v & 1))
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            rest = cand & adj[v] & -(1 << (v + 1))
-            # Only whether rest holds a clique of need - 1 matters, so the
-            # search starts from need - 2 and prunes every smaller branch.
-            if need == 1 or _max_clique(adj, rest, need - 2) >= need - 1:
-                chosen.append(v)
-                cand = rest
-                need -= 1
-                break
-        else:
-            raise AssertionError("no clique of the promised size")
-    return tuple(chosen)
+def _lex_least_clique(
+    adj: list[int], order: list[int], pos: list[int], clique: list[int]
+) -> tuple[int, ...]:
+    """The lexicographically least clique of the size of clique, a largest
+    clique of the graph (adj, order, pos) from _by_degree, in old labels.
+
+    It is fixed one vertex at a time while a witness h is held: a clique of
+    the full size that starts with the vertices fixed so far.  The next
+    vertex is the least candidate with a clique of the remaining size among
+    its later neighbours.  h[i] is one, so only candidates below it are
+    asked, in ascending order, each up to the ceiling need - 1; the first
+    that passes gives h a new tail, and one that fails is dropped.
+    """
+    h = sorted(order[v] for v in clique)
+    cand = (1 << len(adj)) - 1  # in new labels
+    for i in range(len(h)):
+        need = len(h) - i
+        for v in range(h[i - 1] + 1 if i else 0, h[i]):
+            p = pos[v]
+            if cand >> p & 1:
+                found = _max_clique(adj, cand & adj[p], need - 2, need - 1)[1]
+                if found is not None:
+                    h[i:] = [v, *sorted(order[u] for u in found)]
+                    break
+                cand ^= 1 << p
+        cand &= adj[pos[h[i]]]
+    return tuple(h)
 
 
 def ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
@@ -152,21 +191,19 @@ def ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
     """
     if min_size < 2:
         raise ValueError("min_size must be at least 2")
-    adj = _adjacency(f)
+    graphs = [_by_degree(adj) for adj in _adjacency(f)]
     universe = (1 << (f.n + 1)) - 1
-    s0 = _max_clique(adj[0], universe)
+    s0, k0 = _max_clique(graphs[0][0], universe)
     # Exact whenever color 1 ties or beats color 0, which is all that matters.
-    s1 = _max_clique(adj[1], universe, s0 - 1)
-    sizes = (s0, s1)
-    best = max(sizes)
+    s1, k1 = _max_clique(graphs[1][0], universe, s0 - 1)
+    best = max(s0, s1)
     if best < min_size:
         return None
-    found = [
-        (_lex_least_clique(adj[c], universe, best), c)
-        for c in (0, 1)
-        if sizes[c] == best
-    ]
-    h, c = min(found)
+    h, c = min(
+        (_lex_least_clique(*graphs[c], clique), c)
+        for c, (size, clique) in enumerate(((s0, k0), (s1, k1)))
+        if size == best
+    )
     return c, NatSet(h)
 
 

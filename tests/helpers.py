@@ -343,13 +343,19 @@ def ref_max_clique(adj: list[int], cand: int) -> int:
     return best
 
 
-def ref_ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
-    """Both colors searched in full with ref_max_clique, then the lex-least
-    largest clique built vertex by vertex; colour 0 wins a tie of sets."""
+def ref_adjacency(f: PairColoring) -> tuple[list[int], list[int]]:
+    """Each color's neighbour masks, one pair at a time."""
     adj = ([0] * (f.n + 1), [0] * (f.n + 1))
     for x, y, c in f.pairs():
         adj[c][x] |= 1 << y
         adj[c][y] |= 1 << x
+    return adj
+
+
+def ref_ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
+    """Both colors searched in full with ref_max_clique, then the lex-least
+    largest clique built vertex by vertex; colour 0 wins a tie of sets."""
+    adj = ref_adjacency(f)
     universe = (1 << (f.n + 1)) - 1
     sizes = [ref_max_clique(adj[c], universe) for c in (0, 1)]
     best = max(sizes)

@@ -151,6 +151,14 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "# path: 01"
 
+    def test_unclosed_tree_error_names_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tree"
+        bad.write_text("-\n0\n00\n11\n")
+        assert cli.main(["path", "--tree", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 4: '11' is a member but its prefix '1' is not\n"
+
     def test_level_empty_is_invalid_input(self, capsys):
         assert cli.main(["tree2color", "--tree", fixture("fork.tree"), "-n", "5"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from helpers import (
     colorings,
     naive_ramsey,
     planted_colorings,
+    ref_adjacency,
     ref_max_clique,
     ref_ramsey_search,
     string_families,
@@ -25,9 +26,11 @@ from rkl.core import (
     downward_closure,
     is_homog_string,
 )
+from rkl import oracles
 from rkl.oracles import (
     NotHomogeneousForColoring,
     _adjacency,
+    _by_degree,
     _max_clique,
     check_stable,
     longest_path,
@@ -37,6 +40,36 @@ from rkl.oracles import (
 from rkl.reductions import sigma_to_coloring, tree_to_stable_coloring
 
 N = NatSet.of
+
+
+def x_only_colorings(max_n: int = 40):
+    """Colorings whose color depends only on x, the shape yoko emits."""
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1).map(
+            lambda col: PairColoring.from_function(n, lambda x, y: col[x])
+        )
+    )
+
+
+def block_colorings(max_n: int = 40, max_blocks: int = 5):
+    """Colorings constant on each pair of blocks: vertex v lies in block
+    blocks[v], and the pair (x, y) takes the color table[blocks[x]][blocks[y]]."""
+
+    def build(n: int, k: int, data) -> PairColoring:
+        blocks = data.draw(st.lists(st.integers(0, k - 1), min_size=n + 1, max_size=n + 1))
+        row = st.lists(st.integers(0, 1), min_size=k, max_size=k)
+        table = data.draw(st.lists(row, min_size=k, max_size=k))
+        return PairColoring.from_function(n, lambda x, y: table[blocks[x]][blocks[y]])
+
+    return st.builds(build, st.integers(0, max_n), st.integers(1, max_blocks), st.data())
+
+
+def is_clique_within(adj: list[int], cand: int, clique: list[int]) -> bool:
+    return (
+        len(set(clique)) == len(clique)
+        and all(cand >> v & 1 for v in clique)
+        and all(adj[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+    )
 
 
 class TestRamseySearch:
@@ -88,11 +121,68 @@ class TestColourBoundedSearch:
     def test_matches_popcount_reference(self, f, min_size):
         assert ramsey_search(f, min_size) == ref_ramsey_search(f, min_size)
 
+    @given(x_only_colorings(max_n=40), st.integers(2, 6))
+    def test_x_only_colorings_match_popcount_reference(self, f, min_size):
+        assert ramsey_search(f, min_size) == ref_ramsey_search(f, min_size)
+
+    @given(block_colorings(max_n=40), st.integers(2, 6))
+    def test_block_colorings_match_popcount_reference(self, f, min_size):
+        assert ramsey_search(f, min_size) == ref_ramsey_search(f, min_size)
+
     @given(planted_colorings(max_n=24), st.integers(0, 1), st.integers(-1, 27), st.data())
     def test_max_clique_is_floor_or_the_true_size(self, f, c, floor, data):
         adj = _adjacency(f)[c]
         cand = data.draw(st.integers(0, (1 << (f.n + 1)) - 1), label="cand")
-        assert _max_clique(adj, cand, floor) == max(floor, ref_max_clique(adj, cand))
+        true_size = ref_max_clique(adj, cand)
+        size, clique = _max_clique(adj, cand, floor)
+        assert size == max(floor, true_size)
+        assert (clique is None) == (size == floor)
+        if clique is not None:
+            assert len(clique) == size and is_clique_within(adj, cand, clique)
+        ceiling = data.draw(st.integers(floor + 1, 28), label="ceiling")
+        size, clique = _max_clique(adj, cand, floor, ceiling)
+        if true_size > floor:
+            assert size == min(ceiling, true_size)
+            assert len(clique) == size and is_clique_within(adj, cand, clique)
+        else:
+            assert (size, clique) == (floor, None)
+
+    @given(colorings(max_n=12))
+    def test_adjacency_matches_the_pairs(self, f):
+        assert _adjacency(f) == ref_adjacency(f)
+
+    @given(planted_colorings(max_n=30), st.integers(0, 1))
+    def test_degree_renumbering_is_an_isomorphism(self, f, c):
+        adj = _adjacency(f)[c]
+        renumbered, order, pos = _by_degree(adj)
+        size = len(adj)
+        assert sorted(order) == list(range(size))
+        assert [order[pos[v]] for v in range(size)] == list(range(size))
+        for u in range(size):
+            for v in range(size):
+                assert renumbered[pos[u]] >> pos[v] & 1 == adj[u] >> v & 1
+
+    @given(planted_colorings(max_n=30), st.integers(0, 1))
+    def test_degrees_do_not_increase_in_the_new_order(self, f, c):
+        adj = _adjacency(f)[c]
+        renumbered, order, _ = _by_degree(adj)
+        degrees = [row.bit_count() for row in renumbered]
+        assert degrees == sorted(degrees, reverse=True)
+        # Equal degrees keep their old order.
+        assert all(
+            order[i] < order[i + 1] for i in range(len(order) - 1) if degrees[i] == degrees[i + 1]
+        )
+
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_constant_coloring_asks_no_lex_query(self, c, monkeypatch):
+        # The size search's clique is already the lex-least one, so only
+        # the two size searches run.
+        calls = []
+        search = oracles._max_clique
+        monkeypatch.setattr(oracles, "_max_clique", lambda *a: calls.append(a) or search(*a))
+        f = PairColoring.from_function(40, lambda x, y: c)
+        assert ramsey_search(f, 2) == (c, N(range(41)))
+        assert len(calls) == 2
 
     def test_color_one_wins_a_tie_with_a_lex_lesser_set(self):
         # The pentagon and its complement: both colors have largest sets of
@@ -129,7 +219,7 @@ class TestColourBoundedSearch:
         assert n > sys.getrecursionlimit()
         universe = (1 << n) - 1
         adj = [universe ^ (1 << v) for v in range(n)]
-        assert _max_clique(adj, universe) == n
+        assert _max_clique(adj, universe)[0] == n
 
 
 class TestLongestPath:

@@ -28,7 +28,7 @@ from rkl.core import (
     validate_tree,
 )
 from rkl.diagonal import StagedEnum, build_diagonal_tree
-from rkl.formats import parse_tree, render_tree
+from rkl.formats import FormatError, parse_tree, render_tree
 from rkl.reductions import set_to_path_tree, stability_bound
 
 texts = st.text(alphabet="01", max_size=8)
@@ -99,19 +99,26 @@ class TestValidation:
     @given(st.sets(st.text(alphabet="01", max_size=6), max_size=10))
     def test_closed_sets_accepted_and_unclosed_report_shortest_missing(self, strings):
         unclosed = ref_unclosed(strings)
+        text = tree_text(sorted(strings))
         builders = [
             lambda: validate_tree(strings),
             lambda: validate_tree(sorted(strings)),
             lambda: FinTree(BitString(s) for s in strings),
-            lambda: parse_tree(tree_text(sorted(strings))),
         ]
-        for build in builders:
-            if unclosed is None:
+        if unclosed is None:
+            for build in builders + [lambda: parse_tree(text)]:
                 assert_matches(build(), RefTree(strings))
-                continue
+            return
+        for build in builders:
             with pytest.raises(NotPrefixClosed) as info:
                 build()
             assert (info.value.offending.bits, info.value.missing.bits) == unclosed
+        # The file parser reports the same defect on the offending member's line.
+        with pytest.raises(FormatError) as located:
+            parse_tree(text)
+        assert located.value.line == sorted(strings).index(unclosed[0]) + 1
+        cause = located.value.__cause__
+        assert (cause.offending.bits, cause.missing.bits) == unclosed
 
     def test_non_binary_text_rejected(self):
         with pytest.raises(ValueError, match="not a binary string: '0a'"):
