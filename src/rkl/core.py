@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
-from itertools import chain
-from typing import Collection, Iterable, Iterator
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 # The most digits a decimal literal in any input may have.  It is CPython's
 # default limit on int(str), fixed here so that every parser refuses a
@@ -88,20 +89,6 @@ class BitString:
     def __str__(self) -> str:
         return self.bits or "ε"
 
-    def is_prefix_of(self, other: "BitString") -> bool:
-        return other.bits.startswith(self.bits)
-
-    def prefix(self, t: int) -> "BitString":
-        """The initial segment of length t (all of self if t is larger)."""
-        return _trusted(self.bits[: max(0, t)])
-
-    def prefixes(self) -> Iterator["BitString"]:
-        """Every initial segment, shortest first, root and self included."""
-        return (_trusted(self.bits[:i]) for i in range(len(self.bits) + 1))
-
-    def extended(self, bit: int) -> "BitString":
-        return _trusted(self.bits + ("1" if bit else "0"))
-
     def padded(self, length: int, bit: int = 0) -> "BitString":
         """Self, extended with `bit` up to the requested length."""
         if length <= len(self.bits):
@@ -124,16 +111,19 @@ def lenlex(s: BitString) -> tuple[int, str]:
     return (len(s.bits), s.bits)
 
 
-def _sorted_levels(texts: Collection[str]) -> tuple[tuple[str, ...], ...]:
+def _sorted_levels(texts: Iterable[str]) -> tuple[tuple[str, ...], ...]:
     """Distinct texts split by length, each level sorted, up to the longest
     (one empty level 0 when there are none); texts given in (length, lex)
     order sort in linear time."""
-    levels: list[list[str]] = [[] for _ in range(max(map(len, texts), default=0) + 1)]
-    for s in texts:
-        levels[len(s)].append(s)
-    for level in levels:
-        level.sort()
-    return tuple(map(tuple, levels))
+    by_length = sorted(texts, key=len)  # stable: sorted levels stay sorted
+    levels: list[tuple[str, ...]] = [()] * (len(by_length[-1]) + 1 if by_length else 1)
+    for l, level in groupby(by_length, len):
+        levels[l] = tuple(sorted(level))
+    return tuple(levels)
+
+
+# The text of a string's parent: all but its last symbol ('' for the root).
+_parent = itemgetter(slice(None, -1))
 
 
 def _closed_levels(texts: Iterable[str]) -> tuple[tuple[str, ...], ...]:
@@ -142,8 +132,8 @@ def _closed_levels(texts: Iterable[str]) -> tuple[tuple[str, ...], ...]:
     members[""] = None
     # The parent check suffices for closure; on failure report the
     # lenlex-least orphan and its shortest missing prefix.
-    orphans = [s for s in members if s and s[:-1] not in members]
-    if orphans:
+    if not all(map(members.__contains__, map(_parent, members))):
+        orphans = (s for s in members if s[:-1] not in members)
         sigma = min(orphans, key=lambda s: (len(s), s))
         missing = next(sigma[:i] for i in range(len(sigma)) if sigma[:i] not in members)
         raise NotPrefixClosed(_trusted(sigma), _trusted(missing))
@@ -157,8 +147,13 @@ def _all_binary(texts: list[str]) -> bool:
 
 def _texts(strings: Iterable[BitString | str]) -> list[str]:
     """The bit texts of BitStrings and of plain texts, which must be binary."""
-    texts = [s.bits if isinstance(s, BitString) else s for s in strings]
-    if not _all_binary(texts):
+    texts = list(strings)
+    try:  # plain texts need no step per member
+        binary = _all_binary(texts)
+    except TypeError:  # join met a BitString: take each one's text
+        texts = [s.bits if isinstance(s, BitString) else s for s in texts]
+        binary = _all_binary(texts)
+    if not binary:
         bad = next(s for s in texts if s.strip("01"))
         raise ValueError(f"not a binary string: {bad!r}")
     return texts
@@ -252,22 +247,10 @@ class PairColoring:
             if row.count(0) + row.count(1) != y:
                 raise ValueError(f"row for y={y} holds a non-color value")
 
-    @classmethod
-    def from_function(cls, n: int, fn) -> "PairColoring":
-        return cls(
-            n, tuple(tuple(int(fn(x, y)) for x in range(y)) for y in range(1, n + 1))
-        )
-
     def value(self, x: int, y: int) -> int:
         if not 0 <= x < y <= self.n:
             raise ValueError(f"pair ({x},{y}) outside 0 <= x < y <= {self.n}")
         return self.rows[y - 1][x]
-
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        """All (x, y, color) triples, ordered by (y, x)."""
-        for y in range(1, self.n + 1):
-            for x in range(y):
-                yield x, y, self.rows[y - 1][x]
 
 
 @dataclass(frozen=True, init=False)
@@ -351,16 +334,18 @@ def validate_tree(strings: Iterable[BitString | str]) -> FinTree:
 def downward_closure(family: StringFamily | Iterable[BitString | str]) -> FinTree:
     """The tree of all prefixes of the family's members."""
     if isinstance(family, StringFamily):
-        texts: Iterable[str] = chain.from_iterable(family.text_levels)
+        levels = family.text_levels
     else:
-        texts = _texts(family)
-    closed = {""}
-    for bits in texts:
-        # Every prefix of a text already in the set is in it too.
-        while bits not in closed:
-            closed.add(bits)
-            bits = bits[:-1]
-    return FinTree._from_levels(_sorted_levels(closed))
+        levels = _sorted_levels(dict.fromkeys(_texts(family)))
+    # Longest first: each level is its own members plus the parents of the
+    # closed level above it.  Both runs are sorted, so the sort merges them.
+    closed: list[list[str]] = []
+    level: list[str] = []
+    for own in reversed(levels[1:]):
+        level = sorted(dict.fromkeys(chain(own, map(_parent, level))))
+        closed.append(level)
+    closed.append([""])
+    return FinTree._from_levels(closed[::-1])
 
 
 def _homog_text(h: NatSet, bits: str, symbol: str) -> bool:

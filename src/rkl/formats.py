@@ -62,15 +62,28 @@ def _parse_nat(token: str, lineno: int, minimum: int = 0) -> int:
     return value
 
 
+def _bare_texts(text: str) -> list[str] | None:
+    """The members of a file that holds one bit string per line and nothing
+    else ('-' allowed on line 1), split in one pass; None for any other text."""
+    texts = text.removesuffix("\n").split("\n")
+    if not all(texts):
+        return None
+    if texts[0] == "-":
+        texts[0] = ""
+    return texts if _all_binary(texts) else None
+
+
 def _string_lines(text: str, what: str) -> list[str]:
     """The bit texts listed one per line, in file order."""
-    lines = _data_lines(text)
-    texts = ["" if body == "-" else body for _, body in lines]
-    if _all_binary(texts) and len(set(texts)) == len(texts):
+    texts = _bare_texts(text)
+    if texts is None:
+        general = ["" if body == "-" else body for _, body in _data_lines(text)]
+        texts = general if _all_binary(general) else None
+    if texts is not None and len(set(texts)) == len(texts):
         return texts
     # Some line is bad: find the first, for its line number.
     seen: set[str] = set()
-    for lineno, body in lines:
+    for lineno, body in _data_lines(text):
         if len(body.split()) != 1:
             raise FormatError(lineno, f"expected one {what} per line")
         s = _parse_bits(body, lineno)
@@ -191,14 +204,25 @@ def parse_natset(text: str) -> NatSet:
 
 
 def parse_stages(text: str) -> tuple[list[tuple[int, BitString]], int]:
-    """Read a .stages file of 's string' lines; returns (events, max stage)."""
+    """Read a .stages file of 's string' lines; returns (events, max stage).
+
+    A repeated stage, or a string longer than its stage, is refused on its
+    line; a stage missing below the largest is left to ce_tree_to_sigma.
+    """
     events: list[tuple[int, BitString]] = []
+    seen: set[int] = set()
     for lineno, body in _data_lines(text):
         parts = body.split()
         if len(parts) != 2:
             raise FormatError(lineno, "expected 's string'")
         s = _parse_nat(parts[0], lineno, minimum=1)
-        events.append((s, BitString(_parse_bits(parts[1], lineno))))
+        bits = _parse_bits(parts[1], lineno)
+        if s in seen:
+            raise FormatError(lineno, f"stage {s} is listed twice")
+        if len(bits) > s:
+            raise FormatError(lineno, f"stage {s} holds '{bits}', longer than {s}")
+        seen.add(s)
+        events.append((s, BitString(bits)))
     if not events:
         raise FormatError(None, "no stages listed")
     return events, max(s for s, _ in events)

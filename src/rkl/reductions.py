@@ -39,9 +39,9 @@ class NoLongString(ValueError):
 class BadStage(ValueError):
     """A staged string enumeration broke the one-short-string-per-stage rule."""
 
-    def __init__(self, s: int) -> None:
+    def __init__(self, s: int, fault: str) -> None:
         self.s = s
-        super().__init__(f"stage {s} is missing, repeated, or holds too long a string")
+        super().__init__(f"stage {s} {fault}")
 
 
 class CapExceeded(ValueError):
@@ -169,16 +169,18 @@ def ce_tree_to_sigma(
     """
     by_stage: dict[int, BitString] = {}
     for s, tau in events:
-        if s < 1 or s > max_stage or s in by_stage:
-            raise BadStage(s)
+        if not 1 <= s <= max_stage:
+            raise BadStage(s, f"is outside 1..{max_stage}")
+        if s in by_stage:
+            raise BadStage(s, "is listed twice")
         by_stage[s] = tau
     levels: list[tuple[str, ...]] = [()]
     for s in range(1, max_stage + 1):
         if s not in by_stage:
-            raise BadStage(s)
+            raise BadStage(s, "is missing")
         tau = by_stage[s]
         if len(tau) > s:
-            raise BadStage(s)
+            raise BadStage(s, f"holds '{tau}', longer than {s}")
         levels.append((tau.padded(s).bits,))
     return StringFamily._from_levels(levels)
 

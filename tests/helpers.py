@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from hypothesis import strategies as st
 
@@ -26,6 +26,44 @@ from rkl.predlang import (
     UnboundVariable,
     Var,
 )
+
+
+# -- test-only views of the core types: no program code needs them ---------
+
+
+def is_prefix_of(a: BitString, b: BitString) -> bool:
+    return b.bits.startswith(a.bits)
+
+
+def prefix(s: BitString, t: int) -> BitString:
+    """The initial segment of length t (all of s if t is larger)."""
+    return BitString(s.bits[: max(0, t)])
+
+
+def prefixes(s: BitString) -> list[BitString]:
+    """Every initial segment, shortest first, root and s included."""
+    return [BitString(s.bits[:i]) for i in range(len(s) + 1)]
+
+
+def extended(s: BitString, bit: int) -> BitString:
+    return BitString(s.bits + ("1" if bit else "0"))
+
+
+def from_function(n: int, fn) -> PairColoring:
+    """The coloring of each pair (x, y) by fn(x, y), read once per pair."""
+    return PairColoring(
+        n, tuple(tuple(int(fn(x, y)) for x in range(y)) for y in range(1, n + 1))
+    )
+
+
+def pairs(f: PairColoring) -> Iterator[tuple[int, int, int]]:
+    """All (x, y, color) triples, ordered by (y, x)."""
+    for y in range(1, f.n + 1):
+        for x in range(y):
+            yield x, y, f.rows[y - 1][x]
+
+
+# -- strategies --------------------------------------------------------------
 
 
 def bitstrings(max_len: int = 10):
@@ -140,6 +178,11 @@ class RefFamily:
 
     def level(self, l: int) -> tuple[BitString, ...]:
         return tuple(BitString(s) for s in self.texts if len(s) == l)
+
+    @property
+    def text_levels(self) -> tuple[tuple[str, ...], ...]:
+        """The member texts by length, 0 to the longest, one scan per length."""
+        return tuple(tuple(s for s in self.texts if len(s) == l) for l in range(self.n + 1))
 
     def sigma(self, y: int) -> str | None:
         """The lex-least shortest member of length >= y, cut to y."""
@@ -295,7 +338,7 @@ def ref_pi2(phi: reductions.PredMatrix, tau: BitString, bound: int) -> bool:
     """Every x, y <= |tau| has a witness z < bound on tau's length-x prefix,
     each point evaluated with ref_evaluate; the form of pi2_tree_to_sigma1."""
     return all(
-        any(ref_evaluate(phi.expr, {"y": y, "z": z}, tau.prefix(x)) for z in range(bound))
+        any(ref_evaluate(phi.expr, {"y": y, "z": z}, prefix(tau, x)) for z in range(bound))
         for x in range(len(tau) + 1)
         for y in range(len(tau) + 1)
     )
@@ -346,7 +389,7 @@ def ref_max_clique(adj: list[int], cand: int) -> int:
 def ref_adjacency(f: PairColoring) -> tuple[list[int], list[int]]:
     """Each color's neighbour masks, one pair at a time."""
     adj = ([0] * (f.n + 1), [0] * (f.n + 1))
-    for x, y, c in f.pairs():
+    for x, y, c in pairs(f):
         adj[c][x] |= 1 << y
         adj[c][y] |= 1 << x
     return adj

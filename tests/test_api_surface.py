@@ -1,11 +1,16 @@
-"""Every public module-level name in src/rkl is used by the program itself.
+"""Every public name in src/rkl is used by the program itself.
 
-A name defined in src/rkl/<module>.py counts as used when a line outside
-its own definition, in src/rkl, scripts/ or bench/, refers to it: as a
-Python name or attribute, or as a string literal that spells it (the
-benchmark's tracer looks attributes up by name).  __init__.py only
-re-exports, so it neither defines nor uses a name.  A name that only tests
-call belongs in tests/helpers.py instead.
+The names checked are each module's public module-level names and the
+public methods and properties of its classes.  A name defined in
+src/rkl/<module>.py counts as used when a line outside its own definition,
+in src/rkl, scripts/ or bench/, refers to it: as a Python name or
+attribute, or as a string literal that spells it (the benchmark's tracer
+looks attributes up by name).  A method counts as used only through an
+attribute (`.name`) or such a literal, not through a plain variable of the
+same name; it is matched by name alone, so a use of another class's method
+of the same name counts too.  __init__.py only re-exports, so it neither
+defines nor uses a name.  A name that only tests call belongs in
+tests/helpers.py instead.
 """
 
 from __future__ import annotations
@@ -28,10 +33,19 @@ def program_files() -> list[Path]:
     return modules + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
-def definitions(path: Path) -> list[tuple[str, int, int]]:
-    """(name, first line, last line) of each public module-level definition."""
+def definitions(path: Path) -> list[tuple[str, str, bool, int, int]]:
+    """(qualified name, name, is a method, first line, last line) of each
+    public module-level definition and each public method of a module-level
+    class."""
     found = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f"{node.name}.{item.name}", item.name, True, item.lineno, item.end_lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            ]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -40,25 +54,31 @@ def definitions(path: Path) -> list[tuple[str, int, int]]:
             names = [node.target.id]
         else:
             continue
-        found += [(n, node.lineno, node.end_lineno) for n in names if not n.startswith("_")]
+        found += [
+            (n, n, False, node.lineno, node.end_lineno) for n in names if not n.startswith("_")
+        ]
     return found
 
 
-def references(path: Path) -> list[tuple[str, int]]:
-    """(identifier, line) for each name token and each string literal that
-    is exactly an identifier; comments and prose never count."""
+def references(path: Path) -> list[tuple[str, int, bool]]:
+    """(identifier, line, by attribute) for each name token and each string
+    literal that is exactly an identifier; comments and prose never count.
+    A name after a '.' and a literal both name an attribute."""
     found = []
+    previous = None
     with path.open("rb") as source:
         for tok in tokenize.tokenize(source.readline):
             if tok.type == tokenize.NAME:
-                found.append((tok.string, tok.start[0]))
+                found.append((tok.string, tok.start[0], previous == "."))
             elif tok.type == tokenize.STRING:
                 try:
                     value = ast.literal_eval(tok.string)
                 except ValueError:  # an f-string
-                    continue
+                    value = None
                 if isinstance(value, str) and value.isidentifier():
-                    found.append((value, tok.start[0]))
+                    found.append((value, tok.start[0], True))
+            if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
+                previous = tok.string
     return found
 
 
@@ -68,12 +88,14 @@ def test_every_public_name_has_a_caller_in_the_program():
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for name, first, last in definitions(path):
-            qualified = f"{path.stem}.{name}"
+        for local, name, method, first, last in definitions(path):
+            qualified = f"{path.stem}.{local}"
             used = any(
-                ident == name and not (where == path and first <= line <= last)
+                ident == name
+                and (attribute or not method)
+                and not (where == path and first <= line <= last)
                 for where, found in refs.items()
-                for ident, line in found
+                for ident, line, attribute in found
             )
             if not used and qualified not in ALLOWED:
                 unused.append(qualified)
@@ -82,8 +104,8 @@ def test_every_public_name_has_a_caller_in_the_program():
 
 def test_allowlist_names_real_definitions():
     defined = {
-        f"{path.stem}.{name}"
+        f"{path.stem}.{local}"
         for path in SRC.glob("*.py")
-        for name, _, _ in definitions(path)
+        for local, *_ in definitions(path)
     }
     assert set(ALLOWED) <= defined

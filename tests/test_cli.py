@@ -186,6 +186,23 @@ class TestExitCodes:
         assert cli.main(["ce2sigma", "--stages", str(bad)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 1\n# again\n1 0\n", "error: line 3: stage 1 is listed twice\n"),
+            ("1 1\n2 011\n", "error: line 2: stage 2 holds '011', longer than 2\n"),
+            ("1 1\n3 000\n", "error: stage 2 is missing\n"),
+        ],
+        ids=["repeated", "too long", "missing"],
+    )
+    def test_stage_errors_name_the_fault(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.stages"
+        bad.write_text(text)
+        assert cli.main(["ce2sigma", "--stages", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_malformed_coloring(self, tmp_path, capsys):
         bad = tmp_path / "bad.color"
         bad.write_text("n 2\n0 1 1\n")

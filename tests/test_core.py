@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bitstrings, natsets, string_families, trees
+from helpers import (
+    bitstrings,
+    extended,
+    from_function,
+    is_prefix_of,
+    natsets,
+    pairs,
+    prefix,
+    prefixes,
+    string_families,
+    trees,
+)
 from rkl.core import (
     BitString,
     FinTree,
@@ -46,21 +57,21 @@ class TestBitString:
         assert str(BitString("10")) == "10"
 
     def test_prefix_relation(self):
-        assert BitString().is_prefix_of(BitString("0"))
-        assert BitString("01").is_prefix_of(BitString("011"))
-        assert not BitString("1").is_prefix_of(BitString("01"))
+        assert is_prefix_of(BitString(), BitString("0"))
+        assert is_prefix_of(BitString("01"), BitString("011"))
+        assert not is_prefix_of(BitString("1"), BitString("01"))
 
     def test_prefixes_shortest_first(self):
-        assert bits(BitString("10").prefixes()) == ["", "1", "10"]
+        assert bits(prefixes(BitString("10"))) == ["", "1", "10"]
 
     def test_prefix_clamps(self):
         s = BitString("110")
-        assert s.prefix(2).bits == "11"
-        assert s.prefix(9) == s
-        assert s.prefix(0) == BitString()
+        assert prefix(s, 2).bits == "11"
+        assert prefix(s, 9) == s
+        assert prefix(s, 0) == BitString()
 
     def test_extended_and_padded(self):
-        assert BitString("1").extended(0).bits == "10"
+        assert extended(BitString("1"), 0).bits == "10"
         assert BitString("1").padded(3).bits == "100"
         assert BitString("1").padded(3, bit=1).bits == "111"
         assert BitString("111").padded(2).bits == "111"
@@ -108,7 +119,7 @@ class TestFinTree:
     @given(trees())
     def test_closure_members_are_prefix_closed(self, t: FinTree):
         for sigma in t.members:
-            for tau in sigma.prefixes():
+            for tau in prefixes(sigma):
                 assert tau in t
 
     @given(trees())
@@ -145,7 +156,7 @@ class TestPairColoring:
             PairColoring(1, ((2,),))
 
     def test_value_range_checks(self):
-        f = PairColoring.from_function(3, lambda x, y: 1)
+        f = from_function(3, lambda x, y: 1)
         with pytest.raises(ValueError):
             f.value(1, 1)
         with pytest.raises(ValueError):
@@ -153,8 +164,8 @@ class TestPairColoring:
         assert f.value(0, 3) == 1
 
     def test_pairs_ordered_by_y_then_x(self):
-        f = PairColoring.from_function(3, lambda x, y: 0)
-        assert [(x, y) for x, y, _ in f.pairs()] == [
+        f = from_function(3, lambda x, y: 0)
+        assert [(x, y) for x, y, _ in pairs(f)] == [
             (0, 1),
             (0, 2),
             (1, 2),
@@ -165,7 +176,7 @@ class TestPairColoring:
 
     def test_from_function_reads_exactly_once_per_pair(self):
         seen = []
-        PairColoring.from_function(3, lambda x, y: seen.append((x, y)) or 0)
+        from_function(3, lambda x, y: seen.append((x, y)) or 0)
         assert sorted(seen) == sorted((x, y) for y in range(1, 4) for x in range(y))
         assert len(seen) == 6
 
@@ -227,7 +238,7 @@ class TestIsHomogString:
     @given(natsets(), bitstrings(), st.integers(0, 1))
     def test_monotone_under_prefix(self, h: NatSet, s: BitString, c: int):
         if is_homog_string(h, s, c):
-            for tau in s.prefixes():
+            for tau in prefixes(s):
                 assert is_homog_string(h, tau, c)
 
     @given(natsets(max_value=9), bitstrings())

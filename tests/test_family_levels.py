@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import RefFamily, colorings, natsets, ref_closure
+from helpers import RefFamily, colorings, from_function, natsets, pairs, ref_closure
 from rkl.core import BitString, FinTree, PairColoring, StringFamily, downward_closure
 from rkl.formats import parse_sigma, render_sigma
 from rkl.oracles import verify_reduction
@@ -143,7 +143,7 @@ class TestSigmaReader:
             assert str(info.value) == f"no family member of length at least {missing}"
             return
         f = sigma_to_coloring(StringFamily.of(strings), n)
-        assert all(c == int(ref.sigma(y)[x]) for x, y, c in f.pairs())
+        assert all(c == int(ref.sigma(y)[x]) for x, y, c in pairs(f))
 
     @given(st.lists(texts, max_size=8), st.integers(0, 10))
     def test_tree_to_stable_coloring(self, strings, n):
@@ -154,12 +154,12 @@ class TestSigmaReader:
             assert str(info.value) == f"no tree member of length {ref.horizon + 1}"
             return
         f = tree_to_stable_coloring(downward_closure(strings), n)
-        assert all(c == int(ref.sigma(y)[x]) for x, y, c in f.pairs())
+        assert all(c == int(ref.sigma(y)[x]) for x, y, c in pairs(f))
 
     @given(st.lists(texts, max_size=8), natsets(max_value=10), st.integers(0, 1), st.booleans())
     def test_verify_reduction(self, strings, h, c, as_tree):
         # A constant coloring keeps h homogeneous, so every y in h is checked.
-        f = PairColoring.from_function(10, lambda x, y: c)
+        f = from_function(10, lambda x, y: c)
         ref: RefFamily = ref_closure(strings) if as_tree else RefFamily(strings)
         source = downward_closure(strings) if as_tree else StringFamily.of(strings)
         ys = [y for y in h if y >= 1]

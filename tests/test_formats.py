@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import colorings, natsets, string_families, trees
 from rkl.core import BitString, NatSet
 from rkl.diagonal import StagedEnum
+from rkl import formats
 from rkl.formats import (
     FormatError,
+    _bare_texts,
     _canonical_coloring,
     parse_coloring,
     parse_enum,
@@ -78,6 +82,63 @@ class TestSigma:
     @given(string_families())
     def test_round_trip(self, fam):
         assert parse_sigma(render_sigma(fam)).members == fam.members
+
+
+# Every character the readers treat specially: line breaks that split
+# lines only for str.splitlines, the comment mark, spaces and '-'.
+READER_ALPHABET = ["0", "1", "-", "#", " ", "\n", "\r", "\x0b", "\x85", "\u2028"]
+
+
+def member_files():
+    """Texts near the bare form, one token per line, and arbitrary ones."""
+    line = st.one_of(
+        st.text(alphabet="01", min_size=1, max_size=5),
+        st.just("-"),
+        st.text(alphabet=READER_ALPHABET, max_size=4),
+    )
+    near_bare = st.builds(
+        lambda lines, end: "\n".join(lines) + end,
+        st.lists(line, max_size=10),
+        st.sampled_from(["", "\n"]),
+    )
+    return st.one_of(near_bare, st.text(alphabet=READER_ALPHABET, max_size=30))
+
+
+def read(parse, text: str):
+    """The levels a parser reads, or its refusal's message and line."""
+    try:
+        return parse(text).text_levels
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+class TestBareReader:
+    """A file of bare members splits in one pass; every other text takes the
+    general scan, and both read the same levels and refusals."""
+
+    @settings(max_examples=400)
+    @given(member_files())
+    def test_matches_the_general_scan(self, text):
+        parsers = [parse_tree, lambda text: parse_tree(text, close=True), parse_sigma]
+        fast = [read(parse, text) for parse in parsers]
+        with mock.patch.object(formats, "_bare_texts", lambda text: None):
+            general = [read(parse, text) for parse in parsers]
+        assert fast == general
+
+    @pytest.mark.parametrize(
+        "text", ["-", "-\n", "-\n0\n1\n", "0\n00\n01", "00\n0\n"]
+    )
+    def test_bare_files_skip_the_general_scan(self, text):
+        assert _bare_texts(text) is not None
+        with mock.patch.object(formats, "_data_lines", side_effect=AssertionError):
+            for parse in (lambda text: parse_tree(text, close=True), parse_sigma):
+                parse(text)
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n", "0\n\n", "\n0", "0\n-\n", "0 \n", "0\r\n", "0#\n", "0\x85"]
+    )
+    def test_other_forms_take_the_general_scan(self, text):
+        assert _bare_texts(text) is None
 
 
 class TestColoring:
@@ -257,3 +318,15 @@ class TestStages:
     def test_shape_enforced(self):
         with pytest.raises(FormatError):
             parse_stages("1\n")
+
+    def test_repeated_stage_refused_on_its_line(self):
+        with pytest.raises(FormatError, match="^line 2: stage 1 is listed twice$"):
+            parse_stages("1 0\n1 1\n")
+
+    def test_string_longer_than_its_stage_refused_on_its_line(self):
+        with pytest.raises(FormatError, match="^line 3: stage 2 holds '101', longer than 2$"):
+            parse_stages("1 0\n\n2 101\n")
+
+    def test_missing_stage_left_to_the_reduction(self):
+        events, max_stage = parse_stages("3 0\n")
+        assert (events, max_stage) == ([(3, BitString("0"))], 3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     colorings,
+    from_function,
     naive_ramsey,
     planted_colorings,
     ref_adjacency,
@@ -46,7 +47,7 @@ def x_only_colorings(max_n: int = 40):
     """Colorings whose color depends only on x, the shape yoko emits."""
     return st.integers(0, max_n).flatmap(
         lambda n: st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1).map(
-            lambda col: PairColoring.from_function(n, lambda x, y: col[x])
+            lambda col: from_function(n, lambda x, y: col[x])
         )
     )
 
@@ -59,7 +60,7 @@ def block_colorings(max_n: int = 40, max_blocks: int = 5):
         blocks = data.draw(st.lists(st.integers(0, k - 1), min_size=n + 1, max_size=n + 1))
         row = st.lists(st.integers(0, 1), min_size=k, max_size=k)
         table = data.draw(st.lists(row, min_size=k, max_size=k))
-        return PairColoring.from_function(n, lambda x, y: table[blocks[x]][blocks[y]])
+        return from_function(n, lambda x, y: table[blocks[x]][blocks[y]])
 
     return st.builds(build, st.integers(0, max_n), st.integers(1, max_blocks), st.data())
 
@@ -74,19 +75,19 @@ def is_clique_within(adj: list[int], cand: int, clique: list[int]) -> bool:
 
 class TestRamseySearch:
     def test_parity_coloring(self):
-        f = PairColoring.from_function(5, lambda x, y: (x + y) % 2)
+        f = from_function(5, lambda x, y: (x + y) % 2)
         assert ramsey_search(f, 3) == (0, N([0, 2, 4]))
 
     def test_constant_coloring(self):
-        f = PairColoring.from_function(4, lambda x, y: 1)
+        f = from_function(4, lambda x, y: 1)
         assert ramsey_search(f, 5) == (1, N([0, 1, 2, 3, 4]))
 
     def test_unreachable_size_gives_none(self):
-        f = PairColoring.from_function(1, lambda x, y: 0)
+        f = from_function(1, lambda x, y: 0)
         assert ramsey_search(f, 3) is None
 
     def test_min_size_must_be_at_least_two(self):
-        f = PairColoring.from_function(2, lambda x, y: 0)
+        f = from_function(2, lambda x, y: 0)
         with pytest.raises(ValueError):
             ramsey_search(f, 1)
 
@@ -95,7 +96,7 @@ class TestRamseySearch:
         def fn(x, y):
             return 0 if (x < 3) == (y < 3) else 1
 
-        f = PairColoring.from_function(5, fn)
+        f = from_function(5, fn)
         result = ramsey_search(f, 3)
         assert result == naive_ramsey(f, 3)
         assert result[1] == N([0, 1, 2])
@@ -180,28 +181,28 @@ class TestColourBoundedSearch:
         calls = []
         search = oracles._max_clique
         monkeypatch.setattr(oracles, "_max_clique", lambda *a: calls.append(a) or search(*a))
-        f = PairColoring.from_function(40, lambda x, y: c)
+        f = from_function(40, lambda x, y: c)
         assert ramsey_search(f, 2) == (c, N(range(41)))
         assert len(calls) == 2
 
     def test_color_one_wins_a_tie_with_a_lex_lesser_set(self):
         # The pentagon and its complement: both colors have largest sets of
         # two, and {0,1} (color 1) sorts before {0,2} (color 0).
-        f = PairColoring.from_function(4, lambda x, y: int(y - x in (1, 4)))
+        f = from_function(4, lambda x, y: int(y - x in (1, 4)))
         assert ramsey_search(f, 2) == (1, N([0, 1]))
 
     def test_color_one_strictly_larger(self):
-        f = PairColoring.from_function(6, lambda x, y: int(x >= 2 or y == 1))
+        f = from_function(6, lambda x, y: int(x >= 2 or y == 1))
         assert ramsey_search(f, 2) == ref_ramsey_search(f, 2) == (1, N([2, 3, 4, 5, 6]))
 
     def test_color_zero_strictly_larger(self):
-        f = PairColoring.from_function(6, lambda x, y: int(x < 2 and y != 1))
+        f = from_function(6, lambda x, y: int(x < 2 and y != 1))
         assert ramsey_search(f, 2) == ref_ramsey_search(f, 2) == (0, N([2, 3, 4, 5, 6]))
 
     @pytest.mark.parametrize("c", [0, 1])
     def test_constant_coloring_of_401_points(self, c):
         # Every vertex joins one clique: the answer is read off, not searched.
-        f = PairColoring.from_function(400, lambda x, y: c)
+        f = from_function(400, lambda x, y: c)
         assert ramsey_search(f, 2) == (c, N(range(401)))
 
     @pytest.mark.parametrize("planted", [0, 12])
@@ -240,12 +241,12 @@ class TestLongestPath:
 
 class TestCheckStable:
     def test_alternating_column_never_settles(self):
-        f = PairColoring.from_function(6, lambda x, y: y % 2 if x == 0 else 0)
+        f = from_function(6, lambda x, y: y % 2 if x == 0 else 0)
         ev = check_stable(f, 0)
         assert (ev.stabilized, ev.last_change, ev.final_color) == (False, 6, 0)
 
     def test_constant_coloring_settles_immediately(self):
-        f = PairColoring.from_function(5, lambda x, y: 0)
+        f = from_function(5, lambda x, y: 0)
         ev = check_stable(f, 2)
         assert (ev.stabilized, ev.last_change, ev.final_color) == (True, 3, 0)
 
@@ -255,7 +256,7 @@ class TestCheckStable:
         assert (ev.stabilized, ev.last_change, ev.final_color) == (False, 4, 1)
 
     def test_x_must_be_in_range(self):
-        f = PairColoring.from_function(3, lambda x, y: 0)
+        f = from_function(3, lambda x, y: 0)
         with pytest.raises(ValueError):
             check_stable(f, 3)
 
@@ -317,7 +318,7 @@ class TestVerifyReduction:
         assert v.counterexamples == (1,)
 
     def test_source_type_checked(self):
-        f = PairColoring.from_function(1, lambda x, y: 0)
+        f = from_function(1, lambda x, y: 0)
         with pytest.raises(TypeError):
             verify_reduction("not a source", f, NatSet(), 0)
 

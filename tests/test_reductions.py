@@ -8,8 +8,13 @@ from helpers import (
     PredMatrix,
     bitstrings,
     colorings,
+    from_function,
     graded_families,
+    is_prefix_of,
     nonempty_bitstrings,
+    pairs,
+    prefix,
+    prefixes,
     ref_pi2,
     string_families,
     trees,
@@ -83,7 +88,7 @@ class TestTreeToStableColoring:
     def test_full_tree_is_all_zero(self):
         t = downward_closure([format(i, "03b") for i in range(8)])
         f = tree_to_stable_coloring(t, 3)
-        assert all(c == 0 for _, _, c in f.pairs())
+        assert all(c == 0 for _, _, c in pairs(f))
 
     def test_fork(self):
         t = downward_closure(["000", "1111"])
@@ -98,7 +103,7 @@ class TestTreeToStableColoring:
     @given(trees(max_len=6))
     def test_reads_lex_least_level_member(self, t):
         f = tree_to_stable_coloring(t, t.horizon)
-        for x, y, c in f.pairs():
+        for x, y, c in pairs(f):
             assert c == t.level(y)[0][x]
 
 
@@ -139,7 +144,7 @@ class TestSigmaToColoring:
 
     def test_constant_family(self):
         fam = StringFamily.of(["0" * y for y in range(1, 6)])
-        assert all(c == 0 for _, _, c in sigma_to_coloring(fam, 5).pairs())
+        assert all(c == 0 for _, _, c in pairs(sigma_to_coloring(fam, 5)))
 
     def test_alternating_family(self):
         fam = StringFamily.of(
@@ -177,15 +182,15 @@ class TestSigmaToColoring:
 
 class TestColoringToSigma:
     def test_zero_coloring(self):
-        f = PairColoring.from_function(3, lambda x, y: 0)
+        f = from_function(3, lambda x, y: 0)
         assert bits(coloring_to_sigma(f)) == ["0", "00", "000"]
 
     def test_columns_read_off(self):
-        f = PairColoring.from_function(3, lambda x, y: 1 if x == 0 else 0)
+        f = from_function(3, lambda x, y: 1 if x == 0 else 0)
         assert bits(coloring_to_sigma(f)) == ["1", "10", "100"]
 
     def test_empty(self):
-        f = PairColoring.from_function(0, lambda x, y: 0)
+        f = from_function(0, lambda x, y: 0)
         assert len(coloring_to_sigma(f)) == 0
 
     @given(colorings())
@@ -214,34 +219,38 @@ class TestCeTreeToSigma:
         assert bits(fam) == ["0", "00", "000"]
 
     def test_string_too_long_for_stage(self):
-        with pytest.raises(BadStage) as info:
+        with pytest.raises(BadStage, match="^stage 1 holds '11', longer than 1$") as info:
             ce_tree_to_sigma([(1, B("11"))], 1)
         assert info.value.s == 1
 
     def test_missing_stage(self):
-        with pytest.raises(BadStage):
+        with pytest.raises(BadStage, match="^stage 2 is missing$"):
             ce_tree_to_sigma([(1, B("1"))], 2)
 
     def test_repeated_stage(self):
-        with pytest.raises(BadStage):
+        with pytest.raises(BadStage, match="^stage 1 is listed twice$"):
             ce_tree_to_sigma([(1, B("1")), (1, B("0"))], 1)
+
+    def test_stage_outside_the_range(self):
+        with pytest.raises(BadStage, match=r"^stage 3 is outside 1\.\.2$"):
+            ce_tree_to_sigma([(1, B("1")), (3, B("0"))], 2)
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), max_size=8))
     def test_inputs_prefix_outputs_and_vice_versa(self, shape):
         # shape[s-1] = (extra length budget, padding irrelevant marker)
         events = []
         for s, (cut, _) in enumerate(shape, start=1):
-            events.append((s, B("10" * s).prefix(max(0, s - cut))))
+            events.append((s, prefix(B("10" * s), max(0, s - cut))))
         if not events:
             return
         fam = ce_tree_to_sigma(events, len(events))
         assert fam.graded and len(fam) == len(events)
         members = list(fam)
         for _, tau in events:
-            assert any(tau.is_prefix_of(m) for m in members)
+            assert any(is_prefix_of(tau, m) for m in members)
         inputs = [tau for _, tau in events]
         for m in members:
-            assert any(tau.is_prefix_of(m) for tau in inputs)
+            assert any(is_prefix_of(tau, m) for tau in inputs)
 
 
 pi2_matrices = st.builds(
@@ -287,7 +296,7 @@ class TestPi2TreeToSigma1:
     def test_antitone_under_prefix(self, tau, bound):
         phi = PredMatrix.from_text("bit(y) + z >= y or len = 0")
         if pi2_tree_to_sigma1(phi, tau, bound):
-            for shorter in tau.prefixes():
+            for shorter in prefixes(tau):
                 assert pi2_tree_to_sigma1(phi, shorter, bound)
 
 
@@ -348,18 +357,18 @@ class TestYokoyamaH:
 class TestYokoyamaColoring:
     def test_parity_split(self):
         f = yokoyama_coloring(PARITY_0, PARITY_1, 5, 64)
-        for x, y, c in f.pairs():
+        for x, y, c in pairs(f):
             assert c == x % 2
 
     def test_always_zero_side(self):
         f = yokoyama_coloring(ALWAYS, NEVER, 3, 8)
-        assert all(c == 0 for _, _, c in f.pairs())
+        assert all(c == 0 for _, _, c in pairs(f))
 
     def test_threshold_split(self):
         t0 = PredMatrix.from_text("n > m and x < 3")
         t1 = PredMatrix.from_text("n > m and x >= 3")
         f = yokoyama_coloring(t0, t1, 5, 64)
-        for x, y, c in f.pairs():
+        for x, y, c in pairs(f):
             assert c == (0 if x < 3 else 1)
 
     def test_cap_propagates_with_pair(self):
@@ -373,7 +382,7 @@ class TestYokoyamaColoring:
         t0 = PredMatrix.from_text("n >= m * (x mod 3)")
         t1 = PredMatrix.from_text("n >= m + 2")
         f = yokoyama_coloring(t0, t1, 6, 64)
-        for x, y, c in f.pairs():
+        for x, y, c in pairs(f):
             h = yokoyama_h(t0, t1, x, y, 64)
             covered0 = all(
                 any(t0(x=x, m=m, n=n) for n in range(h)) for m in range(y)
@@ -399,7 +408,7 @@ class TestYokoyamaColoring:
 
     def test_color_certifies_covering(self):
         f = yokoyama_coloring(PARITY_0, PARITY_1, 6, 64)
-        for x, y, c in f.pairs():
+        for x, y, c in pairs(f):
             h = yokoyama_h(PARITY_0, PARITY_1, x, y, 64)
             theta = (PARITY_0, PARITY_1)[c]
             assert all(

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    RefFamily,
     RefTree,
     natsets,
     ref_closure,
@@ -23,6 +24,8 @@ from rkl.core import (
     FinTree,
     NotPrefixClosed,
     StringFamily,
+    _closed_levels,
+    _sorted_levels,
     downward_closure,
     is_homog_path,
     validate_tree,
@@ -125,6 +128,61 @@ class TestValidation:
             validate_tree(["0", "0a"])
         with pytest.raises(ValueError, match="not a binary string"):
             downward_closure(["01", "2"])
+
+
+def plain(strings) -> list[str]:
+    return [s if isinstance(s, str) else s.bits for s in strings]
+
+
+def mixed_strings(max_size: int = 12):
+    """Texts and BitStrings, with repeats; half the time closed by adding
+    every prefix in a shuffled order."""
+    drawn = st.lists(st.one_of(texts, texts.map(BitString)), max_size=max_size)
+
+    def maybe_closed(strings, close, rnd):
+        if not close:
+            return strings
+        extra = list(ref_closure(plain(strings)).texts)
+        rnd.shuffle(extra)
+        return strings + extra
+
+    return st.builds(
+        maybe_closed, drawn, st.booleans(), st.randoms(use_true_random=False)
+    )
+
+
+class TestLevelCode:
+    """The level-wise closure and the closed-set check against brute-force
+    prefix sets."""
+
+    @given(mixed_strings())
+    def test_downward_closure(self, strings):
+        want = ref_closure(plain(strings)).text_levels
+        assert downward_closure(strings).text_levels == want
+        assert downward_closure(StringFamily.of(strings)).text_levels == want
+
+    @given(mixed_strings())
+    def test_closed_levels_and_validate_tree(self, strings):
+        texts = plain(strings)
+        unclosed = ref_unclosed(texts)
+        builders = [
+            lambda: _closed_levels(texts),
+            lambda: validate_tree(strings).text_levels,
+            lambda: FinTree(map(BitString, texts)).text_levels,
+        ]
+        for build in builders:
+            if unclosed is None:
+                assert build() == RefTree(texts).text_levels
+                continue
+            # The (length, lex)-least member with a missing prefix, and its
+            # shortest missing prefix.
+            with pytest.raises(NotPrefixClosed) as info:
+                build()
+            assert (info.value.offending.bits, info.value.missing.bits) == unclosed
+
+    @given(st.lists(texts, unique=True, max_size=12))
+    def test_sorted_levels_of_any_order(self, strings):
+        assert _sorted_levels(strings) == RefFamily(strings).text_levels
 
 
 class TestLevelReaders:
