@@ -126,10 +126,10 @@ def _sorted_levels(texts: Iterable[str]) -> tuple[tuple[str, ...], ...]:
 _parent = itemgetter(slice(None, -1))
 
 
-def _closed_levels(texts: Iterable[str]) -> tuple[tuple[str, ...], ...]:
-    """The levels of some texts plus the root; reject a set that is not closed."""
-    members = dict.fromkeys(texts)  # keeps the given order for _sorted_levels
-    members[""] = None
+def _closed_levels(members: dict[str, None]) -> tuple[tuple[str, ...], ...]:
+    """The levels of a member table's texts plus the root, which is added to
+    the table; reject a set that is not closed."""
+    members[""] = None  # the table keeps the given order for _sorted_levels
     # The parent check suffices for closure; on failure report the
     # lenlex-least orphan and its shortest missing prefix.
     if not all(map(members.__contains__, map(_parent, members))):
@@ -217,7 +217,7 @@ class FinTree(_LevelStore):
     """
 
     def __init__(self, members: Iterable[BitString] = frozenset()) -> None:
-        levels = _closed_levels([s.bits for s in members])
+        levels = _closed_levels(dict.fromkeys([s.bits for s in members]))
         object.__setattr__(self, "text_levels", levels)
 
     @property
@@ -230,11 +230,12 @@ class FinTree(_LevelStore):
 class PairColoring:
     """A total 2-coloring of the pairs {(x, y) : 0 <= x < y <= n}.
 
-    rows[y-1][x] holds the color of the pair (x, y).
+    rows[y-1] is the "01" text of the y colors of column y: its character x
+    is the color of the pair (x, y).
     """
 
     n: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -242,15 +243,17 @@ class PairColoring:
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
         for y, row in enumerate(self.rows, start=1):
+            if not isinstance(row, str):
+                raise ValueError(f"row for y={y} must be a '01' text")
             if len(row) != y:
                 raise ValueError(f"row for y={y} must have {y} entries")
-            if row.count(0) + row.count(1) != y:
+            if row.strip("01"):
                 raise ValueError(f"row for y={y} holds a non-color value")
 
     def value(self, x: int, y: int) -> int:
         if not 0 <= x < y <= self.n:
             raise ValueError(f"pair ({x},{y}) outside 0 <= x < y <= {self.n}")
-        return self.rows[y - 1][x]
+        return int(self.rows[y - 1][x])
 
 
 @dataclass(frozen=True, init=False)
@@ -328,7 +331,7 @@ class HomWitness:
 
 def validate_tree(strings: Iterable[BitString | str]) -> FinTree:
     """Wrap a string set as a tree, adding the root; reject unclosed sets."""
-    return FinTree._from_levels(_closed_levels(_texts(strings)))
+    return FinTree._from_levels(_closed_levels(dict.fromkeys(_texts(strings))))
 
 
 def downward_closure(family: StringFamily | Iterable[BitString | str]) -> FinTree:

@@ -18,9 +18,10 @@ from rkl.core import (
     PairColoring,
     StringFamily,
     _all_binary,
+    _closed_levels,
     _sorted_levels,
     downward_closure,
-    validate_tree,
+    validate_tree,  # not called here; bench/tracing.py wraps it as formats.validate_tree
 )
 from rkl.diagonal import StagedEnum
 
@@ -73,14 +74,16 @@ def _bare_texts(text: str) -> list[str] | None:
     return texts if _all_binary(texts) else None
 
 
-def _string_lines(text: str, what: str) -> list[str]:
-    """The bit texts listed one per line, in file order."""
+def _string_lines(text: str, what: str) -> dict[str, None]:
+    """The bit texts listed one per line, as a table of members in file order."""
     texts = _bare_texts(text)
     if texts is None:
         general = ["" if body == "-" else body for _, body in _data_lines(text)]
         texts = general if _all_binary(general) else None
-    if texts is not None and len(set(texts)) == len(texts):
-        return texts
+    if texts is not None:
+        members = dict.fromkeys(texts)
+        if len(members) == len(texts):
+            return members
     # Some line is bad: find the first, for its line number.
     seen: set[str] = set()
     for lineno, body in _data_lines(text):
@@ -96,11 +99,11 @@ def _string_lines(text: str, what: str) -> list[str]:
 def parse_tree(text: str, close: bool = False) -> FinTree:
     """Read a .tree file; with close=True take the downward closure instead
     of insisting the listed strings are already prefix-closed."""
-    strings = _string_lines(text, "string")
+    members = _string_lines(text, "string")
     if close:
-        return downward_closure(strings)
+        return downward_closure(StringFamily._from_levels(_sorted_levels(members)))
     try:
-        return validate_tree(strings)
+        return FinTree._from_levels(_closed_levels(members))
     except NotPrefixClosed as exc:
         member = exc.offending.bits
         lineno = next(n for n, body in _data_lines(text) if body == member)
@@ -109,10 +112,6 @@ def parse_tree(text: str, close: bool = False) -> FinTree:
 
 def parse_sigma(text: str) -> StringFamily:
     return StringFamily._from_levels(_sorted_levels(_string_lines(text, "string")))
-
-
-# Color characters to the byte values 0 and 1.
-_COLOR_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _canonical_coloring(text: str) -> PairColoring | None:
@@ -133,9 +132,8 @@ def _canonical_coloring(text: str) -> PairColoring | None:
     colors = "".join([line[-1:] for line in body.split("\n")])
     if len(colors) != n * (n + 1) // 2 or colors.strip("01"):
         return None
-    flat = colors.encode("ascii").translate(_COLOR_BYTES)
     f = PairColoring(
-        n, tuple(tuple(flat[y * (y - 1) // 2 : y * (y + 1) // 2]) for y in range(1, n + 1))
+        n, tuple(colors[y * (y - 1) // 2 : y * (y + 1) // 2] for y in range(1, n + 1))
     )
     return f if _render_coloring(f) == text else None
 
@@ -152,7 +150,7 @@ def parse_coloring(text: str) -> PairColoring:
     if len(parts) != 2 or parts[0] != "n":
         raise FormatError(lineno, "header must read 'n <N>'")
     n = _parse_nat(parts[1], lineno)
-    values: dict[tuple[int, int], int] = {}
+    values: dict[tuple[int, int], str] = {}
     for lineno, body in lines[1:]:
         parts = body.split()
         if len(parts) != 3:
@@ -164,13 +162,13 @@ def parse_coloring(text: str) -> PairColoring:
             raise FormatError(lineno, f"color must be 0 or 1, got {c}")
         if (x, y) in values:
             raise FormatError(lineno, f"pair ({x},{y}) given twice")
-        values[(x, y)] = c
+        values[(x, y)] = "01"[c]
     for y in range(1, n + 1):
         for x in range(y):
             if (x, y) not in values:
                 raise FormatError(None, f"pair ({x},{y}) missing")
     return PairColoring(
-        n, tuple(tuple(values[(x, y)] for x in range(y)) for y in range(1, n + 1))
+        n, tuple("".join([values[(x, y)] for x in range(y)]) for y in range(1, n + 1))
     )
 
 

@@ -60,17 +60,13 @@ class ReductionVerdict:
         return not self.counterexamples
 
 
-# The color bytes 0 and 1 to the digits '0' and '1'.
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def _adjacency(f: PairColoring) -> tuple[list[int], list[int]]:
     """Each color's graph on {0..n} as neighbour masks: row y read as binary
     gives y's color-1 neighbours below it; color 0 is the complement."""
     size = f.n + 1
     ones = [0] * size
     for y, row in enumerate(f.rows, start=1):
-        below = int(bytes(row).translate(_BIT_CHARS)[::-1], 2)
+        below = int(row[::-1], 2)
         ones[y] |= below
         bit = 1 << y
         while below:
@@ -216,13 +212,13 @@ def check_stable(f: PairColoring, x: int) -> StabilityEvidence:
     """Scan column x for its last visible change."""
     if not 0 <= x < f.n:
         raise ValueError(f"x must satisfy 0 <= x < {f.n}")
-    rows = f.rows  # rows[y - 1][x] is the color of (x, y)
+    rows = f.rows  # rows[y - 1][x] is the color character of (x, y)
     last = x + 1
     for y in range(x + 2, f.n + 1):
         if rows[y - 1][x] != rows[y - 2][x]:
             last = y
     return StabilityEvidence(
-        stabilized=last < f.n, last_change=last, final_color=rows[-1][x]
+        stabilized=last < f.n, last_change=last, final_color=int(rows[-1][x])
     )
 
 

@@ -110,12 +110,12 @@ def _column_coloring(
 ) -> PairColoring:
     """Color (x, y) by position x of the source's sigma_text(y); the first y
     with no member that long is reported as missing(y)."""
-    rows: list[tuple[int, ...]] = []
+    rows: list[str] = []
     for y in range(1, n + 1):
         sigma = source.sigma_text(y)
         if sigma is None:
             raise missing(y)
-        rows.append(tuple(map(int, sigma)))
+        rows.append(sigma)
     return PairColoring(n, tuple(rows))
 
 
@@ -155,8 +155,7 @@ def sigma_to_coloring(family: StringFamily, n: int) -> PairColoring:
 def coloring_to_sigma(f: PairColoring) -> StringFamily:
     """The graded family whose length-y member spells column y of the coloring."""
     # Row y has length y, so it is the one member of level y.
-    columns = ["".join(["01"[c] for c in row]) for row in f.rows]
-    return StringFamily._from_levels([(), *((column,) for column in columns)])
+    return StringFamily._from_levels([(), *((row,) for row in f.rows)])
 
 
 def ce_tree_to_sigma(
@@ -219,7 +218,7 @@ def yokoyama_coloring(
     least0 = predlang.compile(theta0.expr, ("x", "m"), witness="n")
     least1 = predlang.compile(theta1.expr, ("x", "m"), witness="n")
     witnesses = range(cap)
-    columns: list[list[int]] = [[] for _ in range(n + 1)]
+    columns: list[list[str]] = [[] for _ in range(n + 1)]
     for x in range(n):
         # Least z whose witnesses cover every m < y, or None once a row has
         # none; a side that is None is not consulted again.
@@ -236,8 +235,8 @@ def yokoyama_coloring(
                 continue
             if z0 is None and z1 is None:
                 raise CapExceeded(x, y, cap)
-            columns[y].append(0 if z1 is None or (z0 is not None and z0 <= z1) else 1)
-    return PairColoring(n, tuple(tuple(columns[y]) for y in range(1, n + 1)))
+            columns[y].append("0" if z1 is None or (z0 is not None and z0 <= z1) else "1")
+    return PairColoring(n, tuple("".join(columns[y]) for y in range(1, n + 1)))
 
 
 def set_to_path_tree(a: NatSet, l: int) -> FinTree:

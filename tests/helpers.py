@@ -52,7 +52,7 @@ def extended(s: BitString, bit: int) -> BitString:
 def from_function(n: int, fn) -> PairColoring:
     """The coloring of each pair (x, y) by fn(x, y), read once per pair."""
     return PairColoring(
-        n, tuple(tuple(int(fn(x, y)) for x in range(y)) for y in range(1, n + 1))
+        n, tuple("".join([str(int(fn(x, y))) for x in range(y)]) for y in range(1, n + 1))
     )
 
 
@@ -60,7 +60,7 @@ def pairs(f: PairColoring) -> Iterator[tuple[int, int, int]]:
     """All (x, y, color) triples, ordered by (y, x)."""
     for y in range(1, f.n + 1):
         for x in range(y):
-            yield x, y, f.rows[y - 1][x]
+            yield x, y, f.value(x, y)
 
 
 # -- strategies --------------------------------------------------------------
@@ -91,7 +91,7 @@ def trees(max_len: int = 8, max_members: int = 5):
 def _coloring_from_flat(n: int, flat: list[int]) -> PairColoring:
     rows, i = [], 0
     for y in range(1, n + 1):
-        rows.append(tuple(flat[i : i + y]))
+        rows.append("".join(map(str, flat[i : i + y])))
         i += y
     return PairColoring(n, tuple(rows))
 
@@ -114,7 +114,7 @@ def planted_colorings(max_n: int = 40, min_n: int = 0):
         members = sorted(rng.sample(range(n + 1), min(planted, n + 1)))
         for x, y in itertools.combinations(members, 2):
             rows[y][x] = color
-        return PairColoring(n, tuple(tuple(row) for row in rows[1:]))
+        return PairColoring(n, tuple("".join(map(str, row)) for row in rows[1:]))
 
     return st.builds(
         build,

@@ -75,7 +75,7 @@ def run_criterion(number: int, summary: str, limit: float | None, body) -> None:
 
 def random_coloring(rng: random.Random, n: int) -> PairColoring:
     return PairColoring(
-        n, tuple(tuple(rng.randint(0, 1) for _ in range(y)) for y in range(1, n + 1))
+        n, tuple("".join([str(rng.randint(0, 1)) for _ in range(y)]) for y in range(1, n + 1))
     )
 
 
@@ -186,7 +186,7 @@ def test_criterion_06_finite_ramsey_on_six_points():
         for mask in range(1 << 15):
             rows, i = [], 0
             for y in range(1, 6):
-                rows.append(tuple((mask >> (i + x)) & 1 for x in range(y)))
+                rows.append("".join([str((mask >> (i + x)) & 1) for x in range(y)]))
                 i += y
             f = PairColoring(5, tuple(rows))
             assert ramsey_search(f, 3) is not None

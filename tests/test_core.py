@@ -149,11 +149,30 @@ class TestDownwardClosure:
 class TestPairColoring:
     def test_row_shape_enforced(self):
         with pytest.raises(ValueError):
-            PairColoring(2, ((0,),))
+            PairColoring(2, ("0",))
         with pytest.raises(ValueError):
-            PairColoring(1, ((0, 1),))
+            PairColoring(1, ("01",))
         with pytest.raises(ValueError):
-            PairColoring(1, ((2,),))
+            PairColoring(1, ("2",))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((0,), (0, 1)), "row for y=1 must be a '01' text"),
+            (("0", (0, 1)), "row for y=2 must be a '01' text"),
+            (("0", ["0", "1"]), "row for y=2 must be a '01' text"),
+            (("0", b"01"), "row for y=2 must be a '01' text"),
+            (("0", "011"), "row for y=2 must have 2 entries"),
+            (("0", "0"), "row for y=2 must have 2 entries"),
+            (("0", "21"), "row for y=2 holds a non-color value"),
+        ],
+    )
+    def test_rows_are_checked_bit_texts(self, rows, message):
+        # A row that is not text is refused by its y, not by a TypeError or
+        # AttributeError from the checks that read it as text.
+        with pytest.raises(ValueError) as info:
+            PairColoring(2, rows)
+        assert str(info.value) == message
 
     def test_value_range_checks(self):
         f = from_function(3, lambda x, y: 1)

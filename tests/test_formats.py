@@ -146,7 +146,7 @@ class TestColoring:
 
     def test_parse(self):
         f = parse_coloring(self.GOOD)
-        assert f.rows == ((1,), (0, 1))
+        assert f.rows == ("1", "01")
 
     def test_render_orders_by_y_then_x(self):
         assert render_coloring(parse_coloring(self.GOOD)) == self.GOOD

@@ -211,7 +211,7 @@ class TestColourBoundedSearch:
         rows = [[int(rng.random() < 0.4) for _ in range(y)] for y in range(73)]
         for x, y in itertools.combinations(sorted(rng.sample(range(73), planted)), 2):
             rows[y][x] = 1
-        f = PairColoring(72, tuple(tuple(row) for row in rows[1:]))
+        f = PairColoring(72, tuple("".join(map(str, row)) for row in rows[1:]))
         assert ramsey_search(f, 2) == ref_ramsey_search(f, 2)
 
     def test_clique_deeper_than_the_recursion_limit(self):
@@ -297,8 +297,8 @@ class TestVerifyReduction:
         t = downward_closure([format(i, "03b") for i in range(8)])
         f = tree_to_stable_coloring(t, 3)
         rows = [list(r) for r in f.rows]
-        rows[2][1] ^= 1  # flip f(1,3)
-        bad = PairColoring(3, tuple(tuple(r) for r in rows))
+        rows[2][1] = "10"[int(rows[2][1])]  # flip f(1,3)
+        bad = PairColoring(3, tuple(map("".join, rows)))
         with pytest.raises(NotHomogeneousForColoring) as info:
             verify_reduction(t, bad, N([1, 2, 3]), 0)
         assert (info.value.x, info.value.y) == (1, 3)
@@ -309,8 +309,8 @@ class TestVerifyReduction:
         t = downward_closure(["000", "1111"])
         f = tree_to_stable_coloring(t, 4)
         rows = [list(r) for r in f.rows]
-        rows[0][0] = 1  # flip f(0,1)
-        mutated = PairColoring(4, tuple(tuple(r) for r in rows))
+        rows[0][0] = "1"  # flip f(0,1)
+        mutated = PairColoring(4, tuple(map("".join, rows)))
         c, h = ramsey_search(mutated, 2)
         assert (c, h) == (1, N([0, 1, 4]))
         v = verify_reduction(t, mutated, h, c)

@@ -93,7 +93,7 @@ class TestTreeToStableColoring:
     def test_fork(self):
         t = downward_closure(["000", "1111"])
         f = tree_to_stable_coloring(t, 4)
-        assert f.rows == ((0,), (0, 0), (0, 0, 0), (1, 1, 1, 1))
+        assert f.rows == ("0", "00", "000", "1111")
 
     def test_missing_level(self):
         with pytest.raises(LevelEmpty) as info:
@@ -140,7 +140,7 @@ class TestStabilityBound:
 class TestSigmaToColoring:
     def test_shortest_long_string_wins(self):
         f = sigma_to_coloring(StringFamily.of(["10", "0110"]), 4)
-        assert f.rows == ((1,), (1, 0), (0, 1, 1), (0, 1, 1, 0))
+        assert f.rows == ("1", "10", "011", "0110")
 
     def test_constant_family(self):
         fam = StringFamily.of(["0" * y for y in range(1, 6)])
@@ -167,7 +167,7 @@ class TestSigmaToColoring:
                 long = [s for s in fam.members if len(s) >= y]
                 if not long:
                     raise NoLongString(y)
-                rows.append(tuple(min(long, key=lenlex)[x] for x in range(y)))
+                rows.append("".join([str(min(long, key=lenlex)[x]) for x in range(y)]))
             return PairColoring(n, tuple(rows))
 
         try:
@@ -321,7 +321,7 @@ yoko_matrices = st.builds(
 def pointwise_outcome(t0, t1, n: int, cap: int):
     """yokoyama_coloring read off yokoyama_h pair by pair, or the first
     CapExceeded that scan meets."""
-    columns: list[list[int]] = [[] for _ in range(n + 1)]
+    columns: list[list[str]] = [[] for _ in range(n + 1)]
     for x in range(n):
         for y in range(x + 1, n + 1):
             try:
@@ -329,8 +329,8 @@ def pointwise_outcome(t0, t1, n: int, cap: int):
             except CapExceeded as exc:
                 return ("cap", exc.x, exc.y, exc.cap)
             covered0 = all(any(t0(x=x, m=m, n=w) for w in range(h)) for m in range(y))
-            columns[y].append(0 if covered0 else 1)
-    return ("coloring", PairColoring(n, tuple(tuple(columns[y]) for y in range(1, n + 1))))
+            columns[y].append("0" if covered0 else "1")
+    return ("coloring", PairColoring(n, tuple("".join(columns[y]) for y in range(1, n + 1))))
 
 
 class TestYokoyamaH:

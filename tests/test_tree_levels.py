@@ -166,7 +166,7 @@ class TestLevelCode:
         texts = plain(strings)
         unclosed = ref_unclosed(texts)
         builders = [
-            lambda: _closed_levels(texts),
+            lambda: _closed_levels(dict.fromkeys(texts)),
             lambda: validate_tree(strings).text_levels,
             lambda: FinTree(map(BitString, texts)).text_levels,
         ]
