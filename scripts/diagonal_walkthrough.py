@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")  # allow running from a fresh checkout
+# Run from a fresh checkout, from any directory.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rkl.core import NatSet, is_homog_path
 from rkl.diagonal import StagedEnum, build_diagonal_tree, check_fpf
@@ -49,7 +51,7 @@ def main() -> int:
     color = rng.randint(0, 1)
     padding = range(args.depth, args.depth + enums.k + 2)
     h = NatSet.of(
-        [x for x in range(args.depth) if sigma[x] == color] + list(padding)
+        [x for x in range(args.depth) if sigma[x] == "01"[color]] + list(padding)
     )
     witness = is_homog_path(h, report.tree, args.depth)
     assert witness is not None

@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")  # allow running from a fresh checkout
+# Run from a fresh checkout, from any directory.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rkl.core import StringFamily, downward_closure, lenlex
+from rkl.core import StringFamily, downward_closure
 from rkl.oracles import check_stable, ramsey_search, verify_reduction
 from rkl.reductions import stability_bound, tree_to_stable_coloring
 
@@ -32,11 +34,11 @@ def main() -> int:
     args = parser.parse_args()
     rng = random.Random(args.seed)
 
-    family = StringFamily.of(
+    family = StringFamily(
         format(rng.getrandbits(y), f"0{y}b") for y in range(1, args.n + 1)
     )
     print(f"graded family, one string per length 1..{args.n}:")
-    for s in sorted(family, key=lenlex):
+    for s in family:  # (length, lex) order
         print(f"  {s}")
 
     tree = downward_closure(family)

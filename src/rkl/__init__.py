@@ -28,7 +28,6 @@ sorted by (length, lex) so equal inputs give byte-identical output.
 from __future__ import annotations
 
 from rkl.core import (
-    BitString,
     FinTree,
     HomWitness,
     NatSet,
@@ -38,14 +37,12 @@ from rkl.core import (
     downward_closure,
     is_homog_path,
     is_homog_string,
-    lenlex,
     validate_tree,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitString",
     "FinTree",
     "HomWitness",
     "NatSet",
@@ -55,7 +52,6 @@ __all__ = [
     "downward_closure",
     "is_homog_path",
     "is_homog_string",
-    "lenlex",
     "validate_tree",
     "__version__",
 ]

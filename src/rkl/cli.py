@@ -24,10 +24,8 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _bits_arg(text: str) -> core.BitString:
-    if text == "-":
-        return core.BitString()
-    return core.BitString(text)
+def _bits_arg(text: str) -> str:
+    return "" if text == "-" else core._bits(text)
 
 
 def _cmd_close(args: argparse.Namespace) -> tuple[int, str]:
@@ -98,7 +96,7 @@ def _cmd_path(args: argparse.Namespace) -> tuple[int, str]:
     t = formats.parse_tree(_read(args.tree), close=args.close)
     p = oracles.longest_path(t)
     c, h = reductions.path_pigeonhole(p)
-    header = f"# path: {p.bits or '-'}\n# color: {c}\n"
+    header = f"# path: {p or '-'}\n# color: {c}\n"
     return EXIT_OK, header + formats.render_natset(h)
 
 
@@ -145,7 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         lines.append("path-witness: none")
     else:
         sigma = witness.witness
-        lines.append(f"path-witness: color={witness.color} sigma={sigma.bits or '-'}")
+        lines.append(f"path-witness: color={witness.color} sigma={sigma or '-'}")
     lines.append("verdict: ok" if verdict.ok else "verdict: fail")
     return (EXIT_OK if verdict.ok else EXIT_FAIL), "".join(l + "\n" for l in lines)
 

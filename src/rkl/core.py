@@ -1,17 +1,17 @@
 """Domain types and homogeneity semantics.
 
-Strings are finite words over {0,1}; trees are finite prefix-closed string
-sets with the root always present.  A set of naturals h is homogeneous for a
-string sigma with color c when sigma shows c at every position of h that it
-covers; positions past the end of sigma impose nothing.  All canonical
-choices below prefer color 0 over 1 and lexicographically least strings,
-with 0 < 1.
+A string is a finite word over {0,1}, held everywhere as its "01" text; the
+empty text is the root.  Trees are finite prefix-closed string sets with the
+root always present.  A set of naturals h is homogeneous for a string sigma
+with color c when sigma shows c at every position of h that it covers;
+positions past the end of sigma impose nothing.  All canonical choices below
+prefer color 0 over 1 and lexicographically least strings, with 0 < 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -25,90 +25,12 @@ MAX_DIGITS = 4300
 class NotPrefixClosed(ValueError):
     """A member's prefix is missing from a would-be tree."""
 
-    def __init__(self, offending: "BitString", missing: "BitString") -> None:
+    def __init__(self, offending: str, missing: str) -> None:
         self.offending = offending
         self.missing = missing
         super().__init__(
             f"'{offending}' is a member but its prefix '{missing}' is not"
         )
-
-
-@total_ordering
-class BitString:
-    """A finite {0,1}-word; doubles as a tree node or the prefix of a path.
-
-    Comparison is plain lexicographic on the symbols with 0 < 1, so a proper
-    prefix sorts before each of its extensions.  Hashing, equality and order
-    are those of the underlying text.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: str = "") -> None:
-        if bits.strip("01"):
-            raise ValueError(f"not a binary string: {bits!r}")
-        _set_bits(self, bits)
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "BitString":
-        return _trusted("".join("1" if v else "0" for v in values))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BitString is immutable")
-
-    def __repr__(self) -> str:
-        return f"BitString({self.bits!r})"
-
-    def __reduce__(self) -> tuple[type, tuple[str]]:
-        return (BitString, (self.bits,))
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is BitString:
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __lt__(self, other: "BitString") -> bool:
-        if other.__class__ is BitString:
-            return self.bits < other.bits
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, x: int) -> int:
-        if not 0 <= x < len(self.bits):
-            raise IndexError(f"position {x} out of range for length {len(self.bits)}")
-        return int(self.bits[x])
-
-    def __iter__(self) -> Iterator[int]:
-        return (int(b) for b in self.bits)
-
-    def __str__(self) -> str:
-        return self.bits or "ε"
-
-    def padded(self, length: int, bit: int = 0) -> "BitString":
-        """Self, extended with `bit` up to the requested length."""
-        if length <= len(self.bits):
-            return self
-        return _trusted(self.bits + ("1" if bit else "0") * (length - len(self.bits)))
-
-
-_set_bits = BitString.bits.__set__
-
-
-def _trusted(bits: str) -> BitString:
-    """A BitString from text already known to be binary; skips the check."""
-    s = object.__new__(BitString)
-    _set_bits(s, bits)
-    return s
-
-
-def lenlex(s: BitString) -> tuple[int, str]:
-    """Sort key ordering strings by length first, then lexicographically."""
-    return (len(s.bits), s.bits)
 
 
 def _sorted_levels(texts: Iterable[str]) -> tuple[tuple[str, ...], ...]:
@@ -131,12 +53,12 @@ def _closed_levels(members: dict[str, None]) -> tuple[tuple[str, ...], ...]:
     the table; reject a set that is not closed."""
     members[""] = None  # the table keeps the given order for _sorted_levels
     # The parent check suffices for closure; on failure report the
-    # lenlex-least orphan and its shortest missing prefix.
+    # (length, lex)-least orphan and its shortest missing prefix.
     if not all(map(members.__contains__, map(_parent, members))):
         orphans = (s for s in members if s[:-1] not in members)
         sigma = min(orphans, key=lambda s: (len(s), s))
         missing = next(sigma[:i] for i in range(len(sigma)) if sigma[:i] not in members)
-        raise NotPrefixClosed(_trusted(sigma), _trusted(missing))
+        raise NotPrefixClosed(sigma, missing)
     return _sorted_levels(members)
 
 
@@ -145,28 +67,32 @@ def _all_binary(texts: list[str]) -> bool:
     return not "".join(texts).encode("ascii", "replace").translate(None, b"01")
 
 
-def _texts(strings: Iterable[BitString | str]) -> list[str]:
-    """The bit texts of BitStrings and of plain texts, which must be binary."""
+def _bits(s: object) -> str:
+    """s itself when it is a "01" text; anything else is refused."""
+    if not isinstance(s, str) or s.strip("01"):
+        raise ValueError(f"not a binary string: {s!r}")
+    return s
+
+
+def _texts(strings: Iterable[str]) -> list[str]:
+    """The members as a list, each refused as by _bits unless a "01" text."""
     texts = list(strings)
-    try:  # plain texts need no step per member
-        binary = _all_binary(texts)
-    except TypeError:  # join met a BitString: take each one's text
-        texts = [s.bits if isinstance(s, BitString) else s for s in texts]
-        binary = _all_binary(texts)
-    if not binary:
-        bad = next(s for s in texts if s.strip("01"))
-        raise ValueError(f"not a binary string: {bad!r}")
-    return texts
+    try:  # one pass over every byte when all members are texts
+        if _all_binary(texts):
+            return texts
+    except TypeError:  # join met a member that is not a str
+        pass
+    return list(map(_bits, texts))  # some member is bad: _bits names the first
 
 
 @dataclass(frozen=True, init=False)
 class _LevelStore:
     """A finite set of binary strings stored by levels.
 
-    text_levels[l] holds the bit texts of the members of length l,
-    lexicographically sorted, for every l from 0 to the longest member, so
-    iterating the levels in turn gives (length, lex) order.  Producers that
-    already hold sorted levels go through the unchecked _from_levels.
+    text_levels[l] holds the members of length l, lexicographically sorted,
+    for every l from 0 to the longest member, so iterating the levels in turn
+    gives (length, lex) order.  Producers that already hold sorted levels go
+    through the unchecked _from_levels.
     """
 
     text_levels: tuple[tuple[str, ...], ...]
@@ -179,14 +105,14 @@ class _LevelStore:
         return store
 
     @cached_property
-    def members(self) -> frozenset[BitString]:
+    def members(self) -> frozenset[str]:
         return frozenset(self)
 
-    def level(self, l: int) -> tuple[BitString, ...]:
+    def level(self, l: int) -> tuple[str, ...]:
         """Members of length l, lexicographically sorted."""
         if not 0 <= l < len(self.text_levels):
             return ()
-        return tuple(map(_trusted, self.text_levels[l]))
+        return self.text_levels[l]
 
     def sigma_text(self, y: int) -> str | None:
         """The lex-least shortest member of length >= y, cut to length y; None
@@ -197,27 +123,27 @@ class _LevelStore:
                 return levels[l][0][:y]
         return None
 
-    def __contains__(self, s: BitString) -> bool:
+    def __contains__(self, s: str) -> bool:
         return s in self.members
 
     def __len__(self) -> int:
         return sum(map(len, self.text_levels))
 
-    def __iter__(self) -> Iterator[BitString]:
+    def __iter__(self) -> Iterator[str]:
         """Members in (length, lex) order."""
-        return map(_trusted, chain.from_iterable(self.text_levels))
+        return chain.from_iterable(self.text_levels)
 
 
 @dataclass(frozen=True, init=False)
 class FinTree(_LevelStore):
     """A finite prefix-closed set of binary strings; the root is a member.
 
-    No level from 0 to the horizon is empty.  FinTree(members) checks
-    closure; producers that are closed by construction skip the check.
+    No level from 0 to the horizon is empty.  FinTree(members) checks the
+    texts and closure; producers that are closed by construction skip both.
     """
 
-    def __init__(self, members: Iterable[BitString] = frozenset()) -> None:
-        levels = _closed_levels(dict.fromkeys([s.bits for s in members]))
+    def __init__(self, members: Iterable[str] = ()) -> None:
+        levels = _closed_levels(dict.fromkeys(_texts(members)))
         object.__setattr__(self, "text_levels", levels)
 
     @property
@@ -265,13 +191,9 @@ class StringFamily(_LevelStore):
     inconsistent state exists.
     """
 
-    def __init__(self, members: Iterable[BitString] = frozenset()) -> None:
-        levels = _sorted_levels({s.bits for s in members})
+    def __init__(self, members: Iterable[str] = ()) -> None:
+        levels = _sorted_levels(set(_texts(members)))
         object.__setattr__(self, "text_levels", levels)
-
-    @classmethod
-    def of(cls, strings: Iterable[BitString | str]) -> "StringFamily":
-        return cls._from_levels(_sorted_levels(set(_texts(strings))))
 
     @property
     def n(self) -> int:
@@ -326,15 +248,15 @@ class HomWitness:
     """A color and a long member that shows it at every position of h."""
 
     color: int
-    witness: BitString
+    witness: str
 
 
-def validate_tree(strings: Iterable[BitString | str]) -> FinTree:
+def validate_tree(strings: Iterable[str]) -> FinTree:
     """Wrap a string set as a tree, adding the root; reject unclosed sets."""
     return FinTree._from_levels(_closed_levels(dict.fromkeys(_texts(strings))))
 
 
-def downward_closure(family: StringFamily | Iterable[BitString | str]) -> FinTree:
+def downward_closure(family: StringFamily | Iterable[str]) -> FinTree:
     """The tree of all prefixes of the family's members."""
     if isinstance(family, StringFamily):
         levels = family.text_levels
@@ -361,9 +283,9 @@ def _homog_text(h: NatSet, bits: str, symbol: str) -> bool:
     return True
 
 
-def is_homog_string(h: NatSet, sigma: BitString, c: int) -> bool:
+def is_homog_string(h: NatSet, sigma: str, c: int) -> bool:
     """Whether sigma shows color c at every position of h it covers."""
-    return _homog_text(h, sigma.bits, "1" if c else "0")
+    return _homog_text(h, _bits(sigma), "1" if c else "0")
 
 
 def is_homog_path(h: NatSet, t: FinTree, horizon: int) -> HomWitness | None:
@@ -382,5 +304,5 @@ def is_homog_path(h: NatSet, t: FinTree, horizon: int) -> HomWitness | None:
         ]
         wits = [s for s in firsts if s is not None]
         if wits:
-            return HomWitness(color=c, witness=_trusted(min(wits)))
+            return HomWitness(color=c, witness=min(wits))
     return None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from rkl.core import (
     MAX_DIGITS,
-    BitString,
     FinTree,
     NatSet,
     NotPrefixClosed,
@@ -105,7 +104,7 @@ def parse_tree(text: str, close: bool = False) -> FinTree:
     try:
         return FinTree._from_levels(_closed_levels(members))
     except NotPrefixClosed as exc:
-        member = exc.offending.bits
+        member = exc.offending
         lineno = next(n for n, body in _data_lines(text) if body == member)
         raise FormatError(lineno, str(exc)) from exc
 
@@ -201,13 +200,13 @@ def parse_natset(text: str) -> NatSet:
     return NatSet(tuple(values))
 
 
-def parse_stages(text: str) -> tuple[list[tuple[int, BitString]], int]:
+def parse_stages(text: str) -> tuple[list[tuple[int, str]], int]:
     """Read a .stages file of 's string' lines; returns (events, max stage).
 
     A repeated stage, or a string longer than its stage, is refused on its
     line; a stage missing below the largest is left to ce_tree_to_sigma.
     """
-    events: list[tuple[int, BitString]] = []
+    events: list[tuple[int, str]] = []
     seen: set[int] = set()
     for lineno, body in _data_lines(text):
         parts = body.split()
@@ -220,7 +219,7 @@ def parse_stages(text: str) -> tuple[list[tuple[int, BitString]], int]:
         if len(bits) > s:
             raise FormatError(lineno, f"stage {s} holds '{bits}', longer than {s}")
         seen.add(s)
-        events.append((s, BitString(bits)))
+        events.append((s, bits))
     if not events:
         raise FormatError(None, "no stages listed")
     return events, max(s for s, _ in events)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 
-from rkl.core import BitString, FinTree, NatSet, PairColoring, StringFamily, is_homog_string
+from rkl.core import FinTree, NatSet, PairColoring, StringFamily, is_homog_string
 from rkl.reductions import LevelEmpty, NoLongString
 
 
@@ -203,9 +203,9 @@ def ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
     return c, NatSet(h)
 
 
-def longest_path(t: FinTree) -> BitString:
+def longest_path(t: FinTree) -> str:
     """The lexicographically least member of maximum length."""
-    return BitString(t.text_levels[-1][0])
+    return t.text_levels[-1][0]
 
 
 def check_stable(f: PairColoring, x: int) -> StabilityEvidence:
@@ -251,6 +251,6 @@ def verify_reduction(
         sigma = source.sigma_text(y)
         if sigma is None:
             raise missing(y)
-        if not is_homog_string(h, BitString(sigma), c):
+        if not is_homog_string(h, sigma, c):
             bad.append(y)
     return ReductionVerdict(checked=tuple(checked), counterexamples=tuple(bad))

@@ -35,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence, Union
 
-from rkl.core import MAX_DIGITS, BitString
+from rkl.core import MAX_DIGITS
 
 VARIABLES = ("x", "m", "n", "y", "z", "len")
 _UNICODE_OPS = {"≠": "!=", "≤": "<=", "≥": ">="}
@@ -379,7 +379,7 @@ def compile(
 
 
 def evaluate(
-    expr: PredExpr, env: Mapping[str, int] | None = None, tau: BitString | None = None
+    expr: PredExpr, env: Mapping[str, int] | None = None, tau: str | None = None
 ) -> int | bool:
     """Evaluate with variables from env and bit/len reading tau.
 
@@ -389,7 +389,7 @@ def evaluate(
     """
     bindings = {k: v for k, v in (env or {}).items() if k in VARIABLES and k != "len"}
     if tau is not None:
-        bindings.update(bits=tau.bits, len=len(tau))
+        bindings.update(bits=tau, len=len(tau))
     return compile(expr, list(bindings))(*bindings.values())
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from rkl import predlang
-from rkl.core import BitString, FinTree, NatSet, PairColoring, StringFamily
+from rkl.core import FinTree, NatSet, PairColoring, StringFamily, _bits
 
 
 class EmptyPath(ValueError):
@@ -93,16 +93,16 @@ class StabilityReport:
     limit_color: int | None
 
 
-def path_pigeonhole(p: BitString) -> tuple[int, NatSet]:
+def path_pigeonhole(p: str) -> tuple[int, NatSet]:
     """Majority color of a path prefix and the positions showing it.
 
     Ties go to color 0.
     """
-    if len(p) == 0:
+    if not _bits(p):  # a non-binary p is refused first
         raise EmptyPath("path must hold at least one symbol")
-    ones = sum(p)
-    c = 1 if 2 * ones > len(p) else 0
-    return c, NatSet(tuple(x for x in range(len(p)) if p[x] == c))
+    c = 1 if 2 * p.count("1") > len(p) else 0
+    symbol = "01"[c]
+    return c, NatSet(tuple(x for x, b in enumerate(p) if b == symbol))
 
 
 def _column_coloring(
@@ -159,14 +159,14 @@ def coloring_to_sigma(f: PairColoring) -> StringFamily:
 
 
 def ce_tree_to_sigma(
-    events: Iterable[tuple[int, BitString]], max_stage: int
+    events: Iterable[tuple[int, str]], max_stage: int
 ) -> StringFamily:
     """Zero-pad each stage's string to the stage number, giving a graded family.
 
     events lists (stage, string) pairs; every stage 1..max_stage must appear
     exactly once with a string no longer than the stage number.
     """
-    by_stage: dict[int, BitString] = {}
+    by_stage: dict[int, str] = {}
     for s, tau in events:
         if not 1 <= s <= max_stage:
             raise BadStage(s, f"is outside 1..{max_stage}")
@@ -178,13 +178,17 @@ def ce_tree_to_sigma(
         if s not in by_stage:
             raise BadStage(s, "is missing")
         tau = by_stage[s]
+        try:
+            _bits(tau)
+        except ValueError:
+            raise BadStage(s, f"holds {tau!r}, not a binary string") from None
         if len(tau) > s:
             raise BadStage(s, f"holds '{tau}', longer than {s}")
-        levels.append((tau.padded(s).bits,))
+        levels.append((tau.ljust(s, "0"),))
     return StringFamily._from_levels(levels)
 
 
-def pi2_tree_to_sigma1(phi: PredMatrix, tau: BitString, bound: int) -> bool:
+def pi2_tree_to_sigma1(phi: PredMatrix, tau: str, bound: int) -> bool:
     """Bounded membership for the tree defined by a two-quantifier matrix.
 
     Holds when some budget up to `bound` supplies, for every x, y <= |tau|, a
@@ -193,10 +197,11 @@ def pi2_tree_to_sigma1(phi: PredMatrix, tau: BitString, bound: int) -> bool:
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    _bits(tau)
     least = predlang.compile(phi.expr, ("y", "bits", "len"), witness="z")
     witnesses = range(bound)
     for x in range(len(tau) + 1):
-        bits = tau.bits[:x]
+        bits = tau[:x]
         for y in range(len(tau) + 1):
             if least(y, bits, x, witnesses) is None:
                 return False

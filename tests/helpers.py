@@ -14,7 +14,7 @@ from typing import Iterator, Mapping
 from hypothesis import strategies as st
 
 from rkl import reductions
-from rkl.core import BitString, NatSet, PairColoring, StringFamily, downward_closure
+from rkl.core import NatSet, PairColoring, StringFamily, downward_closure
 from rkl.predlang import (
     Arith,
     Bit,
@@ -31,22 +31,23 @@ from rkl.predlang import (
 # -- test-only views of the core types: no program code needs them ---------
 
 
-def is_prefix_of(a: BitString, b: BitString) -> bool:
-    return b.bits.startswith(a.bits)
+def is_prefix_of(a: str, b: str) -> bool:
+    return b.startswith(a)
 
 
-def prefix(s: BitString, t: int) -> BitString:
-    """The initial segment of length t (all of s if t is larger)."""
-    return BitString(s.bits[: max(0, t)])
+def prefix(s: str, t: int) -> str:
+    """The initial segment of length t (all of s if t is larger, the root
+    if t is negative)."""
+    return s[: max(0, t)]
 
 
-def prefixes(s: BitString) -> list[BitString]:
+def prefixes(s: str) -> list[str]:
     """Every initial segment, shortest first, root and s included."""
-    return [BitString(s.bits[:i]) for i in range(len(s) + 1)]
+    return [s[:i] for i in range(len(s) + 1)]
 
 
-def extended(s: BitString, bit: int) -> BitString:
-    return BitString(s.bits + ("1" if bit else "0"))
+def extended(s: str, bit: int) -> str:
+    return s + "01"[bit]
 
 
 def from_function(n: int, fn) -> PairColoring:
@@ -67,11 +68,11 @@ def pairs(f: PairColoring) -> Iterator[tuple[int, int, int]]:
 
 
 def bitstrings(max_len: int = 10):
-    return st.text(alphabet="01", max_size=max_len).map(BitString)
+    return st.text(alphabet="01", max_size=max_len)
 
 
 def nonempty_bitstrings(max_len: int = 10):
-    return st.text(alphabet="01", min_size=1, max_size=max_len).map(BitString)
+    return st.text(alphabet="01", min_size=1, max_size=max_len)
 
 
 def natsets(max_value: int = 24, max_size: int = 8):
@@ -128,8 +129,8 @@ def planted_colorings(max_n: int = 40, min_n: int = 0):
 
 def graded_families(max_n: int = 8, min_n: int = 0):
     def build(codes: list[int]) -> StringFamily:
-        return StringFamily.of(
-            BitString(format(code % (1 << y), f"0{y}b")) for y, code in enumerate(codes, start=1)
+        return StringFamily(
+            format(code % (1 << y), f"0{y}b") for y, code in enumerate(codes, start=1)
         )
 
     return st.integers(min_n, max_n).flatmap(
@@ -176,8 +177,8 @@ class RefFamily:
     def graded(self) -> bool:
         return [len(s) for s in self.texts] == list(range(1, self.n + 1))
 
-    def level(self, l: int) -> tuple[BitString, ...]:
-        return tuple(BitString(s) for s in self.texts if len(s) == l)
+    def level(self, l: int) -> tuple[str, ...]:
+        return tuple(s for s in self.texts if len(s) == l)
 
     @property
     def text_levels(self) -> tuple[tuple[str, ...], ...]:
@@ -276,7 +277,7 @@ def ref_dead_bounds(ref: RefTree, x: int) -> dict[str, int]:
 
 
 def ref_evaluate(
-    expr: PredExpr, env: Mapping[str, int] | None = None, tau: BitString | None = None
+    expr: PredExpr, env: Mapping[str, int] | None = None, tau: str | None = None
 ) -> int | bool:
     """Walk the tree on every call; the oracle for predlang.compile."""
     bindings = env or {}
@@ -295,7 +296,7 @@ def ref_evaluate(
         if tau is None:
             raise UnboundVariable("bit")
         i = ref_evaluate(expr.index, bindings, tau)
-        return tau[i] if i < len(tau) else 0
+        return int(tau[i]) if i < len(tau) else 0
     if isinstance(expr, Arith):
         a = ref_evaluate(expr.left, bindings, tau)
         b = ref_evaluate(expr.right, bindings, tau)
@@ -330,11 +331,11 @@ class PredMatrix(reductions.PredMatrix):
     """The library's matrix, callable with keyword bindings through
     ref_evaluate."""
 
-    def __call__(self, tau: BitString | None = None, /, **bindings: int) -> bool:
+    def __call__(self, tau: str | None = None, /, **bindings: int) -> bool:
         return bool(ref_evaluate(self.expr, bindings, tau))
 
 
-def ref_pi2(phi: reductions.PredMatrix, tau: BitString, bound: int) -> bool:
+def ref_pi2(phi: reductions.PredMatrix, tau: str, bound: int) -> bool:
     """Every x, y <= |tau| has a witness z < bound on tau's length-x prefix,
     each point evaluated with ref_evaluate; the form of pi2_tree_to_sigma1."""
     return all(

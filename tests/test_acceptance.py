@@ -18,7 +18,6 @@ from pathlib import Path
 from helpers import PredMatrix, extended, is_prefix_of, prefix, prefixes
 from rkl import cli
 from rkl.core import (
-    BitString,
     FinTree,
     NatSet,
     PairColoring,
@@ -80,13 +79,13 @@ def random_coloring(rng: random.Random, n: int) -> PairColoring:
 
 
 def random_graded_family(rng: random.Random, n: int) -> StringFamily:
-    return StringFamily.of(
+    return StringFamily(
         format(rng.getrandbits(y), f"0{y}b") for y in range(1, n + 1)
     )
 
 
-def random_bits(rng: random.Random, length: int) -> BitString:
-    return BitString(format(rng.getrandbits(length), f"0{length}b") if length else "")
+def random_bits(rng: random.Random, length: int) -> str:
+    return format(rng.getrandbits(length), f"0{length}b") if length else ""
 
 
 def test_criterion_01_coloring_family_round_trip():
@@ -123,7 +122,7 @@ def test_criterion_03_family_pipeline_witnesses():
     def body():
         for _ in range(500):
             long = random_bits(rng, rng.randint(16, 20))
-            flipped = BitString.of(1 - b for b in long)
+            flipped = long.translate(str.maketrans("01", "10"))
             members = {long, flipped}  # same length twice: never graded
             for _ in range(rng.randint(2, 6)):
                 members.add(random_bits(rng, rng.randint(1, 20)))
@@ -139,15 +138,15 @@ def test_criterion_03_family_pipeline_witnesses():
 
 
 def _random_spined_tree(rng: random.Random, horizon: int, die_by: int) -> FinTree:
-    members: set[BitString] = set()
+    members: set[str] = set()
     spines = [random_bits(rng, horizon) for _ in range(rng.randint(1, 3))]
     for spine in spines:
         members.update(prefixes(spine))
     for _ in range(rng.randint(0, 10)):
         spine = rng.choice(spines)
         depth = rng.randint(0, die_by - 1)
-        twig = extended(prefix(spine, depth), 1 - spine[depth])
-        twig = twig.padded(rng.randint(len(twig), die_by), rng.randint(0, 1))
+        twig = extended(prefix(spine, depth), 1 - int(spine[depth]))
+        twig = twig.ljust(rng.randint(len(twig), die_by), "01"[rng.randint(0, 1)])
         members.update(prefixes(twig))
     return validate_tree(members)
 
@@ -172,7 +171,7 @@ def test_criterion_04_stability_bound_governs_columns():
 def test_criterion_05_alternating_family_never_stabilizes():
     def body():
         for n in range(6, 21):
-            fam = StringFamily.of(
+            fam = StringFamily(
                 ("1" if y % 2 else "0") + "0" * (y - 1) for y in range(1, n + 1)
             )
             f = sigma_to_coloring(fam, n)
@@ -229,7 +228,7 @@ def _fpf_round(enums: StagedEnum, depth: int, rng: random.Random) -> None:
     sigma = top[0] if rng.random() < 0.5 else top[-1]
     c = rng.randint(0, 1)
     padding = range(depth, depth + enums.k + 2)
-    h = NatSet.of([x for x in range(depth) if sigma[x] == c] + list(padding))
+    h = NatSet.of([x for x in range(depth) if sigma[x] == "01"[c]] + list(padding))
     assert is_homog_path(h, report.tree, depth) is not None
     verdicts = check_fpf(h, enums, report)
     for v in verdicts:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -287,6 +288,28 @@ PARSE_TIME_REFUSALS = {
 }
 
 
+NOT_BINARY_TAUS = {
+    # The bound is bad too: the string is refused first, as an argument.
+    "digit 2": (["--tau", "012", "--bound", "0"], "error: not a binary string: '012'\n"),
+    "space": (["--tau", "0 1", "--bound", "4"], "error: not a binary string: '0 1'\n"),
+    "empty marker": (["--tau", "ε", "--bound", "4"], "error: not a binary string: 'ε'\n"),
+}
+
+
+class TestNotBinaryTau:
+    @pytest.mark.parametrize("name", sorted(NOT_BINARY_TAUS))
+    def test_refused_with_its_text(self, name, capsys):
+        args, message = NOT_BINARY_TAUS[name]
+        assert cli.main(["pi2sigma1", "--phi", "z >= y", *args]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
+    @pytest.mark.parametrize("tau", ["-", ""])
+    def test_dash_and_empty_are_the_root(self, tau, capsys):
+        assert cli.main(["pi2sigma1", "--phi", "z >= y", "--tau", tau, "--bound", "1"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
+
 class TestParseTimeRefusals:
     @pytest.mark.parametrize("name", sorted(PARSE_TIME_REFUSALS))
     def test_refused_with_offset(self, name, capsys):
@@ -416,3 +439,21 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "kind=tree members=8 horizon=4\n"
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+class TestDemoScripts:
+    """Each demo, run with its default arguments from outside the checkout
+    and with no PYTHONPATH, prints exactly its golden bytes."""
+
+    @pytest.mark.parametrize("name", ["tree_pipeline", "diagonal_walkthrough"])
+    def test_prints_its_golden(self, name, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / f"{name}.py")],
+            capture_output=True, cwd=tmp_path, env=env,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (GOLDEN / f"demo_{name}.txt").read_bytes()

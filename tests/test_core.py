@@ -9,6 +9,7 @@ from helpers import (
     extended,
     from_function,
     is_prefix_of,
+    lenlex_key,
     natsets,
     pairs,
     prefix,
@@ -17,7 +18,6 @@ from helpers import (
     trees,
 )
 from rkl.core import (
-    BitString,
     FinTree,
     NatSet,
     NotPrefixClosed,
@@ -26,95 +26,111 @@ from rkl.core import (
     downward_closure,
     is_homog_path,
     is_homog_string,
-    lenlex,
     validate_tree,
 )
-
-
-def bits(strings) -> list[str]:
-    return [s.bits for s in strings]
+from rkl.formats import FormatError, parse_sigma
+from rkl.reductions import PredMatrix, ce_tree_to_sigma, path_pigeonhole, pi2_tree_to_sigma1
 
 
 class TestBitString:
+    """A bit string is its "01" text, the empty text being the root."""
+
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            BitString("012")
-
-    def test_of_booleans(self):
-        assert BitString.of([1, 0, 1]).bits == "101"
-        assert BitString.of([]) == BitString()
-
-    def test_indexing_domain(self):
-        s = BitString("01")
-        assert (s[0], s[1]) == (0, 1)
-        with pytest.raises(IndexError):
-            s[2]
-        with pytest.raises(IndexError):
-            s[-1]
+        with pytest.raises(ValueError, match="not a binary string: '012'"):
+            FinTree(["012"])
 
     def test_str_empty_marker(self):
-        assert str(BitString()) == "ε"
-        assert str(BitString("10")) == "10"
+        # Messages show the empty string as ε, files as '-'.
+        with pytest.raises(FormatError, match="duplicate string 'ε'"):
+            parse_sigma("-\n-\n")
 
     def test_prefix_relation(self):
-        assert is_prefix_of(BitString(), BitString("0"))
-        assert is_prefix_of(BitString("01"), BitString("011"))
-        assert not is_prefix_of(BitString("1"), BitString("01"))
+        assert is_prefix_of("", "0")
+        assert is_prefix_of("01", "011")
+        assert not is_prefix_of("1", "01")
 
     def test_prefixes_shortest_first(self):
-        assert bits(prefixes(BitString("10"))) == ["", "1", "10"]
+        assert prefixes("10") == ["", "1", "10"]
 
     def test_prefix_clamps(self):
-        s = BitString("110")
-        assert prefix(s, 2).bits == "11"
+        s = "110"
+        assert prefix(s, 2) == "11"
         assert prefix(s, 9) == s
-        assert prefix(s, 0) == BitString()
+        assert prefix(s, 0) == ""
+        assert prefix(s, -1) == ""
 
     def test_extended_and_padded(self):
-        assert extended(BitString("1"), 0).bits == "10"
-        assert BitString("1").padded(3).bits == "100"
-        assert BitString("1").padded(3, bit=1).bits == "111"
-        assert BitString("111").padded(2).bits == "111"
+        assert extended("1", 0) == "10"
+        assert extended("1", 1) == "11"
+        # Stage strings are padded with 0 up to the stage; a full one is kept.
+        family = ce_tree_to_sigma([(1, "1"), (2, ""), (3, "111")], 3)
+        assert family.text_levels == ((), ("1",), ("00",), ("111",))
 
     def test_order_is_lexicographic_prefix_first(self):
-        assert BitString("0") < BitString("00") < BitString("1")
-        assert lenlex(BitString("1")) < lenlex(BitString("00"))
+        assert "0" < "00" < "1"
+        assert lenlex_key("1") < lenlex_key("00")
+        # Witnesses on several levels: the least is a prefix of the others.
+        t = downward_closure(["0100", "1"])
+        assert is_homog_path(NatSet.of([1]), t, 2).witness == "01"
 
-    @given(bitstrings())
-    def test_iter_matches_indexing(self, s: BitString):
-        assert list(s) == [s[i] for i in range(len(s))]
+
+# Each one is refused the same way; the last two are not texts at all.
+NOT_BINARY = ["012", "0 1", "ε", 5, (0, 1)]
+
+
+@pytest.mark.parametrize("bad", NOT_BINARY, ids=repr)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda b: FinTree(["", b]),
+        lambda b: StringFamily(["0", b]),
+        lambda b: validate_tree([b]),
+        lambda b: downward_closure(["1", b]),
+        lambda b: is_homog_string(NatSet.of([0]), b, 0),
+        path_pigeonhole,
+        lambda b: pi2_tree_to_sigma1(PredMatrix.from_text("z = y"), b, 4),
+        lambda b: ce_tree_to_sigma([(1, b)], 1),
+    ],
+    ids=[
+        "FinTree", "StringFamily", "validate_tree", "downward_closure",
+        "is_homog_string", "path_pigeonhole", "pi2_tree_to_sigma1", "ce_tree_to_sigma",
+    ],
+)
+def test_entry_points_refuse_non_binary(entry, bad):
+    with pytest.raises(ValueError, match="not a binary string"):
+        entry(bad)
 
 
 class TestFinTree:
     def test_accepts_closed_set(self):
         t = validate_tree(["0", "00", "1"])
-        assert sorted(bits(t.members)) == ["", "0", "00", "1"]
+        assert sorted(t.members) == ["", "0", "00", "1"]
 
     def test_rejects_missing_prefix(self):
         with pytest.raises(NotPrefixClosed) as info:
             validate_tree(["01"])
-        assert info.value.offending == BitString("01")
-        assert info.value.missing == BitString("0")
+        assert info.value.offending == "01"
+        assert info.value.missing == "0"
 
     def test_reports_shortest_missing_prefix(self):
         with pytest.raises(NotPrefixClosed) as info:
-            FinTree(frozenset({BitString("110")}))
-        assert info.value.missing == BitString("1")
+            FinTree(frozenset({"110"}))
+        assert info.value.missing == "1"
 
     def test_root_always_added(self):
-        assert bits(validate_tree([])) == [""]
-        assert BitString() in FinTree()
+        assert list(validate_tree([])) == [""]
+        assert "" in FinTree()
 
     def test_horizon_and_levels(self):
         t = validate_tree(["0", "1", "11", "10"])
         assert t.horizon == 2
-        assert bits(t.level(1)) == ["0", "1"]
-        assert bits(t.level(2)) == ["10", "11"]
+        assert t.level(1) == ("0", "1")
+        assert t.level(2) == ("10", "11")
         assert t.level(5) == ()
 
     def test_iteration_is_lenlex(self):
         t = validate_tree(["1", "0", "00"])
-        assert bits(t) == ["", "0", "1", "00"]
+        assert list(t) == ["", "0", "1", "00"]
 
     @given(trees())
     def test_closure_members_are_prefix_closed(self, t: FinTree):
@@ -133,13 +149,13 @@ class TestFinTree:
 
 class TestDownwardClosure:
     def test_single_chain(self):
-        assert bits(downward_closure(["101"])) == ["", "1", "10", "101"]
+        assert list(downward_closure(["101"])) == ["", "1", "10", "101"]
 
     def test_two_branches(self):
-        assert bits(downward_closure(["00", "11"])) == ["", "0", "1", "00", "11"]
+        assert list(downward_closure(["00", "11"])) == ["", "0", "1", "00", "11"]
 
     def test_empty_family(self):
-        assert bits(downward_closure([])) == [""]
+        assert list(downward_closure([])) == [""]
 
     @given(string_families())
     def test_horizon_matches_family(self, fam: StringFamily):
@@ -202,23 +218,23 @@ class TestPairColoring:
 
 class TestStringFamily:
     def test_gradedness_is_derived(self):
-        assert StringFamily.of(["1", "01", "110"]).graded
-        assert not StringFamily.of(["1", "110"]).graded
-        assert not StringFamily.of(["1", "01", "10"]).graded
+        assert StringFamily(["1", "01", "110"]).graded
+        assert not StringFamily(["1", "110"]).graded
+        assert not StringFamily(["1", "01", "10"]).graded
         assert StringFamily().graded
 
     def test_n_is_longest_member(self):
-        assert StringFamily.of(["1", "0110"]).n == 4
+        assert StringFamily(["1", "0110"]).n == 4
         assert StringFamily().n == 0
 
     def test_of_length(self):
-        fam = StringFamily.of(["10", "01", "1"])
-        assert bits(fam.level(2)) == ["01", "10"]
+        fam = StringFamily(["10", "01", "1"])
+        assert fam.level(2) == ("01", "10")
 
     @given(string_families())
     def test_iteration_is_lenlex(self, fam: StringFamily):
         listed = list(fam)
-        assert listed == sorted(listed, key=lenlex)
+        assert listed == sorted(listed, key=lenlex_key)
 
 
 class TestNatSet:
@@ -245,23 +261,23 @@ class TestNatSet:
 
 class TestIsHomogString:
     def test_direct_read_off(self):
-        assert is_homog_string(NatSet.of([1, 3]), BitString("0101"), 1)
+        assert is_homog_string(NatSet.of([1, 3]), "0101", 1)
 
     def test_mismatch(self):
-        assert not is_homog_string(NatSet.of([0, 1]), BitString("0101"), 1)
+        assert not is_homog_string(NatSet.of([0, 1]), "0101", 1)
 
     def test_positions_past_end_are_vacuous(self):
-        assert is_homog_string(NatSet.of([9]), BitString("01"), 0)
-        assert is_homog_string(NatSet.of([9]), BitString("01"), 1)
+        assert is_homog_string(NatSet.of([9]), "01", 0)
+        assert is_homog_string(NatSet.of([9]), "01", 1)
 
     @given(natsets(), bitstrings(), st.integers(0, 1))
-    def test_monotone_under_prefix(self, h: NatSet, s: BitString, c: int):
+    def test_monotone_under_prefix(self, h: NatSet, s: str, c: int):
         if is_homog_string(h, s, c):
             for tau in prefixes(s):
                 assert is_homog_string(h, tau, c)
 
     @given(natsets(max_value=9), bitstrings())
-    def test_at_most_one_color_when_constrained(self, h: NatSet, s: BitString):
+    def test_at_most_one_color_when_constrained(self, h: NatSet, s: str):
         if any(x < len(s) for x in h):
             assert not (is_homog_string(h, s, 0) and is_homog_string(h, s, 1))
 
@@ -269,7 +285,7 @@ class TestIsHomogString:
 class TestIsHomogPath:
     def test_all_ones_chain(self):
         w = is_homog_path(NatSet.of([0, 2]), downward_closure(["111"]), 3)
-        assert (w.color, w.witness.bits) == (1, "111")
+        assert (w.color, w.witness) == (1, "111")
 
     def test_bicolored_path_has_no_witness(self):
         assert is_homog_path(NatSet.of([0, 1]), downward_closure(["01"]), 2) is None
@@ -277,12 +293,12 @@ class TestIsHomogPath:
     def test_lex_least_witness(self):
         t = downward_closure(["0101", "1111"])
         w = is_homog_path(NatSet.of([1, 3]), t, 4)
-        assert (w.color, w.witness.bits) == (1, "0101")
+        assert (w.color, w.witness) == (1, "0101")
 
     def test_color_zero_preferred(self):
         t = downward_closure(["00", "11"])
         w = is_homog_path(NatSet.of([0, 1]), t, 2)
-        assert (w.color, w.witness.bits) == (0, "00")
+        assert (w.color, w.witness) == (0, "00")
 
     def test_horizon_capped_by_tree(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkl.core import BitString, NatSet, is_homog_path, is_homog_string
+from rkl.core import NatSet, is_homog_path, is_homog_string
 from rkl.diagonal import (
     NotHomogeneous,
     StagedEnum,
@@ -79,7 +79,7 @@ class TestBuildDiagonalTree:
         report = build_diagonal_tree(WORKED, 3)
         assert report.level_counts == (1, 2, 4, 6)
         assert report.triggered == frozenset({(0, 3)})
-        level3 = {s.bits for s in report.tree.level(3)}
+        level3 = set(report.tree.level(3))
         assert level3 == {"001", "010", "011", "100", "101", "110"}
 
     def test_no_enumerations_gives_full_tree(self):
@@ -176,7 +176,7 @@ class TestCheckFpf:
         )
         report = build_diagonal_tree(en, 5)
         sigma = report.tree.level(5)[0]
-        h = N([x for x in range(5) if sigma[x] == 0] + [5, 6, 7, 8])
+        h = N([x for x in range(5) if sigma[x] == "0"] + [5, 6, 7, 8])
         verdicts = check_fpf(h, en, report)
         assert [v.e for v in verdicts] == [0, 1, 2]
         assert verdicts[0].status == "distinct"

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import RefFamily, colorings, from_function, natsets, pairs, ref_closure
-from rkl.core import BitString, FinTree, PairColoring, StringFamily, downward_closure
+from rkl.core import FinTree, PairColoring, StringFamily, downward_closure
 from rkl.formats import parse_sigma, render_sigma
 from rkl.oracles import verify_reduction
 from rkl.reductions import (
@@ -44,11 +44,11 @@ families = st.one_of(st.lists(texts, max_size=10), near_graded())
 
 
 def assert_matches(fam: StringFamily, ref: RefFamily) -> None:
-    assert fam.members == frozenset(BitString(s) for s in ref.texts)
+    assert fam.members == frozenset(ref.texts)
     assert fam.n == ref.n
     assert fam.graded == ref.graded
     assert len(fam) == len(ref.texts)
-    assert [s.bits for s in fam] == ref.texts
+    assert list(fam) == ref.texts
     for l in range(-1, ref.n + 2):
         assert fam.level(l) == ref.level(l)
     assert render_sigma(fam) == ref.render()
@@ -60,16 +60,16 @@ def sigma_file(strings, order: list[int]) -> str:
 
 
 def check_constructors_and_parser(strings, rng) -> None:
-    """Both constructors and the parser, fed the lines in a shuffled order,
-    give the reference family and equal, equally hashed values."""
+    """The constructor, fed a list or a one-pass iterator, and the parser,
+    fed the lines in a shuffled order, give the reference family and equal,
+    equally hashed values."""
     ref = RefFamily(strings)
     unique = sorted(set(strings))
     order = list(range(len(unique)))
     rng.shuffle(order)
     built = [
-        StringFamily(BitString(s) for s in strings),
-        StringFamily.of(strings),
-        StringFamily.of([BitString(s) if i % 2 else s for i, s in enumerate(strings)]),
+        StringFamily(strings),
+        StringFamily(s for s in strings),
         parse_sigma(sigma_file(unique, order)),
     ]
     for fam in built:
@@ -93,45 +93,45 @@ class TestProducers:
         fam = coloring_to_sigma(f)
         assert_matches(fam, RefFamily(columns))
         assert fam.graded
-        assert fam == StringFamily.of(columns)
+        assert fam == StringFamily(columns)
 
     @given(st.integers(0, 7).flatmap(
         lambda k: st.tuples(*[st.text(alphabet="01", max_size=s) for s in range(1, k + 1)])
     ), st.randoms(use_true_random=False))
     def test_ce_tree_to_sigma(self, staged, rng):
-        events = [(s, BitString(tau)) for s, tau in enumerate(staged, start=1)]
+        events = list(enumerate(staged, start=1))
         rng.shuffle(events)
         padded = [tau.ljust(s, "0") for s, tau in enumerate(staged, start=1)]
         fam = ce_tree_to_sigma(events, len(staged))
         assert_matches(fam, RefFamily(padded))
         assert fam.graded
-        assert fam == StringFamily.of(padded)
+        assert fam == StringFamily(padded)
 
     def test_graded_needs_one_text_per_level(self):
-        assert StringFamily.of(["0", "10"]).graded
-        assert not StringFamily.of(["0", "1", "10"]).graded
-        assert not StringFamily.of(["", "0"]).graded
-        assert not StringFamily.of(["10"]).graded
+        assert StringFamily(["0", "10"]).graded
+        assert not StringFamily(["0", "1", "10"]).graded
+        assert not StringFamily(["", "0"]).graded
+        assert not StringFamily(["10"]).graded
         assert StringFamily().graded and StringFamily().n == 0
 
     def test_families_are_not_trees(self):
         strings = ["", "0", "1"]
-        assert downward_closure(strings).text_levels == StringFamily.of(strings).text_levels
-        assert downward_closure(strings) != StringFamily.of(strings)
-        assert not isinstance(StringFamily.of(strings), FinTree)
+        assert downward_closure(strings).text_levels == StringFamily(strings).text_levels
+        assert downward_closure(strings) != StringFamily(strings)
+        assert not isinstance(StringFamily(strings), FinTree)
 
 
 class TestSigmaReader:
     @given(families, st.integers(0, 10))
     def test_family_sigma_text(self, strings, y):
-        assert StringFamily.of(strings).sigma_text(y) == RefFamily(strings).sigma(y)
+        assert StringFamily(strings).sigma_text(y) == RefFamily(strings).sigma(y)
 
     @given(st.lists(texts, max_size=8), st.integers(0, 10))
     def test_tree_sigma_text(self, strings, y):
         ref = ref_closure(strings)
         assert downward_closure(strings).sigma_text(y) == ref.sigma(y)
         if y <= ref.horizon:
-            assert ref.sigma(y) == ref.level(y)[0].bits
+            assert ref.sigma(y) == ref.level(y)[0]
 
     @given(families, st.integers(0, 10))
     def test_sigma_to_coloring(self, strings, n):
@@ -139,10 +139,10 @@ class TestSigmaReader:
         missing = next((y for y in range(1, n + 1) if ref.sigma(y) is None), None)
         if missing is not None:
             with pytest.raises(NoLongString) as info:
-                sigma_to_coloring(StringFamily.of(strings), n)
+                sigma_to_coloring(StringFamily(strings), n)
             assert str(info.value) == f"no family member of length at least {missing}"
             return
-        f = sigma_to_coloring(StringFamily.of(strings), n)
+        f = sigma_to_coloring(StringFamily(strings), n)
         assert all(c == int(ref.sigma(y)[x]) for x, y, c in pairs(f))
 
     @given(st.lists(texts, max_size=8), st.integers(0, 10))
@@ -161,7 +161,7 @@ class TestSigmaReader:
         # A constant coloring keeps h homogeneous, so every y in h is checked.
         f = from_function(10, lambda x, y: c)
         ref: RefFamily = ref_closure(strings) if as_tree else RefFamily(strings)
-        source = downward_closure(strings) if as_tree else StringFamily.of(strings)
+        source = downward_closure(strings) if as_tree else StringFamily(strings)
         ys = [y for y in h if y >= 1]
         missing = next((y for y in ys if ref.sigma(y) is None), None)
         if missing is not None:

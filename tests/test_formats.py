@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import colorings, natsets, string_families, trees
-from rkl.core import BitString, NatSet
+from rkl.core import NatSet
 from rkl.diagonal import StagedEnum
 from rkl import formats
 from rkl.formats import (
@@ -31,11 +31,11 @@ from rkl.formats import (
 class TestComments:
     def test_comments_and_blanks_ignored(self):
         fam = parse_sigma("# header\n\n01  # inline\n\n# trailer\n")
-        assert [s.bits for s in fam] == ["01"]
+        assert list(fam) == ["01"]
 
     def test_dash_is_the_empty_string(self):
         t = parse_tree("-\n")
-        assert [s.bits for s in t] == [""]
+        assert list(t) == [""]
 
 
 class TestTree:
@@ -45,7 +45,7 @@ class TestTree:
 
     def test_close_flag(self):
         t = parse_tree("01\n", close=True)
-        assert [s.bits for s in t] == ["", "0", "01"]
+        assert list(t) == ["", "0", "01"]
 
     def test_duplicate_rejected_with_line(self):
         with pytest.raises(FormatError) as info:
@@ -305,11 +305,11 @@ class TestStages:
     def test_parse(self):
         events, max_stage = parse_stages("1 1\n2 11\n3 0\n")
         assert max_stage == 3
-        assert [(s, t.bits) for s, t in events] == [(1, "1"), (2, "11"), (3, "0")]
+        assert events == [(1, "1"), (2, "11"), (3, "0")]
 
     def test_dash_for_empty(self):
         events, _ = parse_stages("1 -\n")
-        assert events[0][1] == BitString()
+        assert events[0][1] == ""
 
     def test_empty_file_rejected(self):
         with pytest.raises(FormatError):
@@ -329,4 +329,4 @@ class TestStages:
 
     def test_missing_stage_left_to_the_reduction(self):
         events, max_stage = parse_stages("3 0\n")
-        assert (events, max_stage) == ([(3, BitString("0"))], 3)
+        assert (events, max_stage) == ([(3, "0")], 3)

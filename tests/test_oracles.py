@@ -20,7 +20,6 @@ from helpers import (
     trees,
 )
 from rkl.core import (
-    BitString,
     NatSet,
     PairColoring,
     StringFamily,
@@ -226,13 +225,13 @@ class TestColourBoundedSearch:
 class TestLongestPath:
     def test_full_tree_lex_least_leaf(self):
         t = downward_closure([format(i, "03b") for i in range(8)])
-        assert longest_path(t).bits == "000"
+        assert longest_path(t) == "000"
 
     def test_unique_longest(self):
-        assert longest_path(downward_closure(["10", "0"])).bits == "10"
+        assert longest_path(downward_closure(["10", "0"])) == "10"
 
     def test_root_only(self):
-        assert longest_path(downward_closure([])).bits == ""
+        assert longest_path(downward_closure([])) == ""
 
     @given(string_families())
     def test_length_matches_family_horizon(self, fam: StringFamily):
@@ -287,7 +286,7 @@ class TestVerifyReduction:
         assert v.ok and v.checked == (1, 2)
 
     def test_family_source(self):
-        fam = StringFamily.of(["10", "0110"])
+        fam = StringFamily(["10", "0110"])
         f = sigma_to_coloring(fam, 4)
         result = ramsey_search(f, 2)
         v = verify_reduction(fam, f, result[1], result[0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import bitstrings, ref_evaluate
 from rkl import predlang
-from rkl.core import MAX_DIGITS, BitString
+from rkl.core import MAX_DIGITS
 from rkl.predlang import (
     MAX_DEPTH,
     VARIABLES,
@@ -116,8 +116,8 @@ class TestEvaluate:
         assert evaluate(parse("x mod 2 = 0"), {"x": 5}) is False
 
     def test_bit_past_end_reads_zero(self):
-        assert evaluate(parse("bit(5)"), {}, tau=BitString("01")) == 0
-        assert evaluate(parse("bit(1)"), {}, tau=BitString("01")) == 1
+        assert evaluate(parse("bit(5)"), {}, tau="01") == 0
+        assert evaluate(parse("bit(1)"), {}, tau="01") == 1
 
     def test_truncated_subtraction(self):
         assert evaluate(parse("3 - 7"), {}) == 0
@@ -127,7 +127,7 @@ class TestEvaluate:
         assert evaluate(parse("5 mod 0"), {}) == 0
 
     def test_len_binds_to_tau(self):
-        assert evaluate(parse("len"), {}, tau=BitString("0110")) == 4
+        assert evaluate(parse("len"), {}, tau="0110") == 4
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariable) as info:
@@ -144,7 +144,7 @@ class TestEvaluate:
         with pytest.raises(UnboundVariable) as info:
             evaluate(parse("len = 0"), {"len": 0})
         assert info.value.name == "len"
-        assert evaluate(parse("len = 0"), {"len": 5}, tau=BitString()) is True
+        assert evaluate(parse("len = 0"), {"len": 5}, tau="") is True
 
 
 class TestRender:
@@ -207,7 +207,7 @@ class TestFuzz:
     def test_printer_parser_round_trip(self, e):
         assert parse(render(e)) == e
 
-    @given(any_exprs, st.text(alphabet="01", max_size=6).map(BitString))
+    @given(any_exprs, st.text(alphabet="01", max_size=6))
     def test_total_on_full_environment(self, e, tau):
         value = evaluate(e, FULL_ENV, tau=tau)
         if kind_of(e) == "bool":
@@ -247,7 +247,7 @@ def run_lowered(e, env, tau):
     and call it once."""
     bindings = {k: v for k, v in env.items() if k != "len"}
     if tau is not None:
-        bindings.update(bits=tau.bits, len=len(tau))
+        bindings.update(bits=tau, len=len(tau))
     return lower(e, tuple(bindings))(*bindings.values())
 
 
@@ -263,7 +263,7 @@ class TestCompile:
         fn = lower(e, ALL_PARAMS)
         for y in range(4):
             env = dict(FULL_ENV, y=y, z=3 * y)
-            args = [*(env[k] for k in NAT_PARAMS), tau.bits, len(tau)]
+            args = [*(env[k] for k in NAT_PARAMS), tau, len(tau)]
             assert outcome(lambda: fn(*args)) == outcome(lambda: ref_evaluate(e, env, tau))
 
     @pytest.mark.parametrize(
@@ -286,7 +286,7 @@ class TestCompile:
     )
     def test_total_edge_cases(self, text, value):
         e = parse(text)
-        env, tau = {"x": 4}, BitString("01")
+        env, tau = {"x": 4}, "01"
         assert run_lowered(e, env, tau) == value == ref_evaluate(e, env, tau)
 
     def test_both_operands_of_and_or_are_computed(self):
@@ -325,10 +325,10 @@ class TestWitness:
     @given(bool_exprs, full_envs, bitstrings(6), st.sampled_from(NAT_PARAMS),
            st.integers(0, 40), st.integers(0, 12))
     @example(Cmp(">=", Arith("*", Var("n"), Num(HUGE)), Arith("mod", Num(HUGE), Var("x"))),
-             dict(FULL_ENV), BitString("01"), "n", 0, 3)
+             dict(FULL_ENV), "01", "n", 0, 3)
     def test_first_witness_matches_brute_force_scan(self, e, env, tau, witness, start, size):
         bindings = {k: v for k, v in env.items() if k != witness}
-        bindings.update(bits=tau.bits, len=len(tau))
+        bindings.update(bits=tau, len=len(tau))
         window = range(start, start + size)
         least = lower(e, tuple(bindings), witness)
         assert least(*bindings.values(), window) == ref_least(e, env, tau, witness, window)
@@ -381,10 +381,10 @@ class TestDepthLimit:
         e = parse(text)
         assert parse(render(e)) == e
         env = {"x": 1, "y": 1, "z": 0}
-        tau = BitString("1")
+        tau = "1"
         assert run_lowered(e, env, tau) == ref_evaluate(e, env, tau)
         least = lower(e, ("x", "z", "bits", "len"), "y")
-        assert least(1, 0, tau.bits, 1, range(3)) == ref_least(e, env, tau, "y", range(3))
+        assert least(1, 0, tau, 1, range(3)) == ref_least(e, env, tau, "y", range(3))
 
     @pytest.mark.parametrize("text", DEEPEST)
     def test_deepest_accepted_expression_is_the_limit(self, text):
@@ -444,7 +444,7 @@ class TestBoundNames:
         assert text.startswith(outside[0], info.value.offset)
         assert str(info.value) == f"at offset {info.value.offset}: unbound: {outside[0]}"
 
-    @given(bool_exprs, st.text(alphabet="01", max_size=6).map(BitString))
+    @given(bool_exprs, st.text(alphabet="01", max_size=6))
     def test_accepted_matrix_never_meets_an_unbound_name(self, e, tau):
         names = set(names_in_text_order(e))
         env = {name: 3 for name in names if name in VARIABLES}

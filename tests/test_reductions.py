@@ -11,6 +11,7 @@ from helpers import (
     from_function,
     graded_families,
     is_prefix_of,
+    lenlex_key,
     nonempty_bitstrings,
     pairs,
     prefix,
@@ -21,13 +22,11 @@ from helpers import (
     yokoyama_h,
 )
 from rkl.core import (
-    BitString,
     NatSet,
     PairColoring,
     StringFamily,
     downward_closure,
     is_homog_string,
-    lenlex,
 )
 from rkl.reductions import (
     PI2_NAMES,
@@ -48,12 +47,11 @@ from rkl.reductions import (
     yokoyama_coloring,
 )
 
-B = BitString
 N = NatSet.of
 
 
-def bits(strings) -> list[str]:
-    return [s.bits for s in sorted(strings, key=lenlex)]
+def lenlex_sorted(strings) -> list[str]:
+    return sorted(strings, key=lenlex_key)
 
 
 PARITY_0 = PredMatrix.from_text("x mod 2 = 0 and n >= m")
@@ -64,22 +62,22 @@ NEVER = PredMatrix.from_text("0 = 1")
 
 class TestPathPigeonhole:
     def test_majority_zero(self):
-        assert path_pigeonhole(B("0100110")) == (0, N([0, 2, 3, 6]))
+        assert path_pigeonhole("0100110") == (0, N([0, 2, 3, 6]))
 
     def test_constant_path(self):
-        assert path_pigeonhole(B("1111")) == (1, N([0, 1, 2, 3]))
+        assert path_pigeonhole("1111") == (1, N([0, 1, 2, 3]))
 
     def test_tie_breaks_to_zero(self):
-        assert path_pigeonhole(B("01")) == (0, N([0]))
+        assert path_pigeonhole("01") == (0, N([0]))
 
     def test_empty_path_rejected(self):
         with pytest.raises(EmptyPath):
-            path_pigeonhole(B(""))
+            path_pigeonhole("")
 
     @given(nonempty_bitstrings(14))
-    def test_positions_cover_majority(self, p: B):
+    def test_positions_cover_majority(self, p: str):
         c, h = path_pigeonhole(p)
-        assert all(p[x] == c for x in h)
+        assert all(p[x] == "01"[c] for x in h)
         assert 2 * len(h) >= len(p)
         assert is_homog_string(h, p, c)
 
@@ -104,7 +102,7 @@ class TestTreeToStableColoring:
     def test_reads_lex_least_level_member(self, t):
         f = tree_to_stable_coloring(t, t.horizon)
         for x, y, c in pairs(f):
-            assert c == t.level(y)[0][x]
+            assert c == int(t.level(y)[0][x])
 
 
 class TestStabilityBound:
@@ -139,15 +137,15 @@ class TestStabilityBound:
 
 class TestSigmaToColoring:
     def test_shortest_long_string_wins(self):
-        f = sigma_to_coloring(StringFamily.of(["10", "0110"]), 4)
+        f = sigma_to_coloring(StringFamily(["10", "0110"]), 4)
         assert f.rows == ("1", "10", "011", "0110")
 
     def test_constant_family(self):
-        fam = StringFamily.of(["0" * y for y in range(1, 6)])
+        fam = StringFamily(["0" * y for y in range(1, 6)])
         assert all(c == 0 for _, _, c in pairs(sigma_to_coloring(fam, 5)))
 
     def test_alternating_family(self):
-        fam = StringFamily.of(
+        fam = StringFamily(
             [("1" if y % 2 else "0") + "0" * (y - 1) for y in range(1, 7)]
         )
         f = sigma_to_coloring(fam, 6)
@@ -155,7 +153,7 @@ class TestSigmaToColoring:
 
     def test_no_long_string(self):
         with pytest.raises(NoLongString) as info:
-            sigma_to_coloring(StringFamily.of(["01"]), 3)
+            sigma_to_coloring(StringFamily(["01"]), 3)
         assert info.value.y == 3
 
     @given(string_families(max_len=8, max_members=8), st.integers(0, 9))
@@ -167,7 +165,7 @@ class TestSigmaToColoring:
                 long = [s for s in fam.members if len(s) >= y]
                 if not long:
                     raise NoLongString(y)
-                rows.append("".join([str(min(long, key=lenlex)[x]) for x in range(y)]))
+                rows.append(min(long, key=lenlex_key)[:y])
             return PairColoring(n, tuple(rows))
 
         try:
@@ -183,11 +181,11 @@ class TestSigmaToColoring:
 class TestColoringToSigma:
     def test_zero_coloring(self):
         f = from_function(3, lambda x, y: 0)
-        assert bits(coloring_to_sigma(f)) == ["0", "00", "000"]
+        assert lenlex_sorted(coloring_to_sigma(f)) == ["0", "00", "000"]
 
     def test_columns_read_off(self):
         f = from_function(3, lambda x, y: 1 if x == 0 else 0)
-        assert bits(coloring_to_sigma(f)) == ["1", "10", "100"]
+        assert lenlex_sorted(coloring_to_sigma(f)) == ["1", "10", "100"]
 
     def test_empty(self):
         f = from_function(0, lambda x, y: 0)
@@ -204,43 +202,48 @@ class TestColoringToSigma:
     @given(colorings())
     def test_members_spell_the_columns(self, f):
         columns = {
-            BitString.of(f.value(x, y) for x in range(y)) for y in range(1, f.n + 1)
+            "".join(str(f.value(x, y)) for x in range(y)) for y in range(1, f.n + 1)
         }
         assert coloring_to_sigma(f).members == columns
 
 
 class TestCeTreeToSigma:
     def test_padding_with_zeros(self):
-        fam = ce_tree_to_sigma([(1, B("1")), (2, B("11")), (3, B("0"))], 3)
-        assert bits(fam) == ["1", "11", "000"]
+        fam = ce_tree_to_sigma([(1, "1"), (2, "11"), (3, "0")], 3)
+        assert lenlex_sorted(fam) == ["1", "11", "000"]
 
     def test_no_padding_needed(self):
-        fam = ce_tree_to_sigma([(1, B("0")), (2, B("00")), (3, B("000"))], 3)
-        assert bits(fam) == ["0", "00", "000"]
+        fam = ce_tree_to_sigma([(1, "0"), (2, "00"), (3, "000")], 3)
+        assert lenlex_sorted(fam) == ["0", "00", "000"]
 
     def test_string_too_long_for_stage(self):
         with pytest.raises(BadStage, match="^stage 1 holds '11', longer than 1$") as info:
-            ce_tree_to_sigma([(1, B("11"))], 1)
+            ce_tree_to_sigma([(1, "11")], 1)
         assert info.value.s == 1
+
+    def test_non_binary_string_named_by_stage(self):
+        with pytest.raises(BadStage, match="^stage 2 holds '0a', not a binary string$") as info:
+            ce_tree_to_sigma([(1, "1"), (2, "0a")], 2)
+        assert info.value.s == 2
 
     def test_missing_stage(self):
         with pytest.raises(BadStage, match="^stage 2 is missing$"):
-            ce_tree_to_sigma([(1, B("1"))], 2)
+            ce_tree_to_sigma([(1, "1")], 2)
 
     def test_repeated_stage(self):
         with pytest.raises(BadStage, match="^stage 1 is listed twice$"):
-            ce_tree_to_sigma([(1, B("1")), (1, B("0"))], 1)
+            ce_tree_to_sigma([(1, "1"), (1, "0")], 1)
 
     def test_stage_outside_the_range(self):
         with pytest.raises(BadStage, match=r"^stage 3 is outside 1\.\.2$"):
-            ce_tree_to_sigma([(1, B("1")), (3, B("0"))], 2)
+            ce_tree_to_sigma([(1, "1"), (3, "0")], 2)
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), max_size=8))
     def test_inputs_prefix_outputs_and_vice_versa(self, shape):
         # shape[s-1] = (extra length budget, padding irrelevant marker)
         events = []
         for s, (cut, _) in enumerate(shape, start=1):
-            events.append((s, prefix(B("10" * s), max(0, s - cut))))
+            events.append((s, prefix("10" * s, max(0, s - cut))))
         if not events:
             return
         fam = ce_tree_to_sigma(events, len(events))
@@ -270,17 +273,17 @@ pi2_matrices = st.builds(
 
 class TestPi2TreeToSigma1:
     def test_bound_large_enough(self):
-        assert pi2_tree_to_sigma1(PredMatrix.from_text("z >= y"), B("010"), 4)
+        assert pi2_tree_to_sigma1(PredMatrix.from_text("z >= y"), "010", 4)
 
     def test_bound_too_small(self):
-        assert not pi2_tree_to_sigma1(PredMatrix.from_text("z >= y"), B("010"), 3)
+        assert not pi2_tree_to_sigma1(PredMatrix.from_text("z >= y"), "010", 3)
 
     def test_always_true_matrix(self):
-        assert pi2_tree_to_sigma1(ALWAYS, B("01"), 1)
+        assert pi2_tree_to_sigma1(ALWAYS, "01", 1)
 
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
-            pi2_tree_to_sigma1(ALWAYS, B("0"), 0)
+            pi2_tree_to_sigma1(ALWAYS, "0", 0)
 
     @given(pi2_matrices, bitstrings(6), st.integers(1, 8))
     def test_matches_pointwise_scan(self, phi, tau, bound):
@@ -419,13 +422,13 @@ class TestYokoyamaColoring:
 class TestSetToPathTree:
     def test_evens(self):
         t = set_to_path_tree(N([0, 2, 4, 6]), 3)
-        assert bits(t.members) == ["", "1", "10", "101"]
+        assert lenlex_sorted(t.members) == ["", "1", "10", "101"]
 
     def test_empty_set(self):
-        assert bits(set_to_path_tree(NatSet(), 2).members) == ["", "0", "00"]
+        assert lenlex_sorted(set_to_path_tree(NatSet(), 2).members) == ["", "0", "00"]
 
     def test_full_set(self):
-        assert bits(set_to_path_tree(N([0, 1, 2]), 2).members) == ["", "1", "11"]
+        assert lenlex_sorted(set_to_path_tree(N([0, 1, 2]), 2).members) == ["", "1", "11"]
 
     @given(st.frozensets(st.integers(0, 15)), st.integers(0, 15))
     def test_one_member_per_length(self, a, depth):
@@ -434,4 +437,4 @@ class TestSetToPathTree:
         for l in range(depth + 1):
             level = t.level(l)
             assert len(level) == 1
-            assert all(level[0][x] == (1 if x in a else 0) for x in range(l))
+            assert all(level[0][x] == ("1" if x in a else "0") for x in range(l))

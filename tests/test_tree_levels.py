@@ -20,7 +20,6 @@ from helpers import (
     ref_w_at,
 )
 from rkl.core import (
-    BitString,
     FinTree,
     NotPrefixClosed,
     StringFamily,
@@ -55,10 +54,10 @@ def front_heavy_enums(max_k: int = 3, max_stage: int = 6):
 
 
 def assert_matches(t: FinTree, ref: RefTree) -> None:
-    assert t.members == frozenset(BitString(s) for s in ref.texts)
+    assert t.members == frozenset(ref.texts)
     assert t.horizon == ref.horizon
     assert len(t) == len(ref.texts)
-    assert [s.bits for s in t] == ref.texts
+    assert list(t) == ref.texts
     for l in range(-1, ref.horizon + 2):
         assert t.level(l) == ref.level(l)
     assert render_tree(t) == ref.render()
@@ -77,7 +76,7 @@ class TestTrustedProducers:
     def test_downward_closure(self, strings):
         ref = ref_closure(strings)
         assert_trusted_matches(downward_closure(strings), ref)
-        family = StringFamily.of(strings)
+        family = StringFamily(strings)
         assert_trusted_matches(downward_closure(family), ref)
 
     @given(st.lists(texts, max_size=12, unique=True))
@@ -106,7 +105,7 @@ class TestValidation:
         builders = [
             lambda: validate_tree(strings),
             lambda: validate_tree(sorted(strings)),
-            lambda: FinTree(BitString(s) for s in strings),
+            lambda: FinTree(s for s in strings),
         ]
         if unclosed is None:
             for build in builders + [lambda: parse_tree(text)]:
@@ -115,13 +114,13 @@ class TestValidation:
         for build in builders:
             with pytest.raises(NotPrefixClosed) as info:
                 build()
-            assert (info.value.offending.bits, info.value.missing.bits) == unclosed
+            assert (info.value.offending, info.value.missing) == unclosed
         # The file parser reports the same defect on the offending member's line.
         with pytest.raises(FormatError) as located:
             parse_tree(text)
         assert located.value.line == sorted(strings).index(unclosed[0]) + 1
         cause = located.value.__cause__
-        assert (cause.offending.bits, cause.missing.bits) == unclosed
+        assert (cause.offending, cause.missing) == unclosed
 
     def test_non_binary_text_rejected(self):
         with pytest.raises(ValueError, match="not a binary string: '0a'"):
@@ -130,19 +129,15 @@ class TestValidation:
             downward_closure(["01", "2"])
 
 
-def plain(strings) -> list[str]:
-    return [s if isinstance(s, str) else s.bits for s in strings]
-
-
-def mixed_strings(max_size: int = 12):
-    """Texts and BitStrings, with repeats; half the time closed by adding
-    every prefix in a shuffled order."""
-    drawn = st.lists(st.one_of(texts, texts.map(BitString)), max_size=max_size)
+def repeated_strings(max_size: int = 12):
+    """Texts with repeats; half the time closed by adding every prefix in a
+    shuffled order."""
+    drawn = st.lists(texts, max_size=max_size)
 
     def maybe_closed(strings, close, rnd):
         if not close:
             return strings
-        extra = list(ref_closure(plain(strings)).texts)
+        extra = list(ref_closure(strings).texts)
         rnd.shuffle(extra)
         return strings + extra
 
@@ -155,30 +150,29 @@ class TestLevelCode:
     """The level-wise closure and the closed-set check against brute-force
     prefix sets."""
 
-    @given(mixed_strings())
+    @given(repeated_strings())
     def test_downward_closure(self, strings):
-        want = ref_closure(plain(strings)).text_levels
+        want = ref_closure(strings).text_levels
         assert downward_closure(strings).text_levels == want
-        assert downward_closure(StringFamily.of(strings)).text_levels == want
+        assert downward_closure(StringFamily(strings)).text_levels == want
 
-    @given(mixed_strings())
+    @given(repeated_strings())
     def test_closed_levels_and_validate_tree(self, strings):
-        texts = plain(strings)
-        unclosed = ref_unclosed(texts)
+        unclosed = ref_unclosed(strings)
         builders = [
-            lambda: _closed_levels(dict.fromkeys(texts)),
+            lambda: _closed_levels(dict.fromkeys(strings)),
             lambda: validate_tree(strings).text_levels,
-            lambda: FinTree(map(BitString, texts)).text_levels,
+            lambda: FinTree(iter(strings)).text_levels,
         ]
         for build in builders:
             if unclosed is None:
-                assert build() == RefTree(texts).text_levels
+                assert build() == RefTree(strings).text_levels
                 continue
             # The (length, lex)-least member with a missing prefix, and its
             # shortest missing prefix.
             with pytest.raises(NotPrefixClosed) as info:
                 build()
-            assert (info.value.offending.bits, info.value.missing.bits) == unclosed
+            assert (info.value.offending, info.value.missing) == unclosed
 
     @given(st.lists(texts, unique=True, max_size=12))
     def test_sorted_levels_of_any_order(self, strings):
@@ -192,7 +186,7 @@ class TestLevelReaders:
         horizon = data.draw(st.integers(0, ref.horizon))
         got = is_homog_path(h, downward_closure(strings), horizon)
         want = ref_homog_path(h, ref, horizon)
-        assert (None if got is None else (got.color, got.witness.bits)) == want
+        assert (None if got is None else (got.color, got.witness)) == want
 
     @given(st.lists(texts, min_size=1, max_size=8), st.data())
     def test_stability_bound(self, strings, data):
