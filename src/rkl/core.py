@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 # The most digits a decimal literal in any input may have.  It is CPython's
 # default limit on int(str), fixed here so that every parser refuses a
@@ -31,6 +31,22 @@ class NotPrefixClosed(ValueError):
         super().__init__(
             f"'{offending}' is a member but its prefix '{missing}' is not"
         )
+
+
+class LevelEmpty(ValueError):
+    """The tree has no member at a required length."""
+
+    def __init__(self, y: int) -> None:
+        self.y = y
+        super().__init__(f"no tree member of length {y}")
+
+
+class NoLongString(ValueError):
+    """The family has no member long enough for the requested column."""
+
+    def __init__(self, y: int) -> None:
+        self.y = y
+        super().__init__(f"no family member of length at least {y}")
 
 
 def _sorted_levels(texts: Iterable[str]) -> tuple[tuple[str, ...], ...]:
@@ -96,6 +112,7 @@ class _LevelStore:
     """
 
     text_levels: tuple[tuple[str, ...], ...]
+    _missing: ClassVar[type[ValueError]]  # what sigma_text raises past the longest
 
     @classmethod
     def _from_levels(cls, levels: Iterable[Iterable[str]]):
@@ -114,14 +131,15 @@ class _LevelStore:
             return ()
         return self.text_levels[l]
 
-    def sigma_text(self, y: int) -> str | None:
-        """The lex-least shortest member of length >= y, cut to length y; None
-        when no member is that long.  For a tree it is the least of level y."""
+    def sigma_text(self, y: int) -> str:
+        """The lex-least shortest member of length >= y, cut to length y.  For
+        a tree it is the least of level y.  When no member is that long a tree
+        raises LevelEmpty(y) and a family NoLongString(y)."""
         levels = self.text_levels
         for l in range(y, len(levels)):
             if levels[l]:
                 return levels[l][0][:y]
-        return None
+        raise self._missing(y)
 
     def __contains__(self, s: str) -> bool:
         return s in self.members
@@ -141,6 +159,8 @@ class FinTree(_LevelStore):
     No level from 0 to the horizon is empty.  FinTree(members) checks the
     texts and closure; producers that are closed by construction skip both.
     """
+
+    _missing = LevelEmpty
 
     def __init__(self, members: Iterable[str] = ()) -> None:
         levels = _closed_levels(dict.fromkeys(_texts(members)))
@@ -190,6 +210,8 @@ class StringFamily(_LevelStore):
     1..n and nothing else; gradedness is read off the levels, so no
     inconsistent state exists.
     """
+
+    _missing = NoLongString
 
     def __init__(self, members: Iterable[str] = ()) -> None:
         levels = _sorted_levels(set(_texts(members)))
@@ -253,20 +275,18 @@ class HomWitness:
 
 def validate_tree(strings: Iterable[str]) -> FinTree:
     """Wrap a string set as a tree, adding the root; reject unclosed sets."""
-    return FinTree._from_levels(_closed_levels(dict.fromkeys(_texts(strings))))
+    return FinTree(strings)
 
 
 def downward_closure(family: StringFamily | Iterable[str]) -> FinTree:
     """The tree of all prefixes of the family's members."""
-    if isinstance(family, StringFamily):
-        levels = family.text_levels
-    else:
-        levels = _sorted_levels(dict.fromkeys(_texts(family)))
+    if not isinstance(family, StringFamily):
+        family = StringFamily(family)
     # Longest first: each level is its own members plus the parents of the
     # closed level above it.  Both runs are sorted, so the sort merges them.
     closed: list[list[str]] = []
     level: list[str] = []
-    for own in reversed(levels[1:]):
+    for own in reversed(family.text_levels[1:]):
         level = sorted(dict.fromkeys(chain(own, map(_parent, level))))
         closed.append(level)
     closed.append([""])

@@ -27,10 +27,6 @@ class TooSmall(ValueError):
     """The homogeneous set has fewer elements than the request needs."""
 
 
-class NotHomogeneous(ValueError):
-    """The set is not homogeneous for any path at the tree horizon."""
-
-
 @dataclass(frozen=True)
 class StagedEnum:
     """Finitely many staged enumerations, one per index e < k.
@@ -159,15 +155,16 @@ def dnr_g(h: NatSet, e: int) -> NatSet:
 
 def check_fpf(
     h: NatSet, enums: StagedEnum, report: DiagReport
-) -> tuple[FpfVerdict, ...]:
+) -> tuple[FpfVerdict, ...] | None:
     """Per-index verdicts that each settled W_e differs from dnr_g(h, e).
 
-    h must be homogeneous for a path through the report's tree at its full
-    horizon.  Indices whose trigger never fired at the horizon are vacuous.
+    None when h is homogeneous for no member of the report's tree at its
+    full horizon.  Indices whose trigger never fired at the horizon are
+    vacuous.
     """
     horizon = report.tree.horizon
     if core.is_homog_path(h, report.tree, horizon) is None:
-        raise NotHomogeneous("not homogeneous for any path at the tree horizon")
+        return None
     verdicts: list[FpfVerdict] = []
     for e in range(enums.k):
         w = NatSet.of(enums.w_final(e))

@@ -76,23 +76,20 @@ def _bare_texts(text: str) -> list[str] | None:
 def _string_lines(text: str, what: str) -> dict[str, None]:
     """The bit texts listed one per line, as a table of members in file order."""
     texts = _bare_texts(text)
-    if texts is None:
-        general = ["" if body == "-" else body for _, body in _data_lines(text)]
-        texts = general if _all_binary(general) else None
     if texts is not None:
         members = dict.fromkeys(texts)
         if len(members) == len(texts):
             return members
-    # Some line is bad: find the first, for its line number.
-    seen: set[str] = set()
+    # Not bare, or a repeat: read line by line, refusing the first bad line.
+    members = {}
     for lineno, body in _data_lines(text):
         if len(body.split()) != 1:
             raise FormatError(lineno, f"expected one {what} per line")
         s = _parse_bits(body, lineno)
-        if s in seen:
+        if s in members:
             raise FormatError(lineno, f"duplicate {what} {s or 'ε'!r}")
-        seen.add(s)
-    raise AssertionError("a line failed the check above")
+        members[s] = None
+    return members
 
 
 def parse_tree(text: str, close: bool = False) -> FinTree:

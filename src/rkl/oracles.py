@@ -22,16 +22,6 @@ from itertools import combinations
 from operator import itemgetter
 
 from rkl.core import FinTree, NatSet, PairColoring, StringFamily, is_homog_string
-from rkl.reductions import LevelEmpty, NoLongString
-
-
-class NotHomogeneousForColoring(ValueError):
-    """The given set is not monochromatic for the coloring in the given color."""
-
-    def __init__(self, x: int, y: int) -> None:
-        self.x = x
-        self.y = y
-        super().__init__(f"pair ({x},{y}) breaks homogeneity")
 
 
 @dataclass(frozen=True)
@@ -50,14 +40,19 @@ class StabilityEvidence:
 
 @dataclass(frozen=True)
 class ReductionVerdict:
-    """Per-threshold confirmation that a coloring matches its source object."""
+    """Per-threshold confirmation that a coloring matches its source object.
+
+    broken is the first pair of h within the horizon that the coloring does
+    not give the color checked; when it is set nothing else was checked.
+    """
 
     checked: tuple[int, ...]
     counterexamples: tuple[int, ...]
+    broken: tuple[int, int] | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        return self.broken is None and not self.counterexamples
 
 
 def _adjacency(f: PairColoring) -> tuple[list[int], list[int]]:
@@ -227,30 +222,17 @@ def verify_reduction(
 ) -> ReductionVerdict:
     """Confirm the homogeneity content of a reduction against its source.
 
-    Requires h monochromatic for f in color c over pairs within the horizon.
-    For each y in h the witness string is re-derived from the source alone
-    and must show color c at every smaller element of h; offending y values
-    are returned as counterexamples.
+    First h must be monochromatic for f in color c over pairs within the
+    horizon; the first pair that is not is returned as the verdict's broken
+    pair.  Then, for each y >= 1 in h, the witness string sigma_text(y) is
+    re-derived from the source alone and must show color c at every smaller
+    element of h; offending y values are returned as counterexamples.  A
+    source with no member that long refuses y as its sigma_text does.
     """
     inside = [v for v in h if v <= f.n]
     for x, y in combinations(inside, 2):
         if f.value(x, y) != c:
-            raise NotHomogeneousForColoring(x, y)
-    if isinstance(source, FinTree):
-        missing: type[LevelEmpty | NoLongString] = LevelEmpty
-    elif isinstance(source, StringFamily):
-        missing = NoLongString
-    else:
-        raise TypeError("source must be a FinTree or a StringFamily")
-    checked: list[int] = []
-    bad: list[int] = []
-    for y in inside:
-        if y < 1:
-            continue
-        checked.append(y)
-        sigma = source.sigma_text(y)
-        if sigma is None:
-            raise missing(y)
-        if not is_homog_string(h, sigma, c):
-            bad.append(y)
-    return ReductionVerdict(checked=tuple(checked), counterexamples=tuple(bad))
+            return ReductionVerdict(checked=(), counterexamples=(), broken=(x, y))
+    checked = tuple(y for y in inside if y >= 1)
+    bad = tuple(y for y in checked if not is_homog_string(h, source.sigma_text(y), c))
+    return ReductionVerdict(checked=checked, counterexamples=bad)

@@ -20,22 +20,6 @@ class EmptyPath(ValueError):
     """The pigeonhole step needs at least one symbol."""
 
 
-class LevelEmpty(ValueError):
-    """The tree has no member at a required length."""
-
-    def __init__(self, y: int) -> None:
-        self.y = y
-        super().__init__(f"no tree member of length {y}")
-
-
-class NoLongString(ValueError):
-    """The family has no member long enough for the requested column."""
-
-    def __init__(self, y: int) -> None:
-        self.y = y
-        super().__init__(f"no family member of length at least {y}")
-
-
 class BadStage(ValueError):
     """A staged string enumeration broke the one-short-string-per-stage rule."""
 
@@ -105,23 +89,15 @@ def path_pigeonhole(p: str) -> tuple[int, NatSet]:
     return c, NatSet(tuple(x for x, b in enumerate(p) if b == symbol))
 
 
-def _column_coloring(
-    source: FinTree | StringFamily, n: int, missing: type[LevelEmpty | NoLongString]
-) -> PairColoring:
-    """Color (x, y) by position x of the source's sigma_text(y); the first y
-    with no member that long is reported as missing(y)."""
-    rows: list[str] = []
-    for y in range(1, n + 1):
-        sigma = source.sigma_text(y)
-        if sigma is None:
-            raise missing(y)
-        rows.append(sigma)
-    return PairColoring(n, tuple(rows))
+def _column_coloring(source: FinTree | StringFamily, n: int) -> PairColoring:
+    """Color (x, y) by position x of the source's sigma_text(y), which
+    refuses the first y with no member that long."""
+    return PairColoring(n, tuple(source.sigma_text(y) for y in range(1, n + 1)))
 
 
 def tree_to_stable_coloring(t: FinTree, n: int) -> PairColoring:
     """Color (x, y) by the x-th symbol of the lex-least member of length y."""
-    return _column_coloring(t, n, LevelEmpty)
+    return _column_coloring(t, n)
 
 
 def stability_bound(t: FinTree, x: int) -> StabilityReport:
@@ -149,7 +125,7 @@ def stability_bound(t: FinTree, x: int) -> StabilityReport:
 
 def sigma_to_coloring(family: StringFamily, n: int) -> PairColoring:
     """Color (x, y) by position x of the lex-least shortest member of length >= y."""
-    return _column_coloring(family, n, NoLongString)
+    return _column_coloring(family, n)
 
 
 def coloring_to_sigma(f: PairColoring) -> StringFamily:

@@ -59,6 +59,16 @@ GOLDEN_CASES = {
             "--color", "0",
         ],
     ),
+    "verify_broken.txt": (
+        1,
+        [
+            "verify",
+            "--tree", fixture("fork.tree"),
+            "--coloring", fixture("fork.color"),
+            "--set", fixture("h014.set"),
+            "--color", "0",
+        ],
+    ),
     "verify_mut.txt": (
         1,
         [
@@ -215,8 +225,9 @@ class TestExitCodes:
             ["dnr", "--enum", fixture("w.enum"), "--set", fixture("h012.set"), "--depth", "3"]
         )
         assert code == 1
-        out = capsys.readouterr().out
-        assert out.endswith("verdict: fail\n")
+        assert capsys.readouterr().out == (
+            "not homogeneous for any path at the tree horizon\nverdict: fail\n"
+        )
 
     def test_unwritable_output_path(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.tree"
@@ -250,6 +261,35 @@ class TestExitCodes:
         small.write_text("n 1\n0 1 0\n")
         assert cli.main(["search", "--coloring", str(small), "--min-size", "3"]) == 0
         assert capsys.readouterr().out == "# none\n"
+
+
+class TestVerifyLines:
+    def test_path_witness_none(self, tmp_path, capsys):
+        # The closure of 01 and 10 has no member of length 2 that is
+        # constant on h = {0, 1}, though the coloring is.
+        sigma, tree, color, h = (
+            str(tmp_path / name) for name in ("w.sigma", "w.tree", "w.color", "h.set")
+        )
+        Path(sigma).write_text("01\n10\n")
+        Path(h).write_text("0\n1\n")
+        assert cli.main(["close", "--sigma", sigma, "-o", tree]) == 0
+        assert cli.main(["tree2color", "--tree", tree, "-n", "2", "-o", color]) == 0
+        for source in (["--tree", tree], ["--sigma", sigma]):
+            code = cli.main(["verify", *source, "--coloring", color, "--set", h, "--color", "0"])
+            assert code == 0
+            assert capsys.readouterr().out == (
+                "coloring-homogeneity: ok\n"
+                "witness-checks: ok (y = 1)\n"
+                "path-witness: none\n"
+                "verdict: ok\n"
+            )
+
+    def test_close_refused_for_a_family(self, capsys):
+        _, argv = GOLDEN_CASES["verify_alt.txt"]
+        assert cli.main(argv + ["--close"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --close applies only to a --tree source\n"
 
 
 DEEP_PREDICATES = {

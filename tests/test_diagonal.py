@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from rkl.core import NatSet, is_homog_path, is_homog_string
 from rkl.diagonal import (
-    NotHomogeneous,
     StagedEnum,
     TooSmall,
     build_diagonal_tree,
@@ -166,9 +165,9 @@ class TestCheckFpf:
         assert verdicts[0].g_e is None
 
     def test_not_homogeneous_rejected(self):
+        # No verdicts at all: h is homogeneous for no member at the horizon.
         report = build_diagonal_tree(WORKED, 3)
-        with pytest.raises(NotHomogeneous):
-            check_fpf(N([0, 1, 2]), WORKED, report)
+        assert check_fpf(N([0, 1, 2]), WORKED, report) is None
 
     def test_one_verdict_per_index(self):
         en = StagedEnum.of(

@@ -8,12 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import RefFamily, colorings, from_function, natsets, pairs, ref_closure
-from rkl.core import FinTree, PairColoring, StringFamily, downward_closure
+from rkl.core import (
+    FinTree,
+    LevelEmpty,
+    NoLongString,
+    PairColoring,
+    StringFamily,
+    downward_closure,
+)
 from rkl.formats import parse_sigma, render_sigma
 from rkl.oracles import verify_reduction
 from rkl.reductions import (
-    LevelEmpty,
-    NoLongString,
     ce_tree_to_sigma,
     coloring_to_sigma,
     sigma_to_coloring,
@@ -124,14 +129,23 @@ class TestProducers:
 class TestSigmaReader:
     @given(families, st.integers(0, 10))
     def test_family_sigma_text(self, strings, y):
-        assert StringFamily(strings).sigma_text(y) == RefFamily(strings).sigma(y)
+        expected = RefFamily(strings).sigma(y)
+        if expected is None:
+            with pytest.raises(NoLongString) as info:
+                StringFamily(strings).sigma_text(y)
+            assert info.value.y == y
+            return
+        assert StringFamily(strings).sigma_text(y) == expected
 
     @given(st.lists(texts, max_size=8), st.integers(0, 10))
     def test_tree_sigma_text(self, strings, y):
         ref = ref_closure(strings)
-        assert downward_closure(strings).sigma_text(y) == ref.sigma(y)
-        if y <= ref.horizon:
-            assert ref.sigma(y) == ref.level(y)[0]
+        if y > ref.horizon:
+            with pytest.raises(LevelEmpty) as info:
+                downward_closure(strings).sigma_text(y)
+            assert info.value.y == y
+            return
+        assert downward_closure(strings).sigma_text(y) == ref.sigma(y) == ref.level(y)[0]
 
     @given(families, st.integers(0, 10))
     def test_sigma_to_coloring(self, strings, n):

@@ -20,7 +20,9 @@ from helpers import (
     trees,
 )
 from rkl.core import (
+    LevelEmpty,
     NatSet,
+    NoLongString,
     PairColoring,
     StringFamily,
     downward_closure,
@@ -28,7 +30,6 @@ from rkl.core import (
 )
 from rkl import oracles
 from rkl.oracles import (
-    NotHomogeneousForColoring,
     _adjacency,
     _by_degree,
     _max_clique,
@@ -298,9 +299,9 @@ class TestVerifyReduction:
         rows = [list(r) for r in f.rows]
         rows[2][1] = "10"[int(rows[2][1])]  # flip f(1,3)
         bad = PairColoring(3, tuple(map("".join, rows)))
-        with pytest.raises(NotHomogeneousForColoring) as info:
-            verify_reduction(t, bad, N([1, 2, 3]), 0)
-        assert (info.value.x, info.value.y) == (1, 3)
+        v = verify_reduction(t, bad, N([1, 2, 3]), 0)
+        assert v.broken == (1, 3)
+        assert not v.ok and v.checked == v.counterexamples == ()
 
     def test_mutated_coloring_yields_counterexample_after_research(self):
         # Mutate one pair, rerun the search so the precondition holds again,
@@ -317,9 +318,14 @@ class TestVerifyReduction:
         assert v.counterexamples == (1,)
 
     def test_source_type_checked(self):
-        f = from_function(1, lambda x, y: 0)
-        with pytest.raises(TypeError):
-            verify_reduction("not a source", f, NatSet(), 0)
+        # The source's own type names the refusal for a column past its end.
+        f = from_function(3, lambda x, y: 0)
+        with pytest.raises(LevelEmpty) as info:
+            verify_reduction(downward_closure(["00"]), f, N([1, 3]), 0)
+        assert info.value.y == 3
+        with pytest.raises(NoLongString) as info:
+            verify_reduction(StringFamily(["00"]), f, N([1, 3]), 0)
+        assert info.value.y == 3
 
     def test_elements_outside_column_range_are_skipped(self):
         t = downward_closure(["00"])

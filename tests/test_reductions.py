@@ -22,7 +22,9 @@ from helpers import (
     yokoyama_h,
 )
 from rkl.core import (
+    LevelEmpty,
     NatSet,
+    NoLongString,
     PairColoring,
     StringFamily,
     downward_closure,
@@ -34,8 +36,6 @@ from rkl.reductions import (
     BadStage,
     CapExceeded,
     EmptyPath,
-    LevelEmpty,
-    NoLongString,
     ce_tree_to_sigma,
     coloring_to_sigma,
     path_pigeonhole,
