@@ -4,7 +4,8 @@ The package turns a family of classical constructions into executable,
 deterministic code over finite data:
 
 - :mod:`rkl.core` — binary strings, prefix-closed trees, pair colorings,
-  graded string families, and homogeneity checks.
+  graded string families, homogeneity checks, and ``Refusal``, the one
+  base of every exception the package raises itself.
 - :mod:`rkl.predlang` — a tiny total predicate language used wherever a
   construction is parameterized by an arithmetic matrix.
 - :mod:`rkl.reductions` — translations between the data kinds: trees to
@@ -33,6 +34,7 @@ from rkl.core import (
     NatSet,
     NotPrefixClosed,
     PairColoring,
+    Refusal,
     StringFamily,
     downward_closure,
     is_homog_path,
@@ -48,6 +50,7 @@ __all__ = [
     "NatSet",
     "NotPrefixClosed",
     "PairColoring",
+    "Refusal",
     "StringFamily",
     "downward_closure",
     "is_homog_path",

@@ -2,9 +2,9 @@
 
 Data goes to stdout (or the --output file), diagnostics to stderr.  Exit
 codes: 0 on success or a verified check, 1 only when the verdict line of
-verify or dnr reads fail, 2 on every refusal of invalid input.  Every
-subcommand is deterministic: identical arguments and files produce
-byte-identical output.
+verify or dnr reads fail, 2 on every core.Refusal or OSError; any other
+exception is a defect and propagates out of main.  Every subcommand is
+deterministic: identical arguments and files produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ EXIT_INVALID = 2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise formats.FormatError(None, str(exc)) from None
 
 
 def _bits_arg(text: str) -> str:
@@ -116,7 +119,7 @@ def _cmd_stable(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if args.close and not args.tree:
-        raise ValueError("--close applies only to a --tree source")
+        raise core.Refusal("--close applies only to a --tree source")
     f = formats.parse_coloring(_read(args.coloring))
     h = formats.parse_natset(_read(args.set))
     if args.tree:
@@ -284,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Every library error about bad input is a ValueError; OSError covers files.
-_INVALID_INPUT = (ValueError, OSError)
+# The package raises only refusals; OSError covers files.
+_INVALID_INPUT = (core.Refusal, OSError)
 
 # Built on first use, then reused: parse_args leaves a parser as it was.
 _parser = functools.cache(build_parser)

@@ -22,7 +22,15 @@ from typing import ClassVar, Iterable, Iterator
 MAX_DIGITS = 4300
 
 
-class NotPrefixClosed(ValueError):
+class Refusal(ValueError):
+    """Input the program refuses; the CLI prints it and exits 2.
+
+    Every exception the package raises itself is one; a subclass also
+    carries where the input went wrong (a line, an offset or a member).
+    """
+
+
+class NotPrefixClosed(Refusal):
     """A member's prefix is missing from a would-be tree."""
 
     def __init__(self, offending: str, missing: str) -> None:
@@ -31,22 +39,6 @@ class NotPrefixClosed(ValueError):
         super().__init__(
             f"'{offending}' is a member but its prefix '{missing}' is not"
         )
-
-
-class LevelEmpty(ValueError):
-    """The tree has no member at a required length."""
-
-    def __init__(self, y: int) -> None:
-        self.y = y
-        super().__init__(f"no tree member of length {y}")
-
-
-class NoLongString(ValueError):
-    """The family has no member long enough for the requested column."""
-
-    def __init__(self, y: int) -> None:
-        self.y = y
-        super().__init__(f"no family member of length at least {y}")
 
 
 def _sorted_levels(texts: Iterable[str]) -> tuple[tuple[str, ...], ...]:
@@ -86,7 +78,7 @@ def _all_binary(texts: list[str]) -> bool:
 def _bits(s: object) -> str:
     """s itself when it is a "01" text; anything else is refused."""
     if not isinstance(s, str) or s.strip("01"):
-        raise ValueError(f"not a binary string: {s!r}")
+        raise Refusal(f"not a binary string: {s!r}")
     return s
 
 
@@ -112,7 +104,7 @@ class _LevelStore:
     """
 
     text_levels: tuple[tuple[str, ...], ...]
-    _missing: ClassVar[type[ValueError]]  # what sigma_text raises past the longest
+    _missing: ClassVar[str]  # sigma_text's refusal past the longest, given y
 
     @classmethod
     def _from_levels(cls, levels: Iterable[Iterable[str]]):
@@ -133,13 +125,13 @@ class _LevelStore:
 
     def sigma_text(self, y: int) -> str:
         """The lex-least shortest member of length >= y, cut to length y.  For
-        a tree it is the least of level y.  When no member is that long a tree
-        raises LevelEmpty(y) and a family NoLongString(y)."""
+        a tree it is the least of level y.  When no member is that long it
+        is refused with the store's own message."""
         levels = self.text_levels
         for l in range(y, len(levels)):
             if levels[l]:
                 return levels[l][0][:y]
-        raise self._missing(y)
+        raise Refusal(self._missing.format(y))
 
     def __contains__(self, s: str) -> bool:
         return s in self.members
@@ -160,7 +152,7 @@ class FinTree(_LevelStore):
     texts and closure; producers that are closed by construction skip both.
     """
 
-    _missing = LevelEmpty
+    _missing = "no tree member of length {}"
 
     def __init__(self, members: Iterable[str] = ()) -> None:
         levels = _closed_levels(dict.fromkeys(_texts(members)))
@@ -185,20 +177,20 @@ class PairColoring:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise ValueError("n must be a natural number")
+            raise Refusal("n must be a natural number")
         if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
+            raise Refusal(f"expected {self.n} rows, got {len(self.rows)}")
         for y, row in enumerate(self.rows, start=1):
             if not isinstance(row, str):
-                raise ValueError(f"row for y={y} must be a '01' text")
+                raise Refusal(f"row for y={y} must be a '01' text")
             if len(row) != y:
-                raise ValueError(f"row for y={y} must have {y} entries")
+                raise Refusal(f"row for y={y} must have {y} entries")
             if row.strip("01"):
-                raise ValueError(f"row for y={y} holds a non-color value")
+                raise Refusal(f"row for y={y} holds a non-color value")
 
     def value(self, x: int, y: int) -> int:
         if not 0 <= x < y <= self.n:
-            raise ValueError(f"pair ({x},{y}) outside 0 <= x < y <= {self.n}")
+            raise Refusal(f"pair ({x},{y}) outside 0 <= x < y <= {self.n}")
         return int(self.rows[y - 1][x])
 
 
@@ -211,7 +203,7 @@ class StringFamily(_LevelStore):
     inconsistent state exists.
     """
 
-    _missing = NoLongString
+    _missing = "no family member of length at least {}"
 
     def __init__(self, members: Iterable[str] = ()) -> None:
         levels = _sorted_levels(set(_texts(members)))
@@ -237,9 +229,9 @@ class NatSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(int(v) for v in self.elements))
         if any(v < 0 for v in self.elements):
-            raise ValueError("elements must be naturals")
+            raise Refusal("elements must be naturals")
         if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
-            raise ValueError("elements must be strictly increasing")
+            raise Refusal("elements must be strictly increasing")
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "NatSet":
@@ -315,7 +307,7 @@ def is_homog_path(h: NatSet, t: FinTree, horizon: int) -> HomWitness | None:
     requested horizon must not exceed the tree's own.
     """
     if horizon > t.horizon:
-        raise ValueError(f"horizon {horizon} exceeds tree horizon {t.horizon}")
+        raise Refusal(f"horizon {horizon} exceeds tree horizon {t.horizon}")
     for c, symbol in enumerate("01"):
         # Levels are sorted, so each level's first match is its least.
         firsts = [

@@ -20,11 +20,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from rkl import core
-from rkl.core import FinTree, NatSet
-
-
-class TooSmall(ValueError):
-    """The homogeneous set has fewer elements than the request needs."""
+from rkl.core import FinTree, NatSet, Refusal
 
 
 @dataclass(frozen=True)
@@ -44,17 +40,17 @@ class StagedEnum:
         events = tuple(sorted(self.events, key=lambda t: (t[1], t[0], t[2])))
         object.__setattr__(self, "events", events)
         if self.k < 0 or self.max_stage < 0:
-            raise ValueError("k and max_stage must be naturals")
+            raise Refusal("k and max_stage must be naturals")
         seen: set[tuple[int, int]] = set()
         for e, s, x in events:
             if e < 0 or s < 1 or x < 0:
-                raise ValueError(f"bad event ({e}, {s}, {x})")
+                raise Refusal(f"bad event ({e}, {s}, {x})")
             if e >= self.k:
-                raise ValueError(f"index {e} outside 0..{self.k - 1}")
+                raise Refusal(f"index {e} outside 0..{self.k - 1}")
             if s > self.max_stage:
-                raise ValueError(f"stage {s} past max_stage {self.max_stage}")
+                raise Refusal(f"stage {s} past max_stage {self.max_stage}")
             if (e, x) in seen:
-                raise ValueError(f"element {x} enumerated twice for index {e}")
+                raise Refusal(f"element {x} enumerated twice for index {e}")
             seen.add((e, x))
 
     @classmethod
@@ -108,7 +104,7 @@ class FpfVerdict:
     distinguishing: int | None = None
 
 
-def build_diagonal_tree(enums: StagedEnum, l_max: int) -> DiagReport:
+def build_diagonal_tree(enums: StagedEnum, depth: int) -> DiagReport:
     """Keep exactly the strings that split every settled e+3-element front.
 
     A string of length l is a member when, for each index e whose W at stage
@@ -119,8 +115,8 @@ def build_diagonal_tree(enums: StagedEnum, l_max: int) -> DiagReport:
     the fronts that first fire there.  The member set is prefix-closed, and
     at most half of each level is ever excluded.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
+    if depth < 1:
+        raise Refusal("depth must be at least 1")
     firing: dict[int, list[tuple[int, ...]]] = {}
     triggered: set[tuple[int, int]] = set()
     for e, (stages, elements) in enums._by_index.items():
@@ -129,9 +125,9 @@ def build_diagonal_tree(enums: StagedEnum, l_max: int) -> DiagReport:
         front = elements[: e + 3]
         first = max(stages[e + 2], max(front) + 1)
         firing.setdefault(first, []).append(front)
-        triggered.update((e, l) for l in range(first, l_max + 1))
+        triggered.update((e, l) for l in range(first, depth + 1))
     levels: list[list[str]] = [[""]]
-    for l in range(1, l_max + 1):
+    for l in range(1, depth + 1):
         children = [s for parent in levels[l - 1] for s in (parent + "0", parent + "1")]
         for front in firing.get(l, ()):
             # A front is split unless it reads all zeros or all ones.
@@ -146,21 +142,15 @@ def build_diagonal_tree(enums: StagedEnum, l_max: int) -> DiagReport:
     )
 
 
-def dnr_g(h: NatSet, e: int) -> NatSet:
-    """The least e+3 elements of h."""
-    if len(h) < e + 3:
-        raise TooSmall(f"need {e + 3} elements, have {len(h)}")
-    return NatSet(h.elements[: e + 3])
-
-
 def check_fpf(
     h: NatSet, enums: StagedEnum, report: DiagReport
 ) -> tuple[FpfVerdict, ...] | None:
-    """Per-index verdicts that each settled W_e differs from dnr_g(h, e).
+    """Per-index verdicts that each settled W_e differs from g(e), the least
+    e+3 elements of h.
 
     None when h is homogeneous for no member of the report's tree at its
     full horizon.  Indices whose trigger never fired at the horizon are
-    vacuous.
+    vacuous; a triggered index that h is too small for is refused.
     """
     horizon = report.tree.horizon
     if core.is_homog_path(h, report.tree, horizon) is None:
@@ -171,7 +161,11 @@ def check_fpf(
         if (e, horizon) not in report.triggered:
             verdicts.append(FpfVerdict(e=e, status="vacuous", w_e=w))
             continue
-        g = dnr_g(h, e)
+        if len(h) < e + 3:
+            raise Refusal(
+                f"index e={e} needs {e + 3} elements of the set h, which has {len(h)}"
+            )
+        g = NatSet(h.elements[: e + 3])
         if g == w:
             verdicts.append(FpfVerdict(e=e, status="equal", w_e=w, g_e=g))
         else:

@@ -15,6 +15,7 @@ from rkl.core import (
     NatSet,
     NotPrefixClosed,
     PairColoring,
+    Refusal,
     StringFamily,
     _all_binary,
     _closed_levels,
@@ -25,7 +26,7 @@ from rkl.core import (
 from rkl.diagonal import StagedEnum
 
 
-class FormatError(ValueError):
+class FormatError(Refusal):
     """Unparseable or inconsistent file content."""
 
     def __init__(self, line: int | None, message: str) -> None:

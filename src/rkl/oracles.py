@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 
-from rkl.core import FinTree, NatSet, PairColoring, StringFamily, is_homog_string
+from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, is_homog_string
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
     a tie.  Matches exhaustive subset enumeration.
     """
     if min_size < 2:
-        raise ValueError("min_size must be at least 2")
+        raise Refusal("min_size must be at least 2")
     graphs = [_by_degree(adj) for adj in _adjacency(f)]
     universe = (1 << (f.n + 1)) - 1
     s0, k0 = _max_clique(graphs[0][0], universe)
@@ -206,7 +206,7 @@ def longest_path(t: FinTree) -> str:
 def check_stable(f: PairColoring, x: int) -> StabilityEvidence:
     """Scan column x for its last visible change."""
     if not 0 <= x < f.n:
-        raise ValueError(f"x must satisfy 0 <= x < {f.n}")
+        raise Refusal(f"x must satisfy 0 <= x < {f.n}")
     rows = f.rows  # rows[y - 1][x] is the color character of (x, y)
     last = x + 1
     for y in range(x + 2, f.n + 1):

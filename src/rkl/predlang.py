@@ -35,13 +35,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence, Union
 
-from rkl.core import MAX_DIGITS
+from rkl.core import MAX_DIGITS, Refusal
 
 VARIABLES = ("x", "m", "n", "y", "z", "len")
 _UNICODE_OPS = {"≠": "!=", "≤": "<=", "≥": ">="}
 
 
-class ParseError(ValueError):
+class ParseError(Refusal):
     """Rejected input, with the character offset and the tokens expected there."""
 
     def __init__(self, offset: int, expected: tuple[str, ...], found: str = "") -> None:
@@ -54,7 +54,7 @@ class ParseError(ValueError):
         )
 
 
-class UnboundVariable(ValueError):
+class UnboundVariable(Refusal):
     """A variable (or the bound string) with no binding.
 
     parse finds it at a character offset when told which names the caller binds;

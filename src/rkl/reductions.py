@@ -13,29 +13,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from rkl import predlang
-from rkl.core import FinTree, NatSet, PairColoring, StringFamily, _bits
-
-
-class EmptyPath(ValueError):
-    """The pigeonhole step needs at least one symbol."""
-
-
-class BadStage(ValueError):
-    """A staged string enumeration broke the one-short-string-per-stage rule."""
-
-    def __init__(self, s: int, fault: str) -> None:
-        self.s = s
-        super().__init__(f"stage {s} {fault}")
-
-
-class CapExceeded(ValueError):
-    """The bounded search ran out of budget before either side covered."""
-
-    def __init__(self, x: int, y: int, cap: int) -> None:
-        self.x = x
-        self.y = y
-        self.cap = cap
-        super().__init__(f"no z <= {cap} covers (x={x}, y={y})")
+from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, _bits
 
 
 @dataclass(frozen=True)
@@ -80,11 +58,9 @@ class StabilityReport:
 def path_pigeonhole(p: str) -> tuple[int, NatSet]:
     """Majority color of a path prefix and the positions showing it.
 
-    Ties go to color 0.
+    Ties go to color 0, so the empty path gives color 0 and no positions.
     """
-    if not _bits(p):  # a non-binary p is refused first
-        raise EmptyPath("path must hold at least one symbol")
-    c = 1 if 2 * p.count("1") > len(p) else 0
+    c = 1 if 2 * _bits(p).count("1") > len(p) else 0
     symbol = "01"[c]
     return c, NatSet(tuple(x for x, b in enumerate(p) if b == symbol))
 
@@ -107,7 +83,7 @@ def stability_bound(t: FinTree, x: int) -> StabilityReport:
     each dead branch is charged the length of its longest extension.
     """
     if x + 1 > t.horizon:
-        raise ValueError(f"level {x + 1} is past the tree horizon {t.horizon}")
+        raise Refusal(f"level {x + 1} is past the tree horizon {t.horizon}")
     # Levels ascend, so each level-(x+1) node ends up mapped to the length
     # of its longest extension.
     reach: dict[str, int] = {}
@@ -145,21 +121,21 @@ def ce_tree_to_sigma(
     by_stage: dict[int, str] = {}
     for s, tau in events:
         if not 1 <= s <= max_stage:
-            raise BadStage(s, f"is outside 1..{max_stage}")
+            raise Refusal(f"stage {s} is outside 1..{max_stage}")
         if s in by_stage:
-            raise BadStage(s, "is listed twice")
+            raise Refusal(f"stage {s} is listed twice")
         by_stage[s] = tau
     levels: list[tuple[str, ...]] = [()]
     for s in range(1, max_stage + 1):
         if s not in by_stage:
-            raise BadStage(s, "is missing")
+            raise Refusal(f"stage {s} is missing")
         tau = by_stage[s]
         try:
             _bits(tau)
-        except ValueError:
-            raise BadStage(s, f"holds {tau!r}, not a binary string") from None
+        except Refusal:
+            raise Refusal(f"stage {s} holds {tau!r}, not a binary string") from None
         if len(tau) > s:
-            raise BadStage(s, f"holds '{tau}', longer than {s}")
+            raise Refusal(f"stage {s} holds '{tau}', longer than {s}")
         levels.append((tau.ljust(s, "0"),))
     return StringFamily._from_levels(levels)
 
@@ -172,7 +148,7 @@ def pi2_tree_to_sigma1(phi: PredMatrix, tau: str, bound: int) -> bool:
     inner condition grows with the budget, so testing the largest suffices.
     """
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise Refusal("bound must be at least 1")
     _bits(tau)
     least = predlang.compile(phi.expr, ("y", "bits", "len"), witness="z")
     witnesses = range(bound)
@@ -195,7 +171,7 @@ def yokoyama_coloring(
     a row m with no witness below the cap.
     """
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise Refusal("cap must be at least 1")
     least0 = predlang.compile(theta0.expr, ("x", "m"), witness="n")
     least1 = predlang.compile(theta1.expr, ("x", "m"), witness="n")
     witnesses = range(cap)
@@ -215,7 +191,7 @@ def yokoyama_coloring(
             if y <= x:
                 continue
             if z0 is None and z1 is None:
-                raise CapExceeded(x, y, cap)
+                raise Refusal(f"no z <= {cap} covers (x={x}, y={y})")
             columns[y].append("0" if z1 is None or (z0 is not None and z0 <= z1) else "1")
     return PairColoring(n, tuple("".join(columns[y]) for y in range(1, n + 1)))
 
@@ -223,6 +199,6 @@ def yokoyama_coloring(
 def set_to_path_tree(a: NatSet, l: int) -> FinTree:
     """The chain of prefixes of a's characteristic string, up to length l."""
     if l < 0:
-        raise ValueError("depth must be a natural number")
+        raise Refusal("depth must be a natural number")
     chi = "".join("1" if x in a else "0" for x in range(l))
     return FinTree._from_levels((chi[:i],) for i in range(len(chi) + 1))

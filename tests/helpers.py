@@ -14,7 +14,7 @@ from typing import Iterator, Mapping
 from hypothesis import strategies as st
 
 from rkl import reductions
-from rkl.core import NatSet, PairColoring, StringFamily, downward_closure
+from rkl.core import NatSet, PairColoring, Refusal, StringFamily, downward_closure
 from rkl.predlang import (
     Arith,
     Bit,
@@ -362,7 +362,7 @@ def yokoyama_h(
     for z in range(cap + 1):
         if _side_holds(theta0, x, y, z) or _side_holds(theta1, x, y, z):
             return z
-    raise reductions.CapExceeded(x, y, cap)
+    raise Refusal(f"no z <= {cap} covers (x={x}, y={y})")
 
 
 # -- colorings: the popcount-bounded clique search ---------------------------

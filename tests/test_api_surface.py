@@ -11,13 +11,20 @@ same name; it is matched by name alone, so a use of another class's method
 of the same name counts too.  __init__.py only re-exports, so it neither
 defines nor uses a name.  A name that only tests call belongs in
 tests/helpers.py instead.
+
+The program refuses input in one way: every exception class in src/rkl
+derives from core.Refusal, every raise there raises one, and the CLI
+reports only refusals and OSError as invalid input.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import tokenize
 from pathlib import Path
+
+from rkl import cli, core
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rkl"
@@ -109,3 +116,68 @@ def test_allowlist_names_real_definitions():
         for local, *_ in definitions(path)
     }
     assert set(ALLOWED) <= defined
+
+
+# -- refusals: the one kind of exception the program raises -------------------
+
+
+def src_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+
+
+def _last_name(node: ast.expr) -> str:
+    """The name an expression ends in: `Refusal` for both `Refusal` and
+    `core.Refusal`, '' for anything else."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def class_bases() -> dict[str, list[str]]:
+    """Each class defined in src/rkl, by name, with the names of its bases."""
+    return {
+        node.name: [_last_name(base) for base in node.bases]
+        for tree in src_trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _descendants(roots: set[str]) -> set[str]:
+    """The roots and every class in src/rkl that derives from one of them."""
+    bases = class_bases()
+    found = set(roots)
+    while grown := {c for c, bs in bases.items() if c not in found and found & set(bs)}:
+        found |= grown
+    return found
+
+
+def refusal_classes() -> set[str]:
+    return _descendants({"Refusal"})
+
+
+def test_every_exception_class_is_a_refusal():
+    builtin_exceptions = {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    exceptions = _descendants(builtin_exceptions) - builtin_exceptions
+    assert class_bases()["Refusal"] == ["ValueError"]
+    assert exceptions == refusal_classes()
+
+
+def test_every_raise_raises_a_refusal():
+    refusals = refusal_classes()
+    bad = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in src_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and not (isinstance(node.exc, ast.Call) and _last_name(node.exc.func) in refusals)
+    ]
+    assert bad == []
+
+
+def test_cli_reports_only_refusals_and_os_errors():
+    assert cli._INVALID_INPUT == (core.Refusal, OSError)

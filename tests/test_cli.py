@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rkl import cli
+from helpers import colorings
+from rkl import cli, core, diagonal, formats
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -262,6 +267,48 @@ class TestExitCodes:
         assert cli.main(["search", "--coloring", str(small), "--min-size", "3"]) == 0
         assert capsys.readouterr().out == "# none\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["dnr", "--enum", fixture("w.enum"), "--set", fixture("h4.set"), "--depth", "3"],
+                "error: index e=0 needs 3 elements of the set h, which has 1\n",
+            ),
+            (
+                ["diag", "--enum", fixture("w.enum"), "--depth", "0"],
+                "error: depth must be at least 1\n",
+            ),
+        ],
+        ids=["dnr set too small", "diag depth zero"],
+    )
+    def test_refusal_names_what_it_refers_to(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sigma"
+        bad.write_bytes(b"01\n\xff\n")
+        assert cli.main(["close", "--sigma", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte\n"
+        )
+
+
+class TestRootOnlyTree:
+    @pytest.mark.parametrize(
+        "text", ["-\n", "", "# no members\n"], ids=["root", "empty", "comment only"]
+    )
+    def test_path_is_the_root(self, text, tmp_path, capsys):
+        tree = tmp_path / "root.tree"
+        tree.write_text(text)
+        assert cli.main(["info", str(tree)]) == 0
+        assert capsys.readouterr().out == "kind=tree members=1 horizon=0\n"
+        assert cli.main(["path", "--tree", str(tree)]) == 0
+        assert capsys.readouterr().out == "# path: -\n# color: 0\n"
+
 
 class TestVerifyLines:
     def test_path_witness_none(self, tmp_path, capsys):
@@ -497,3 +544,163 @@ class TestDemoScripts:
         )
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == (GOLDEN / f"demo_{name}.txt").read_bytes()
+
+
+# -- fuzz: every subcommand on generated, mutated and undecodable files -------
+
+FUZZ_FLAG = st.integers(-2, 8).map(str)
+# Mostly matrices each command binds, then some it refuses.
+FUZZ_PI2 = st.sampled_from([
+    "z >= y", "bit(y) + z >= y or len = 1", "z * 2 >= y + bit(y)", "0 = 0", "z >=", "x = 0",
+])
+FUZZ_YOKO = st.sampled_from([
+    "x mod 2 = 0 and n >= m", "n >= m + x", "n > m and x < 3", "0 = 0", "0 = 1",
+    "(n >= m", "bit(1) = 1", "len + 1",
+])
+FUZZ_TAUS = st.one_of(st.sampled_from(["-", "", "01a", "ε"]), st.text("01", max_size=8))
+
+# Per subcommand, its options in order: a file kind, a strategy for the
+# value, or None for a switch that is drawn on or off.  verify's "source" is
+# --tree or --sigma with its file; info's "" is a positional file of a drawn
+# kind, where "txt" is an extension info does not know.
+FUZZ_ARGS = {
+    "close": [("--sigma", "sigma")],
+    "tree2color": [("--tree", "tree"), ("-n", FUZZ_FLAG), ("--close", None)],
+    "sigma2color": [("--sigma", "sigma"), ("-n", FUZZ_FLAG)],
+    "color2sigma": [("--coloring", "color")],
+    "ce2sigma": [("--stages", "stages")],
+    "pi2sigma1": [("--phi", FUZZ_PI2), ("--tau", FUZZ_TAUS), ("--bound", FUZZ_FLAG)],
+    "yoko": [
+        ("--theta0", FUZZ_YOKO), ("--theta1", FUZZ_YOKO),
+        ("-n", FUZZ_FLAG), ("--cap", FUZZ_FLAG),
+    ],
+    "settree": [("--set", "set"), ("--depth", FUZZ_FLAG)],
+    "diag": [("--enum", "enum"), ("--depth", FUZZ_FLAG)],
+    "search": [("--coloring", "color"), ("--min-size", FUZZ_FLAG)],
+    "path": [("--tree", "tree"), ("--close", None)],
+    "stable": [("--coloring", "color"), ("-x", st.one_of(st.none(), FUZZ_FLAG))],
+    "verify": [
+        ("source", None), ("--coloring", "color"), ("--set", "set"),
+        ("--color", st.sampled_from(["0", "1"])), ("--close", None),
+    ],
+    "dnr": [("--enum", "enum"), ("--set", "set"), ("--depth", FUZZ_FLAG)],
+    "info": [("", st.sampled_from(["tree", "sigma", "color", "enum", "set", "stages", "txt"]))],
+}
+
+_small_bits = st.text("01", max_size=5)
+FUZZ_VALID = {
+    "tree": st.lists(_small_bits, max_size=6).map(
+        lambda ss: formats.render_tree(core.downward_closure(ss))
+    ),
+    "sigma": st.lists(_small_bits, max_size=6).map(
+        lambda ss: formats.render_sigma(core.StringFamily(ss))
+    ),
+    "color": colorings(max_n=5).map(formats.render_coloring),
+    # One event per (e, x), as the format requires.
+    "enum": st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 8)), st.integers(1, 6), max_size=8
+    ).map(
+        lambda stages: formats.render_enum(
+            diagonal.StagedEnum.of([(e, s, x) for (e, x), s in stages.items()])
+        )
+    ),
+    "set": st.frozensets(st.integers(0, 8), max_size=6).map(
+        lambda h: formats.render_natset(core.NatSet.of(h))
+    ),
+    "stages": st.lists(_small_bits, max_size=5).map(
+        lambda taus: "".join(f"{s} {tau[:s] or '-'}\n" for s, tau in enumerate(taus, start=1))
+    ),
+}
+FUZZ_BYTES = [b"0", b"1", b"2", b"9", b"-", b"#", b" ", b"\t", b"\n", b"x", b"\x00", "٣".encode()]
+FUZZ_LINES = [b"", b"# c", b"n 2", b"0 1 1", b"1 0", b"- -", b"01 10", b"3 3 3", b"99999"]
+
+
+@st.composite
+def fuzz_file(draw, kind: str) -> bytes | None:
+    """A valid file of the kind, or one mutated by a byte, a line, CRLF line
+    ends or an undecodable byte; None for a file that does not exist."""
+    data = draw(FUZZ_VALID[kind]).encode()
+    # Valid files are weighted up so that multi-file commands also get past
+    # parsing and reach their verdicts.
+    how = draw(st.sampled_from(["valid"] * 4 + ["byte", "line", "crlf", "non-utf-8", "missing"]))
+    if how == "byte":
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.sampled_from(FUZZ_BYTES)) + data[i + draw(st.integers(0, 1)):]
+    elif how == "line":
+        lines = data.split(b"\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        other = draw(st.sampled_from(FUZZ_LINES))
+        lines[i : i + 1] = draw(st.sampled_from([[], [lines[i]] * 2, [other]]))
+        data = b"\n".join(lines)
+    elif how == "crlf":
+        data = data.replace(b"\n", b"\r\n")
+    elif how == "non-utf-8":
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[i:]
+    return None if how == "missing" else data
+
+
+@st.composite
+def fuzz_invocations(draw, command: str) -> tuple[list[str], dict[str, bytes | None]]:
+    """argv for the subcommand, and the files it names, by name."""
+    argv, files = [command], {}
+
+    def file(kind: str) -> str:
+        data_kind = draw(st.sampled_from(sorted(FUZZ_VALID))) if kind == "txt" else kind
+        name = f"f{len(files)}.{kind}"
+        files[name] = draw(fuzz_file(data_kind))
+        return name
+
+    for option, value in FUZZ_ARGS[command]:
+        if option == "source":
+            kind = draw(st.sampled_from(["tree", "sigma"]))
+            argv += [f"--{kind}", file(kind)]
+        elif option == "":
+            argv.append(file(draw(value)))
+        elif isinstance(value, str):
+            argv += [option, file(value)]
+        elif value is None:
+            argv += [option] if draw(st.booleans()) else []
+        elif (drawn := draw(value)) is not None:
+            argv += [option, drawn]
+    return argv, files
+
+
+class TestFuzz:
+    """No input makes main raise: it exits 0, 1 (a verdict) or 2 with one
+    error line and no data."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_ARGS))
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_exit_codes_and_error_lines(self, command, data, tmp_path_factory):
+        argv, files = data.draw(fuzz_invocations(command))
+        root = tmp_path_factory.getbasetemp() / "fuzz"
+        root.mkdir(exist_ok=True)
+        for name, content in files.items():
+            (root / name).unlink(missing_ok=True)
+            if content is not None:
+                (root / name).write_bytes(content)
+        argv = [str(root / arg) if arg in files else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        else:
+            assert err == ""
+            assert code == 0 or argv[0] in ("verify", "dnr")
+
+
+class TestDefectsPropagate:
+    def test_plain_value_error_is_not_a_refusal(self, monkeypatch, capsys):
+        def broken(text: str) -> None:
+            raise ValueError("a defect, not a refusal")
+
+        monkeypatch.setattr(cli.formats, "parse_sigma", broken)
+        with pytest.raises(ValueError, match="^a defect, not a refusal$"):
+            cli.main(["close", "--sigma", fixture("alt.sigma")])
+        assert capsys.readouterr() == ("", "")

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkl.core import NatSet, is_homog_path, is_homog_string
-from rkl.diagonal import (
-    StagedEnum,
-    TooSmall,
-    build_diagonal_tree,
-    check_fpf,
-    dnr_g,
-)
+from rkl.core import NatSet, Refusal, is_homog_path, is_homog_string
+from rkl.diagonal import StagedEnum, build_diagonal_tree, check_fpf
 
 N = NatSet.of
 
@@ -126,15 +120,24 @@ class TestBuildDiagonalTree:
 
 
 class TestDnrG:
+    # g(e) is the least e+3 elements of h, compared at each triggered index.
     def test_least_three(self):
-        assert dnr_g(N([2, 5, 9, 14, 20]), 0) == N([2, 5, 9])
+        report = build_diagonal_tree(WORKED, 3)
+        verdicts = check_fpf(N([2, 5, 9, 14, 20]), WORKED, report)
+        assert verdicts[0].g_e == N([2, 5, 9])
 
     def test_least_five(self):
-        assert dnr_g(N([2, 5, 9, 14, 20]), 2) == N([2, 5, 9, 14, 20])
+        en = StagedEnum.of([(2, 1, x) for x in range(5)], k=3)
+        report = build_diagonal_tree(en, 5)
+        verdicts = check_fpf(N([2, 5, 9, 14, 20]), en, report)
+        assert [v.status for v in verdicts] == ["vacuous", "vacuous", "distinct"]
+        assert verdicts[2].g_e == N([2, 5, 9, 14, 20])
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
-            dnr_g(N([2, 5]), 0)
+        report = build_diagonal_tree(WORKED, 3)
+        message = "^index e=0 needs 3 elements of the set h, which has 2$"
+        with pytest.raises(Refusal, match=message):
+            check_fpf(N([2, 5]), WORKED, report)
 
 
 class TestCheckFpf:

@@ -22,10 +22,9 @@ from helpers import (
     yokoyama_h,
 )
 from rkl.core import (
-    LevelEmpty,
     NatSet,
-    NoLongString,
     PairColoring,
+    Refusal,
     StringFamily,
     downward_closure,
     is_homog_string,
@@ -33,9 +32,6 @@ from rkl.core import (
 from rkl.reductions import (
     PI2_NAMES,
     YOKO_NAMES,
-    BadStage,
-    CapExceeded,
-    EmptyPath,
     ce_tree_to_sigma,
     coloring_to_sigma,
     path_pigeonhole,
@@ -70,9 +66,8 @@ class TestPathPigeonhole:
     def test_tie_breaks_to_zero(self):
         assert path_pigeonhole("01") == (0, N([0]))
 
-    def test_empty_path_rejected(self):
-        with pytest.raises(EmptyPath):
-            path_pigeonhole("")
+    def test_empty_path_is_color_zero(self):
+        assert path_pigeonhole("") == (0, NatSet())
 
     @given(nonempty_bitstrings(14))
     def test_positions_cover_majority(self, p: str):
@@ -94,9 +89,8 @@ class TestTreeToStableColoring:
         assert f.rows == ("0", "00", "000", "1111")
 
     def test_missing_level(self):
-        with pytest.raises(LevelEmpty) as info:
+        with pytest.raises(Refusal, match="^no tree member of length 2$"):
             tree_to_stable_coloring(downward_closure(["1"]), 2)
-        assert info.value.y == 2
 
     @given(trees(max_len=6))
     def test_reads_lex_least_level_member(self, t):
@@ -152,9 +146,8 @@ class TestSigmaToColoring:
         assert [f.value(0, y) for y in range(1, 7)] == [1, 0, 1, 0, 1, 0]
 
     def test_no_long_string(self):
-        with pytest.raises(NoLongString) as info:
+        with pytest.raises(Refusal, match="^no family member of length at least 3$"):
             sigma_to_coloring(StringFamily(["01"]), 3)
-        assert info.value.y == 3
 
     @given(string_families(max_len=8, max_members=8), st.integers(0, 9))
     def test_matches_a_rescan_per_column(self, fam, n):
@@ -164,16 +157,16 @@ class TestSigmaToColoring:
             for y in range(1, n + 1):
                 long = [s for s in fam.members if len(s) >= y]
                 if not long:
-                    raise NoLongString(y)
+                    raise Refusal(f"no family member of length at least {y}")
                 rows.append(min(long, key=lenlex_key)[:y])
             return PairColoring(n, tuple(rows))
 
         try:
             expected = rescan()
-        except NoLongString as exc:
-            with pytest.raises(NoLongString) as info:
+        except Refusal as exc:
+            with pytest.raises(Refusal) as info:
                 sigma_to_coloring(fam, n)
-            assert info.value.y == exc.y
+            assert str(info.value) == str(exc)
         else:
             assert sigma_to_coloring(fam, n) == expected
 
@@ -217,25 +210,23 @@ class TestCeTreeToSigma:
         assert lenlex_sorted(fam) == ["0", "00", "000"]
 
     def test_string_too_long_for_stage(self):
-        with pytest.raises(BadStage, match="^stage 1 holds '11', longer than 1$") as info:
+        with pytest.raises(Refusal, match="^stage 1 holds '11', longer than 1$"):
             ce_tree_to_sigma([(1, "11")], 1)
-        assert info.value.s == 1
 
     def test_non_binary_string_named_by_stage(self):
-        with pytest.raises(BadStage, match="^stage 2 holds '0a', not a binary string$") as info:
+        with pytest.raises(Refusal, match="^stage 2 holds '0a', not a binary string$"):
             ce_tree_to_sigma([(1, "1"), (2, "0a")], 2)
-        assert info.value.s == 2
 
     def test_missing_stage(self):
-        with pytest.raises(BadStage, match="^stage 2 is missing$"):
+        with pytest.raises(Refusal, match="^stage 2 is missing$"):
             ce_tree_to_sigma([(1, "1")], 2)
 
     def test_repeated_stage(self):
-        with pytest.raises(BadStage, match="^stage 1 is listed twice$"):
+        with pytest.raises(Refusal, match="^stage 1 is listed twice$"):
             ce_tree_to_sigma([(1, "1"), (1, "0")], 1)
 
     def test_stage_outside_the_range(self):
-        with pytest.raises(BadStage, match=r"^stage 3 is outside 1\.\.2$"):
+        with pytest.raises(Refusal, match=r"^stage 3 is outside 1\.\.2$"):
             ce_tree_to_sigma([(1, "1"), (3, "0")], 2)
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), max_size=8))
@@ -322,15 +313,15 @@ yoko_matrices = st.builds(
 
 
 def pointwise_outcome(t0, t1, n: int, cap: int):
-    """yokoyama_coloring read off yokoyama_h pair by pair, or the first
-    CapExceeded that scan meets."""
+    """yokoyama_coloring read off yokoyama_h pair by pair, or the message
+    of the first refusal that scan meets."""
     columns: list[list[str]] = [[] for _ in range(n + 1)]
     for x in range(n):
         for y in range(x + 1, n + 1):
             try:
                 h = yokoyama_h(t0, t1, x, y, cap)
-            except CapExceeded as exc:
-                return ("cap", exc.x, exc.y, exc.cap)
+            except Refusal as exc:
+                return ("cap", str(exc))
             covered0 = all(any(t0(x=x, m=m, n=w) for w in range(h)) for m in range(y))
             columns[y].append("0" if covered0 else "1")
     return ("coloring", PairColoring(n, tuple("".join(columns[y]) for y in range(1, n + 1))))
@@ -344,9 +335,8 @@ class TestYokoyamaH:
         assert yokoyama_h(PARITY_0, PARITY_1, 3, 5, 64) == 5
 
     def test_cap_exceeded(self):
-        with pytest.raises(CapExceeded) as info:
+        with pytest.raises(Refusal, match=r"^no z <= 10 covers \(x=0, y=1\)$"):
             yokoyama_h(NEVER, NEVER, 0, 1, 10)
-        assert (info.value.x, info.value.y, info.value.cap) == (0, 1, 10)
 
     def test_trivial_side(self):
         assert yokoyama_h(ALWAYS, NEVER, 4, 1, 8) == 1
@@ -376,9 +366,8 @@ class TestYokoyamaColoring:
 
     def test_cap_propagates_with_pair(self):
         t0 = PredMatrix.from_text("x < 2 and n >= m")
-        with pytest.raises(CapExceeded) as info:
+        with pytest.raises(Refusal, match=r"^no z <= 10 covers \(x=2, y=3\)$"):
             yokoyama_coloring(t0, NEVER, 3, 10)
-        assert (info.value.x, info.value.y) == (2, 3)
 
     def test_matches_pointwise_h(self):
         # The tabulated coloring must agree with the direct mu-scan pointwise.
@@ -396,17 +385,18 @@ class TestYokoyamaColoring:
         # At x = 0 row m has witness m, so rows m >= cap have none and the
         # running cover bound must fail at y = cap + 1, not sooner or later.
         theta = PredMatrix.from_text("n >= m + x")
-        with pytest.raises(CapExceeded) as info:
+        message = "no z <= 4 covers (x=0, y=5)"
+        with pytest.raises(Refusal) as info:
             yokoyama_coloring(theta, NEVER, 6, 4)
-        assert (info.value.x, info.value.y, info.value.cap) == (0, 5, 4)
-        assert pointwise_outcome(theta, NEVER, 6, 4) == ("cap", 0, 5, 4)
+        assert str(info.value) == message
+        assert pointwise_outcome(theta, NEVER, 6, 4) == ("cap", message)
 
     @given(yoko_matrices, yoko_matrices, st.integers(0, 6), st.integers(1, 6))
     def test_matches_pointwise_scan(self, t0, t1, n, cap):
         try:
             f = ("coloring", yokoyama_coloring(t0, t1, n, cap))
-        except CapExceeded as exc:
-            f = ("cap", exc.x, exc.y, exc.cap)
+        except Refusal as exc:
+            f = ("cap", str(exc))
         assert f == pointwise_outcome(t0, t1, n, cap)
 
     def test_color_certifies_covering(self):
