@@ -33,7 +33,7 @@ def main() -> int:
     events = [(0, s + 1, x) for s, x in enumerate(rng.sample(range(4), 3))]
     for x in rng.sample(range(12), 2):
         events.append((1, rng.randint(1, args.depth), x))
-    enums = StagedEnum.of(events, max_stage=max(args.depth, 4))
+    enums = StagedEnum(events)
     print(f"staged enumeration with k={enums.k} indices:")
     for e, s, x in enums.events:
         print(f"  stage {s}: W_{e} receives {x}")
@@ -53,7 +53,7 @@ def main() -> int:
     h = NatSet.of(
         [x for x in range(args.depth) if sigma[x] == "01"[color]] + list(padding)
     )
-    witness = is_homog_path(h, report.tree, args.depth)
+    witness = is_homog_path(h, report.tree)
     assert witness is not None
     print(
         f"\nhomogeneous set H = {h} "

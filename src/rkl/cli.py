@@ -21,9 +21,16 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 
 
+def _path(name: str) -> Path:
+    """The path named, refused when it holds a NUL byte, which no file name can."""
+    if "\0" in name:
+        raise core.Refusal(f"path {name!r} holds a NUL byte")
+    return Path(name)
+
+
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return _path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise formats.FormatError(None, str(exc)) from None
 
@@ -141,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     else:
         bad = " ".join(str(y) for y in verdict.counterexamples)
         lines.append(f"witness-checks: fail (counterexamples y = {bad})")
-    witness = core.is_homog_path(h, t, t.horizon)
+    witness = core.is_homog_path(h, t)
     if witness is None:
         lines.append("path-witness: none")
     else:
@@ -299,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, data = args.func(args)
         if args.output:
-            Path(args.output).write_text(data, encoding="utf-8")
+            _path(args.output).write_text(data, encoding="utf-8")
         else:
             sys.stdout.write(data)
     except _INVALID_INPUT as exc:

@@ -70,27 +70,11 @@ def _closed_levels(members: dict[str, None]) -> tuple[tuple[str, ...], ...]:
     return _sorted_levels(members)
 
 
-def _all_binary(texts: list[str]) -> bool:
-    """Whether every text holds only 0s and 1s; one pass over their bytes."""
-    return not "".join(texts).encode("ascii", "replace").translate(None, b"01")
-
-
 def _bits(s: object) -> str:
     """s itself when it is a "01" text; anything else is refused."""
     if not isinstance(s, str) or s.strip("01"):
         raise Refusal(f"not a binary string: {s!r}")
     return s
-
-
-def _texts(strings: Iterable[str]) -> list[str]:
-    """The members as a list, each refused as by _bits unless a "01" text."""
-    texts = list(strings)
-    try:  # one pass over every byte when all members are texts
-        if _all_binary(texts):
-            return texts
-    except TypeError:  # join met a member that is not a str
-        pass
-    return list(map(_bits, texts))  # some member is bad: _bits names the first
 
 
 @dataclass(frozen=True, init=False)
@@ -113,10 +97,6 @@ class _LevelStore:
         object.__setattr__(store, "text_levels", tuple(tuple(level) for level in levels))
         return store
 
-    @cached_property
-    def members(self) -> frozenset[str]:
-        return frozenset(self)
-
     def level(self, l: int) -> tuple[str, ...]:
         """Members of length l, lexicographically sorted."""
         if not 0 <= l < len(self.text_levels):
@@ -132,9 +112,6 @@ class _LevelStore:
             if levels[l]:
                 return levels[l][0][:y]
         raise Refusal(self._missing.format(y))
-
-    def __contains__(self, s: str) -> bool:
-        return s in self.members
 
     def __len__(self) -> int:
         return sum(map(len, self.text_levels))
@@ -155,7 +132,7 @@ class FinTree(_LevelStore):
     _missing = "no tree member of length {}"
 
     def __init__(self, members: Iterable[str] = ()) -> None:
-        levels = _closed_levels(dict.fromkeys(_texts(members)))
+        levels = _closed_levels(dict.fromkeys(map(_bits, members)))
         object.__setattr__(self, "text_levels", levels)
 
     @property
@@ -206,7 +183,7 @@ class StringFamily(_LevelStore):
     _missing = "no family member of length at least {}"
 
     def __init__(self, members: Iterable[str] = ()) -> None:
-        levels = _sorted_levels(set(_texts(members)))
+        levels = _sorted_levels(set(map(_bits, members)))
         object.__setattr__(self, "text_levels", levels)
 
     @property
@@ -227,15 +204,14 @@ class NatSet:
     elements: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(int(v) for v in self.elements))
-        if any(v < 0 for v in self.elements):
+        if any(type(v) is not int or v < 0 for v in self.elements):
             raise Refusal("elements must be naturals")
         if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
             raise Refusal("elements must be strictly increasing")
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "NatSet":
-        return cls(tuple(sorted({int(v) for v in values})))
+        return cls(tuple(sorted(set(values))))
 
     @cached_property
     def _lookup(self) -> frozenset[int]:
@@ -300,21 +276,14 @@ def is_homog_string(h: NatSet, sigma: str, c: int) -> bool:
     return _homog_text(h, _bits(sigma), "1" if c else "0")
 
 
-def is_homog_path(h: NatSet, t: FinTree, horizon: int) -> HomWitness | None:
-    """A single long witness: a member of length >= horizon monochromatic on h.
+def is_homog_path(h: NatSet, t: FinTree) -> HomWitness | None:
+    """A single long witness: a member at the tree's horizon monochromatic on h.
 
-    Prefers color 0 over 1, then the lexicographically least witness.  The
-    requested horizon must not exceed the tree's own.
+    Prefers color 0 over 1, then the lexicographically least witness.
     """
-    if horizon > t.horizon:
-        raise Refusal(f"horizon {horizon} exceeds tree horizon {t.horizon}")
     for c, symbol in enumerate("01"):
-        # Levels are sorted, so each level's first match is its least.
-        firsts = [
-            next((s for s in level if _homog_text(h, s, symbol)), None)
-            for level in t.text_levels[max(horizon, 0):]
-        ]
-        wits = [s for s in firsts if s is not None]
-        if wits:
-            return HomWitness(color=c, witness=min(wits))
+        # The level is sorted, so its first match is its least.
+        for s in t.text_levels[-1]:
+            if _homog_text(h, s, symbol):
+                return HomWitness(color=c, witness=s)
     return None

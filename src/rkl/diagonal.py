@@ -14,7 +14,6 @@ and lies past its largest element.  It stays active at every later level.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -29,43 +28,32 @@ class StagedEnum:
 
     events hold (e, stage, element) triples, normalized to (stage, e,
     element) order; an element enters W_e at its stage and stays.  Within a
-    stage, elements enter in ascending order.
+    stage, elements enter in ascending order.  k and max_stage are read off
+    the events.
     """
 
     events: tuple[tuple[int, int, int], ...]
-    k: int
-    max_stage: int
 
     def __post_init__(self) -> None:
         events = tuple(sorted(self.events, key=lambda t: (t[1], t[0], t[2])))
         object.__setattr__(self, "events", events)
-        if self.k < 0 or self.max_stage < 0:
-            raise Refusal("k and max_stage must be naturals")
         seen: set[tuple[int, int]] = set()
         for e, s, x in events:
             if e < 0 or s < 1 or x < 0:
                 raise Refusal(f"bad event ({e}, {s}, {x})")
-            if e >= self.k:
-                raise Refusal(f"index {e} outside 0..{self.k - 1}")
-            if s > self.max_stage:
-                raise Refusal(f"stage {s} past max_stage {self.max_stage}")
             if (e, x) in seen:
                 raise Refusal(f"element {x} enumerated twice for index {e}")
             seen.add((e, x))
 
-    @classmethod
-    def of(
-        cls,
-        events: "list[tuple[int, int, int]] | tuple[tuple[int, int, int], ...]",
-        k: int | None = None,
-        max_stage: int | None = None,
-    ) -> "StagedEnum":
-        events = tuple(events)
-        if k is None:
-            k = max((e for e, _, _ in events), default=-1) + 1
-        if max_stage is None:
-            max_stage = max((s for _, s, _ in events), default=0)
-        return cls(events=events, k=k, max_stage=max_stage)
+    @property
+    def k(self) -> int:
+        """One more than the largest index, or 0 with no events."""
+        return max((e for e, _, _ in self.events), default=-1) + 1
+
+    @property
+    def max_stage(self) -> int:
+        """The last stage, or 0 with no events."""
+        return self.events[-1][1] if self.events else 0
 
     @cached_property
     def _by_index(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -75,13 +63,9 @@ class StagedEnum:
             grouped.setdefault(e, []).append((s, x))
         return {e: tuple(zip(*pairs)) for e, pairs in grouped.items()}
 
-    def w_at(self, e: int, s: int) -> tuple[int, ...]:
-        """Elements of W_e entered by stage s, in enumeration order."""
-        stages, elements = self._by_index.get(e, ((), ()))
-        return elements[: bisect_right(stages, s)]
-
     def w_final(self, e: int) -> tuple[int, ...]:
-        return self.w_at(e, self.max_stage)
+        """Every element of W_e, in enumeration order."""
+        return self._by_index.get(e, ((), ()))[1]
 
 
 @dataclass(frozen=True)
@@ -152,13 +136,12 @@ def check_fpf(
     full horizon.  Indices whose trigger never fired at the horizon are
     vacuous; a triggered index that h is too small for is refused.
     """
-    horizon = report.tree.horizon
-    if core.is_homog_path(h, report.tree, horizon) is None:
+    if core.is_homog_path(h, report.tree) is None:
         return None
     verdicts: list[FpfVerdict] = []
     for e in range(enums.k):
         w = NatSet.of(enums.w_final(e))
-        if (e, horizon) not in report.triggered:
+        if (e, report.tree.horizon) not in report.triggered:
             verdicts.append(FpfVerdict(e=e, status="vacuous", w_e=w))
             continue
         if len(h) < e + 3:

@@ -17,7 +17,6 @@ from rkl.core import (
     PairColoring,
     Refusal,
     StringFamily,
-    _all_binary,
     _closed_levels,
     _sorted_levels,
     downward_closure,
@@ -71,7 +70,10 @@ def _bare_texts(text: str) -> list[str] | None:
         return None
     if texts[0] == "-":
         texts[0] = ""
-    return texts if _all_binary(texts) else None
+    # One pass over every byte: is anything left once 0s and 1s are deleted?
+    if "".join(texts).encode("ascii", "replace").translate(None, b"01"):
+        return None
+    return texts
 
 
 def _string_lines(text: str, what: str) -> dict[str, None]:
@@ -183,7 +185,7 @@ def parse_enum(text: str) -> StagedEnum:
             raise FormatError(lineno, f"element {x} enumerated twice for index {e}")
         seen.add((e, x))
         events.append((e, s, x))
-    return StagedEnum.of(events)
+    return StagedEnum(events)
 
 
 def parse_natset(text: str) -> NatSet:

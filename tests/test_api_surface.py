@@ -67,10 +67,25 @@ def definitions(path: Path) -> list[tuple[str, str, bool, int, int]]:
     return found
 
 
+def fstring_references(text: str, line: int) -> list[tuple[str, int, bool]]:
+    """(identifier, line, by attribute) for each name and attribute in the
+    replacement fields of an f-string token that starts on the given line.
+    Before Python 3.12 tokenize gives an f-string as one STRING token; from
+    3.12 on (PEP 701) it gives the names inside as NAME tokens itself."""
+    found = []
+    for node in ast.walk(ast.parse(text, mode="eval")):
+        if isinstance(node, ast.Name):
+            found.append((node.id, line + node.lineno - 1, False))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, line + node.end_lineno - 1, True))
+    return found
+
+
 def references(path: Path) -> list[tuple[str, int, bool]]:
     """(identifier, line, by attribute) for each name token and each string
     literal that is exactly an identifier; comments and prose never count.
-    A name after a '.' and a literal both name an attribute."""
+    A name after a '.' and a literal both name an attribute.  Names in an
+    f-string's replacement fields count on every Python version."""
     found = []
     previous = None
     with path.open("rb") as source:
@@ -81,6 +96,7 @@ def references(path: Path) -> list[tuple[str, int, bool]]:
                 try:
                     value = ast.literal_eval(tok.string)
                 except ValueError:  # an f-string
+                    found += fstring_references(tok.string, tok.start[0])
                     value = None
                 if isinstance(value, str) and value.isidentifier():
                     found.append((value, tok.start[0], True))
@@ -107,6 +123,15 @@ def test_every_public_name_has_a_caller_in_the_program():
             if not used and qualified not in ALLOWED:
                 unused.append(qualified)
     assert unused == []
+
+
+def test_names_in_fstring_fields_are_references(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text('line = f"k={en.k} {top(en)!r:>{width}}"\ntext = f"""\n{a.b}"""\n')
+    assert {
+        ("en", 1, False), ("k", 1, True), ("top", 1, False), ("width", 1, False),
+        ("a", 3, False), ("b", 3, True),
+    } <= set(references(snippet))
 
 
 def test_allowlist_names_real_definitions():

@@ -137,6 +137,8 @@ class TestInfo:
             ("alt.sigma", "kind=sigma members=6 max_len=6 graded=true"),
             ("fork.color", "kind=coloring n=4 pairs=10"),
             ("w.enum", "kind=enum events=3 k=1 max_stage=3"),
+            ("late.enum", "kind=enum events=2 k=3 max_stage=7"),
+            ("comments.enum", "kind=enum events=0 k=0 max_stage=0"),
             ("evens.set", "kind=set size=4 min=0 max=6"),
             ("stages.stages", "kind=stages stages=3 max_stage=3"),
         ],
@@ -241,6 +243,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["close", "--sigma", "a\x00b"],
+            ["close", "--sigma", fixture("alt.sigma"), "-o", "a\x00b"],
+        ],
+        ids=["read", "write"],
+    )
+    def test_nul_byte_in_path(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: path 'a\\x00b' holds a NUL byte\n")
 
     def test_non_ascii_digit_in_set_file(self, tmp_path, capsys):
         bad = tmp_path / "h.set"
@@ -601,7 +616,7 @@ FUZZ_VALID = {
         st.tuples(st.integers(0, 3), st.integers(0, 8)), st.integers(1, 6), max_size=8
     ).map(
         lambda stages: formats.render_enum(
-            diagonal.StagedEnum.of([(e, s, x) for (e, x), s in stages.items()])
+            diagonal.StagedEnum([(e, s, x) for (e, x), s in stages.items()])
         )
     ),
     "set": st.frozensets(st.integers(0, 8), max_size=6).map(

@@ -22,6 +22,7 @@ from rkl.core import (
     NatSet,
     NotPrefixClosed,
     PairColoring,
+    Refusal,
     StringFamily,
     downward_closure,
     is_homog_path,
@@ -69,9 +70,8 @@ class TestBitString:
     def test_order_is_lexicographic_prefix_first(self):
         assert "0" < "00" < "1"
         assert lenlex_key("1") < lenlex_key("00")
-        # Witnesses on several levels: the least is a prefix of the others.
-        t = downward_closure(["0100", "1"])
-        assert is_homog_path(NatSet.of([1]), t, 2).witness == "01"
+        # A prefix sorts before its extensions.
+        assert sorted(["0100", "1", "01"]) == ["01", "0100", "1"]
 
 
 # Each one is refused the same way; the last two are not texts at all.
@@ -104,7 +104,7 @@ def test_entry_points_refuse_non_binary(entry, bad):
 class TestFinTree:
     def test_accepts_closed_set(self):
         t = validate_tree(["0", "00", "1"])
-        assert sorted(t.members) == ["", "0", "00", "1"]
+        assert sorted(t) == ["", "0", "00", "1"]
 
     def test_rejects_missing_prefix(self):
         with pytest.raises(NotPrefixClosed) as info:
@@ -134,13 +134,13 @@ class TestFinTree:
 
     @given(trees())
     def test_closure_members_are_prefix_closed(self, t: FinTree):
-        for sigma in t.members:
+        for sigma in t:
             for tau in prefixes(sigma):
                 assert tau in t
 
     @given(trees())
     def test_closure_idempotent(self, t: FinTree):
-        assert downward_closure(t.members).members == t.members
+        assert frozenset(downward_closure(frozenset(t))) == frozenset(t)
 
     @given(trees())
     def test_level_counts_sum_to_size(self, t: FinTree):
@@ -243,8 +243,9 @@ class TestNatSet:
             NatSet((2, 2))
         with pytest.raises(ValueError):
             NatSet((3, 1))
-        with pytest.raises(ValueError):
-            NatSet((-1,))
+        for bad in (-1, "x", None, 1.5, "3"):
+            with pytest.raises(Refusal, match="elements must be naturals"):
+                NatSet((bad,))
 
     def test_of_sorts_and_dedups(self):
         assert NatSet.of([3, 1, 3, 0]).elements == (0, 1, 3)
@@ -284,33 +285,25 @@ class TestIsHomogString:
 
 class TestIsHomogPath:
     def test_all_ones_chain(self):
-        w = is_homog_path(NatSet.of([0, 2]), downward_closure(["111"]), 3)
+        w = is_homog_path(NatSet.of([0, 2]), downward_closure(["111"]))
         assert (w.color, w.witness) == (1, "111")
 
     def test_bicolored_path_has_no_witness(self):
-        assert is_homog_path(NatSet.of([0, 1]), downward_closure(["01"]), 2) is None
+        assert is_homog_path(NatSet.of([0, 1]), downward_closure(["01"])) is None
 
     def test_lex_least_witness(self):
         t = downward_closure(["0101", "1111"])
-        w = is_homog_path(NatSet.of([1, 3]), t, 4)
+        w = is_homog_path(NatSet.of([1, 3]), t)
         assert (w.color, w.witness) == (1, "0101")
 
     def test_color_zero_preferred(self):
         t = downward_closure(["00", "11"])
-        w = is_homog_path(NatSet.of([0, 1]), t, 2)
+        w = is_homog_path(NatSet.of([0, 1]), t)
         assert (w.color, w.witness) == (0, "00")
-
-    def test_horizon_capped_by_tree(self):
-        with pytest.raises(ValueError):
-            is_homog_path(NatSet(), downward_closure(["0"]), 2)
-
-    @given(trees(), natsets())
-    def test_horizon_zero_always_succeeds(self, t: FinTree, h: NatSet):
-        assert is_homog_path(h, t, 0) is not None
 
     @given(trees(), natsets(max_value=9))
     def test_witness_certifies_itself(self, t: FinTree, h: NatSet):
-        w = is_homog_path(h, t, t.horizon)
+        w = is_homog_path(h, t)
         if w is not None:
             sigma = w.witness
             assert len(sigma) >= t.horizon

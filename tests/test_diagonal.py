@@ -9,7 +9,7 @@ from rkl.diagonal import StagedEnum, build_diagonal_tree, check_fpf
 
 N = NatSet.of
 
-WORKED = StagedEnum.of([(0, 1, 0), (0, 2, 1), (0, 3, 2)])
+WORKED = StagedEnum([(0, 1, 0), (0, 2, 1), (0, 3, 2)])
 
 
 def staged_enums(max_k: int = 4, max_stage: int = 10, max_x: int = 15):
@@ -19,7 +19,7 @@ def staged_enums(max_k: int = 4, max_stage: int = 10, max_x: int = 15):
             if (e, x) not in seen:
                 seen.add((e, x))
                 events.append((e, s, x))
-        return StagedEnum.of(events, k=max_k, max_stage=max_stage)
+        return StagedEnum(events)
 
     return st.lists(
         st.tuples(
@@ -33,38 +33,33 @@ def staged_enums(max_k: int = 4, max_stage: int = 10, max_x: int = 15):
 
 class TestStagedEnum:
     def test_events_normalized_by_stage_then_index(self):
-        en = StagedEnum.of([(1, 2, 7), (0, 2, 5), (0, 1, 3), (1, 1, 4)])
+        en = StagedEnum([(1, 2, 7), (0, 2, 5), (0, 1, 3), (1, 1, 4)])
         assert en.events == ((0, 1, 3), (1, 1, 4), (0, 2, 5), (1, 2, 7))
 
     def test_derives_k_and_max_stage(self):
-        en = StagedEnum.of([(2, 5, 0)])
+        en = StagedEnum([(2, 5, 0), (2, 3, 1)])
         assert (en.k, en.max_stage) == (3, 5)
+        assert (StagedEnum(()).k, StagedEnum(()).max_stage) == (0, 0)
 
     def test_rejects_duplicate_entry(self):
         with pytest.raises(ValueError):
-            StagedEnum.of([(0, 1, 4), (0, 3, 4)])
-
-    def test_rejects_index_past_k(self):
-        with pytest.raises(ValueError):
-            StagedEnum.of([(2, 1, 0)], k=2)
-
-    def test_rejects_stage_past_max(self):
-        with pytest.raises(ValueError):
-            StagedEnum.of([(0, 9, 0)], max_stage=8)
+            StagedEnum([(0, 1, 4), (0, 3, 4)])
 
     def test_rejects_stage_zero(self):
         with pytest.raises(ValueError):
-            StagedEnum.of([(0, 0, 1)])
+            StagedEnum([(0, 0, 1)])
 
     def test_w_at_prefixes_enumeration(self):
-        assert WORKED.w_at(0, 0) == ()
-        assert WORKED.w_at(0, 2) == (0, 1)
         assert WORKED.w_final(0) == (0, 1, 2)
+        assert WORKED.w_final(1) == ()
+        # By stage, then ascending within a stage.
+        assert StagedEnum([(0, 2, 1), (0, 1, 5), (0, 2, 0)]).w_final(0) == (5, 0, 1)
 
     @given(staged_enums(), st.integers(0, 3), st.integers(0, 9))
     def test_w_at_monotone_in_stage(self, en, e, s):
-        earlier = set(en.w_at(e, s))
-        assert earlier <= set(en.w_at(e, s + 1))
+        # What W_e holds by stage s is a prefix of all it ever holds.
+        earlier = tuple(x for ee, ss, x in en.events if ee == e and ss <= s)
+        assert en.w_final(e)[: len(earlier)] == earlier
 
 
 class TestBuildDiagonalTree:
@@ -76,12 +71,12 @@ class TestBuildDiagonalTree:
         assert level3 == {"001", "010", "011", "100", "101", "110"}
 
     def test_no_enumerations_gives_full_tree(self):
-        report = build_diagonal_tree(StagedEnum.of([]), 4)
+        report = build_diagonal_tree(StagedEnum([]), 4)
         assert report.level_counts == (1, 2, 4, 8, 16)
         assert report.triggered == frozenset()
 
     def test_large_elements_never_trigger(self):
-        en = StagedEnum.of([(0, 1, 5), (0, 2, 6), (0, 3, 7)])
+        en = StagedEnum([(0, 1, 5), (0, 2, 6), (0, 3, 7)])
         report = build_diagonal_tree(en, 4)
         assert report.level_counts == (1, 2, 4, 8, 16)
         assert report.triggered == frozenset()
@@ -89,7 +84,7 @@ class TestBuildDiagonalTree:
     def test_trigger_needs_front_below_length(self):
         # W_0 reaches 3 elements at stage 2 with max element 2, so lengths
         # from 3 on exclude strings monochromatic on {0, 1, 2}.
-        en = StagedEnum.of([(0, 1, 2), (0, 2, 0), (0, 2, 1)])
+        en = StagedEnum([(0, 1, 2), (0, 2, 0), (0, 2, 1)])
         report = build_diagonal_tree(en, 4)
         assert (0, 3) in report.triggered and (0, 4) in report.triggered
         assert (0, 2) not in report.triggered
@@ -127,7 +122,7 @@ class TestDnrG:
         assert verdicts[0].g_e == N([2, 5, 9])
 
     def test_least_five(self):
-        en = StagedEnum.of([(2, 1, x) for x in range(5)], k=3)
+        en = StagedEnum([(2, 1, x) for x in range(5)])
         report = build_diagonal_tree(en, 5)
         verdicts = check_fpf(N([2, 5, 9, 14, 20]), en, report)
         assert [v.status for v in verdicts] == ["vacuous", "vacuous", "distinct"]
@@ -144,7 +139,7 @@ class TestCheckFpf:
     def test_worked_instance_distinct(self):
         report = build_diagonal_tree(WORKED, 3)
         h = N([0, 3, 4])
-        assert is_homog_path(h, report.tree, 3) is not None
+        assert is_homog_path(h, report.tree) is not None
         verdicts = check_fpf(h, WORKED, report)
         assert len(verdicts) == 1
         v = verdicts[0]
@@ -161,7 +156,7 @@ class TestCheckFpf:
         assert verdicts[0].distinguishing == 3
 
     def test_untriggered_is_vacuous(self):
-        en = StagedEnum.of([(0, 1, 5), (0, 2, 6), (0, 3, 7)])
+        en = StagedEnum([(0, 1, 5), (0, 2, 6), (0, 3, 7)])
         report = build_diagonal_tree(en, 4)
         verdicts = check_fpf(N([0, 1, 2, 3]), en, report)
         assert [v.status for v in verdicts] == ["vacuous"]
@@ -173,9 +168,7 @@ class TestCheckFpf:
         assert check_fpf(N([0, 1, 2]), WORKED, report) is None
 
     def test_one_verdict_per_index(self):
-        en = StagedEnum.of(
-            [(0, 1, 0), (0, 1, 1), (0, 2, 2), (1, 1, 9), (2, 3, 11)], k=3
-        )
+        en = StagedEnum([(0, 1, 0), (0, 1, 1), (0, 2, 2), (1, 1, 9), (2, 3, 11)])
         report = build_diagonal_tree(en, 5)
         sigma = report.tree.level(5)[0]
         h = N([x for x in range(5) if sigma[x] == "0"] + [5, 6, 7, 8])

@@ -48,7 +48,7 @@ families = st.one_of(st.lists(texts, max_size=10), near_graded())
 
 
 def assert_matches(fam: StringFamily, ref: RefFamily) -> None:
-    assert fam.members == frozenset(ref.texts)
+    assert frozenset(fam) == frozenset(ref.texts)
     assert fam.n == ref.n
     assert fam.graded == ref.graded
     assert len(fam) == len(ref.texts)

@@ -59,7 +59,7 @@ class TestTree:
 
     @given(trees())
     def test_round_trip(self, t):
-        assert parse_tree(render_tree(t)).members == t.members
+        assert frozenset(parse_tree(render_tree(t))) == frozenset(t)
 
     @given(trees())
     def test_rendering_is_sorted_and_newline_terminated(self, t):
@@ -81,7 +81,7 @@ class TestSigma:
 
     @given(string_families())
     def test_round_trip(self, fam):
-        assert parse_sigma(render_sigma(fam)).members == fam.members
+        assert frozenset(parse_sigma(render_sigma(fam))) == frozenset(fam)
 
 
 # Every character the readers treat specially: line breaks that split
@@ -270,7 +270,7 @@ class TestEnum:
             parse_enum("0 0 5\n")
 
     def test_round_trip_example(self):
-        en = StagedEnum.of([(0, 1, 0), (0, 2, 1), (0, 3, 2)])
+        en = StagedEnum([(0, 1, 0), (0, 2, 1), (0, 3, 2)])
         assert parse_enum(render_enum(en)).events == en.events
 
 

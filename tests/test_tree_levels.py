@@ -45,16 +45,14 @@ def front_heavy_enums(max_k: int = 3, max_stage: int = 6):
     fronts trigger by depth 6."""
     w = st.dictionaries(st.integers(0, 5), st.integers(1, max_stage), min_size=3)
     return st.lists(w, min_size=max_k, max_size=max_k).map(
-        lambda ws: StagedEnum.of(
-            [(e, s, x) for e, entered in enumerate(ws) for x, s in entered.items()],
-            k=max_k,
-            max_stage=max_stage,
+        lambda ws: StagedEnum(
+            [(e, s, x) for e, entered in enumerate(ws) for x, s in entered.items()]
         )
     )
 
 
 def assert_matches(t: FinTree, ref: RefTree) -> None:
-    assert t.members == frozenset(ref.texts)
+    assert frozenset(t) == frozenset(ref.texts)
     assert t.horizon == ref.horizon
     assert len(t) == len(ref.texts)
     assert list(t) == ref.texts
@@ -65,7 +63,7 @@ def assert_matches(t: FinTree, ref: RefTree) -> None:
 
 def assert_trusted_matches(t: FinTree, ref: RefTree) -> None:
     """A tree from a trusted producer equals its validated rebuild and the reference."""
-    checked = validate_tree(t.members)
+    checked = validate_tree(frozenset(t))
     assert t == checked
     assert_matches(t, ref)
     assert_matches(checked, ref)
@@ -180,12 +178,11 @@ class TestLevelCode:
 
 
 class TestLevelReaders:
-    @given(st.lists(texts, min_size=1, max_size=8), natsets(max_value=9), st.data())
-    def test_is_homog_path(self, strings, h, data):
+    @given(st.lists(texts, min_size=1, max_size=8), natsets(max_value=9))
+    def test_is_homog_path(self, strings, h):
         ref = ref_closure(strings)
-        horizon = data.draw(st.integers(0, ref.horizon))
-        got = is_homog_path(h, downward_closure(strings), horizon)
-        want = ref_homog_path(h, ref, horizon)
+        got = is_homog_path(h, downward_closure(strings))
+        want = ref_homog_path(h, ref, ref.horizon)
         assert (None if got is None else (got.color, got.witness)) == want
 
     @given(st.lists(texts, min_size=1, max_size=8), st.data())
@@ -200,6 +197,6 @@ class TestLevelReaders:
         survivors = [s for s in ref.texts if len(s) == x + 1 and s not in dead]
         assert report.limit_color == (int(survivors[0][x]) if survivors else None)
 
-    @given(front_heavy_enums(), st.integers(0, 3), st.integers(0, 9))
-    def test_w_at(self, enums, e, s):
-        assert enums.w_at(e, s) == ref_w_at(enums.events, e, s)
+    @given(front_heavy_enums(), st.integers(0, 3))
+    def test_w_at(self, enums, e):
+        assert enums.w_final(e) == ref_w_at(enums.events, e, enums.max_stage)
