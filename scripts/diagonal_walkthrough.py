@@ -61,7 +61,7 @@ def main() -> int:
     )
 
     print("fixed-point-freeness verdicts:")
-    for v in check_fpf(h, enums, report):
+    for v in check_fpf(h, enums, args.depth):
         if v.status == "vacuous":
             print(f"  e={v.e}: vacuous (front never settled below the horizon)")
         else:

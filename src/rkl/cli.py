@@ -161,8 +161,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_dnr(args: argparse.Namespace) -> tuple[int, str]:
     enums = formats.parse_enum(_read(args.enum))
     h = formats.parse_natset(_read(args.set))
-    report = diagonal.build_diagonal_tree(enums, args.depth)
-    verdicts = diagonal.check_fpf(h, enums, report)
+    verdicts = diagonal.check_fpf(h, enums, args.depth)
     if verdicts is None:
         return EXIT_FAIL, "not homogeneous for any path at the tree horizon\nverdict: fail\n"
     lines = []

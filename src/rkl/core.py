@@ -211,6 +211,9 @@ class NatSet:
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "NatSet":
+        values = tuple(values)
+        if any(type(v) is not int for v in values):  # before the sort can fail
+            raise Refusal("elements must be naturals")
         return cls(tuple(sorted(set(values))))
 
     @cached_property

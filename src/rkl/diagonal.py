@@ -9,7 +9,9 @@ differs from every settled W_e.
 
 The first e+3 elements of W_e never change once entered, so each front is
 derived once and fires at one level: the first that has enumerated all of it
-and lies past its largest element.  It stays active at every later level.
+and lies past its largest element.  It stays active at every later level, so
+a string of length l is a member exactly when it splits every front fired by
+l; dnr decides its question from that fact alone, without the tree.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from rkl import core
 from rkl.core import FinTree, NatSet, Refusal
 
 
@@ -35,12 +36,14 @@ class StagedEnum:
     events: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
+        for t in self.events:  # each whole, before the sort reads it
+            if (type(t) is not tuple or len(t) != 3 or any(type(v) is not int for v in t)
+                    or min(t) < 0 or t[1] < 1):
+                raise Refusal(f"bad event {t!r}")
         events = tuple(sorted(self.events, key=lambda t: (t[1], t[0], t[2])))
         object.__setattr__(self, "events", events)
         seen: set[tuple[int, int]] = set()
         for e, s, x in events:
-            if e < 0 or s < 1 or x < 0:
-                raise Refusal(f"bad event ({e}, {s}, {x})")
             if (e, x) in seen:
                 raise Refusal(f"element {x} enumerated twice for index {e}")
             seen.add((e, x))
@@ -88,36 +91,49 @@ class FpfVerdict:
     distinguishing: int | None = None
 
 
+def _fronts(enums: StagedEnum, depth: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """(e, the first e+3 elements of W_e, the level they fire at) per settled front."""
+    if depth < 1:
+        raise Refusal("depth must be at least 1")
+    return [(e, w[: e + 3], max(s[e + 2], max(w[: e + 3]) + 1))
+            for e, (s, w) in enums._by_index.items() if len(w) >= e + 3]
+
+
 def build_diagonal_tree(enums: StagedEnum, depth: int) -> DiagReport:
     """Keep exactly the strings that split every settled e+3-element front.
 
-    A string of length l is a member when, for each index e whose W at stage
-    l holds at least e+3 elements with the first e+3 of them all below l, it
-    takes both values on that front.  The front of e is fixed once entered,
-    so it fires at one level and stays active from there on; a child agrees
-    with its parent on every older front, so each level is filtered only by
-    the fronts that first fire there.  The member set is prefix-closed, and
-    at most half of each level is ever excluded.
+    A child agrees with its parent on every older front, so level l is
+    filtered only by the fronts that first fire there.  One without l-1
+    drops the parents constant on it before the level is doubled; one with
+    l-1 drops the child that repeats what its parent shows on the rest.  The
+    member set is prefix-closed, and at most half of each level is excluded.
     """
-    if depth < 1:
-        raise Refusal("depth must be at least 1")
     firing: dict[int, list[tuple[int, ...]]] = {}
     triggered: set[tuple[int, int]] = set()
-    for e, (stages, elements) in enums._by_index.items():
-        if len(elements) < e + 3:
-            continue
-        front = elements[: e + 3]
-        first = max(stages[e + 2], max(front) + 1)
+    for e, front, first in _fronts(enums, depth):
         firing.setdefault(first, []).append(front)
         triggered.update((e, l) for l in range(first, depth + 1))
     levels: list[list[str]] = [[""]]
     for l in range(1, depth + 1):
-        children = [s for parent in levels[l - 1] for s in (parent + "0", parent + "1")]
+        parents, late = levels[l - 1], []
         for front in firing.get(l, ()):
-            # A front is split unless it reads all zeros or all ones.
-            read = itemgetter(*front)
-            same = (("0",) * len(front), ("1",) * len(front))
-            children = [s for s in children if read(s) not in same]
+            rest = [x for x in front if x != l - 1]
+            read = itemgetter(*rest)  # a front is split unless all 0s or all 1s
+            same = (("0",) * len(rest), ("1",) * len(rest))
+            if len(rest) < len(front):
+                late.append((read, same))
+            else:
+                parents = [p for p in parents if read(p) not in same]
+        children = [""] * (2 * len(parents))
+        children[::2] = [p + "0" for p in parents]
+        children[1::2] = [p + "1" for p in parents]
+        if late:
+            keep = [True] * len(children)
+            for read, same in late:
+                for i, shown in enumerate(map(read, parents)):
+                    if shown in same:  # drop the child that repeats it
+                        keep[2 * i + (shown[0] == "1")] = False
+            children = [s for s, kept in zip(children, keep) if kept]
         levels.append(children)
     return DiagReport(
         tree=FinTree._from_levels(levels),
@@ -126,22 +142,43 @@ def build_diagonal_tree(enums: StagedEnum, depth: int) -> DiagReport:
     )
 
 
-def check_fpf(
-    h: NatSet, enums: StagedEnum, report: DiagReport
-) -> tuple[FpfVerdict, ...] | None:
+def _splittable(fronts: list[tuple[int, ...]], h: NatSet, c: int) -> bool:
+    """Whether the positions outside h can split every front while h shows c.
+    The free positions the fronts read are tried in order, 1-c first, on an
+    explicit stack; a front is checked once all its free positions are set."""
+    free = sorted({x for front in fronts for x in front if x not in h})
+    # Slot 0 holds the c that h shows, and free[i] takes slot i+1.
+    due: dict[int, list[set[int]]] = {}
+    for front in fronts:
+        own = {free.index(x) + 1 if x not in h else 0 for x in front}
+        due.setdefault(max(own) + 1, []).append(own)
+    stack = [(c,)]
+    while stack:
+        values = stack.pop()
+        if all(len(set(map(values.__getitem__, own))) == 2 for own in due.get(len(values), ())):
+            if len(values) > len(free):
+                return True
+            stack += [values + (c,), values + (1 - c,)]
+    return False
+
+
+def check_fpf(h: NatSet, enums: StagedEnum, depth: int) -> tuple[FpfVerdict, ...] | None:
     """Per-index verdicts that each settled W_e differs from g(e), the least
     e+3 elements of h.
 
-    None when h is homogeneous for no member of the report's tree at its
-    full horizon.  Indices whose trigger never fired at the horizon are
-    vacuous; a triggered index that h is too small for is refused.
+    None when h is homogeneous for no member of the diagonal tree at the
+    horizon depth, decided without the tree: color 0, then 1, is fixed on h
+    and the other positions are searched for one that splits every front
+    fired by depth.  Indices with no such front are vacuous; a fired index
+    that h is too small for is refused.
     """
-    if core.is_homog_path(h, report.tree) is None:
+    fired = {e: front for e, front, first in _fronts(enums, depth) if first <= depth}
+    if not any(_splittable(list(fired.values()), h, c) for c in (0, 1)):
         return None
     verdicts: list[FpfVerdict] = []
     for e in range(enums.k):
         w = NatSet.of(enums.w_final(e))
-        if (e, report.tree.horizon) not in report.triggered:
+        if e not in fired:
             verdicts.append(FpfVerdict(e=e, status="vacuous", w_e=w))
             continue
         if len(h) < e + 3:

@@ -227,7 +227,7 @@ def parse_stages(text: str) -> tuple[list[tuple[int, str]], int]:
 
 def render_tree(strings: FinTree | StringFamily) -> str:
     """One member per line in (length, lex) order, '-' for the empty string."""
-    return "".join([f"{s or '-'}\n" for level in strings.text_levels for s in level])
+    return "".join([("\n".join(level) or "-") + "\n" for level in strings.text_levels if level])
 
 
 # A family is stored by levels like a tree, so it renders the same way.

@@ -263,6 +263,37 @@ def ref_homog_path(h: NatSet, ref: RefTree, horizon: int) -> tuple[int, str] | N
     return None
 
 
+def ref_fpf(h: NatSet, enums, depth: int):
+    """dnr's verdicts read off the reference tree: None when no member at the
+    horizon is homogeneous for h, else per index (e, status, W_e, g, the
+    least element in one and not the other) with g and the element None when
+    the index is vacuous; a fired index that h is too small for is refused."""
+    ref = ref_diagonal(enums, depth)
+    if ref_homog_path(h, ref, ref.horizon) is None:
+        return None
+    triggered = ref_triggered(enums, depth)
+    verdicts = []
+    for e in range(enums.k):
+        w = sorted(ref_w_at(enums.events, e, enums.max_stage))
+        if (e, depth) not in triggered:
+            verdicts.append((e, "vacuous", w, None, None))
+            continue
+        if len(h) < e + 3:
+            raise Refusal(f"index e={e} needs {e + 3} elements of the set h, which has {len(h)}")
+        g = sorted(h)[: e + 3]
+        if g == w:
+            verdicts.append((e, "equal", w, g, None))
+        else:
+            only = sorted(set(g) - set(w)) or sorted(set(w) - set(g))
+            verdicts.append((e, "distinct", w, g, only[0]))
+    return tuple(verdicts)
+
+
+def ref_render(strings) -> str:
+    """One member per line, level by level, '-' for the empty string."""
+    return "".join([f"{s or '-'}\n" for level in strings.text_levels for s in level])
+
+
 def ref_dead_bounds(ref: RefTree, x: int) -> dict[str, int]:
     """Each level-(x+1) member missing the horizon, with its longest extension."""
     return {

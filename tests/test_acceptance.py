@@ -230,7 +230,7 @@ def _fpf_round(enums: StagedEnum, depth: int, rng: random.Random) -> None:
     padding = range(depth, depth + enums.k + 2)
     h = NatSet.of([x for x in range(depth) if sigma[x] == "01"[c]] + list(padding))
     assert is_homog_path(h, report.tree) is not None
-    verdicts = check_fpf(h, enums, report)
+    verdicts = check_fpf(h, enums, depth)
     for v in verdicts:
         triggered = (v.e, depth) in report.triggered
         assert v.status == ("distinct" if triggered else "vacuous")
@@ -241,8 +241,7 @@ def test_criterion_08_settled_sets_are_never_the_least_elements():
 
     def body():
         worked = StagedEnum([(0, 1, 0), (0, 2, 1), (0, 3, 2)])
-        report = build_diagonal_tree(worked, 3)
-        verdicts = check_fpf(NatSet.of([0, 3, 4]), worked, report)
+        verdicts = check_fpf(NatSet.of([0, 3, 4]), worked, 3)
         assert [(v.e, v.status, v.distinguishing) for v in verdicts] == [(0, "distinct", 3)]
         rounds = 0
         while rounds < 50:

@@ -250,6 +250,11 @@ class TestNatSet:
     def test_of_sorts_and_dedups(self):
         assert NatSet.of([3, 1, 3, 0]).elements == (0, 1, 3)
 
+    @pytest.mark.parametrize("values", [[1, "x"], ["x", 1], [2, None, 0], [1, 1.5], [-1, 2]])
+    def test_of_checks_elements_before_sorting(self, values):
+        with pytest.raises(Refusal, match="^elements must be naturals$"):
+            NatSet.of(values)
+
     def test_membership_and_below(self):
         h = NatSet.of([1, 4, 6])
         assert 4 in h and 5 not in h

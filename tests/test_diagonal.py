@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import re
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import ref_fpf
+from rkl import cli, formats
 from rkl.core import NatSet, Refusal, is_homog_path, is_homog_string
 from rkl.diagonal import StagedEnum, build_diagonal_tree, check_fpf
 
@@ -48,6 +55,14 @@ class TestStagedEnum:
     def test_rejects_stage_zero(self):
         with pytest.raises(ValueError):
             StagedEnum([(0, 0, 1)])
+
+    @pytest.mark.parametrize(
+        "event", [(0, 1.5, 2), ("a", 1, 2), (0, 1), (0, 1, 2, 3), (True, 1, 2), [0, 1, 2]]
+    )
+    def test_rejects_malformed_event_before_sorting(self, event):
+        # The other event shares stage 1, so a sort would compare the two.
+        with pytest.raises(Refusal, match=f"^bad event {re.escape(repr(event))}$"):
+            StagedEnum([(1, 1, 1), event])
 
     def test_w_at_prefixes_enumeration(self):
         assert WORKED.w_final(0) == (0, 1, 2)
@@ -117,22 +132,19 @@ class TestBuildDiagonalTree:
 class TestDnrG:
     # g(e) is the least e+3 elements of h, compared at each triggered index.
     def test_least_three(self):
-        report = build_diagonal_tree(WORKED, 3)
-        verdicts = check_fpf(N([2, 5, 9, 14, 20]), WORKED, report)
+        verdicts = check_fpf(N([2, 5, 9, 14, 20]), WORKED, 3)
         assert verdicts[0].g_e == N([2, 5, 9])
 
     def test_least_five(self):
         en = StagedEnum([(2, 1, x) for x in range(5)])
-        report = build_diagonal_tree(en, 5)
-        verdicts = check_fpf(N([2, 5, 9, 14, 20]), en, report)
+        verdicts = check_fpf(N([2, 5, 9, 14, 20]), en, 5)
         assert [v.status for v in verdicts] == ["vacuous", "vacuous", "distinct"]
         assert verdicts[2].g_e == N([2, 5, 9, 14, 20])
 
     def test_too_small(self):
-        report = build_diagonal_tree(WORKED, 3)
         message = "^index e=0 needs 3 elements of the set h, which has 2$"
         with pytest.raises(Refusal, match=message):
-            check_fpf(N([2, 5]), WORKED, report)
+            check_fpf(N([2, 5]), WORKED, 3)
 
 
 class TestCheckFpf:
@@ -140,7 +152,7 @@ class TestCheckFpf:
         report = build_diagonal_tree(WORKED, 3)
         h = N([0, 3, 4])
         assert is_homog_path(h, report.tree) is not None
-        verdicts = check_fpf(h, WORKED, report)
+        verdicts = check_fpf(h, WORKED, 3)
         assert len(verdicts) == 1
         v = verdicts[0]
         assert (v.e, v.status) == (0, "distinct")
@@ -150,30 +162,148 @@ class TestCheckFpf:
 
     def test_distinguishing_prefers_g_side(self):
         # g \ W nonempty: the least element of g missing from W is reported.
-        report = build_diagonal_tree(WORKED, 3)
-        verdicts = check_fpf(N([0, 1, 3, 4]), WORKED, report)
+        verdicts = check_fpf(N([0, 1, 3, 4]), WORKED, 3)
         assert verdicts[0].g_e == N([0, 1, 3])
         assert verdicts[0].distinguishing == 3
 
     def test_untriggered_is_vacuous(self):
         en = StagedEnum([(0, 1, 5), (0, 2, 6), (0, 3, 7)])
-        report = build_diagonal_tree(en, 4)
-        verdicts = check_fpf(N([0, 1, 2, 3]), en, report)
+        verdicts = check_fpf(N([0, 1, 2, 3]), en, 4)
         assert [v.status for v in verdicts] == ["vacuous"]
         assert verdicts[0].g_e is None
 
     def test_not_homogeneous_rejected(self):
         # No verdicts at all: h is homogeneous for no member at the horizon.
-        report = build_diagonal_tree(WORKED, 3)
-        assert check_fpf(N([0, 1, 2]), WORKED, report) is None
+        assert check_fpf(N([0, 1, 2]), WORKED, 3) is None
 
     def test_one_verdict_per_index(self):
         en = StagedEnum([(0, 1, 0), (0, 1, 1), (0, 2, 2), (1, 1, 9), (2, 3, 11)])
         report = build_diagonal_tree(en, 5)
         sigma = report.tree.level(5)[0]
         h = N([x for x in range(5) if sigma[x] == "0"] + [5, 6, 7, 8])
-        verdicts = check_fpf(h, en, report)
+        verdicts = check_fpf(h, en, 5)
         assert [v.e for v in verdicts] == [0, 1, 2]
         assert verdicts[0].status == "distinct"
         assert verdicts[1].status == "vacuous"
         assert verdicts[2].status == "vacuous"
+
+
+@st.composite
+def dnr_cases(draw):
+    """A depth 1-10, an enumeration whose fronts mostly fire by it, and a set
+    h: random, homogeneous along a random string, or holding a whole front."""
+    depth = draw(st.integers(1, 10))
+    ws = [
+        draw(st.lists(st.integers(0, depth + 1), unique=True, min_size=min(e + 3, depth + 2),
+                      max_size=depth + 2))
+        for e in range(draw(st.integers(1, 4)))
+    ]
+    stages = st.integers(1, depth + 1)
+    enums = StagedEnum([(e, draw(stages), x) for e, w in enumerate(ws) for x in w])
+    h = set(draw(st.frozensets(st.integers(0, depth + 4), max_size=8)))
+    kind = draw(st.sampled_from(["random", "string", "front"]))
+    if kind == "string":
+        sigma = draw(st.text(alphabet="01", min_size=depth, max_size=depth))
+        c = draw(st.sampled_from("01"))
+        pad = draw(st.integers(0, enums.k + 3))
+        h = {x for x in range(depth) if sigma[x] == c} | set(range(depth, depth + pad))
+    elif kind == "front":
+        ws = [enums.w_final(e) for e in range(enums.k)]
+        fronts = [w[: e + 3] for e, w in enumerate(ws) if len(w) >= e + 3]
+        if fronts:
+            h |= set(draw(st.sampled_from(fronts)))
+    return enums, depth, NatSet.of(h)
+
+
+def as_tuples(verdicts):
+    if verdicts is None:
+        return None
+    return tuple(
+        (v.e, v.status, list(v.w_e), None if v.g_e is None else list(v.g_e), v.distinguishing)
+        for v in verdicts
+    )
+
+
+def braces(xs) -> str:
+    return "{" + ",".join(map(str, xs)) + "}"
+
+
+def ref_dnr_output(h: NatSet, enums: StagedEnum, depth: int) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of dnr, built from ref_fpf."""
+    try:
+        verdicts = ref_fpf(h, enums, depth)
+    except Refusal as refusal:
+        return 2, "", f"error: {refusal}\n"
+    if verdicts is None:
+        return 1, "not homogeneous for any path at the tree horizon\nverdict: fail\n", ""
+    lines = []
+    for e, status, w, g, only in verdicts:
+        line = f"e={e} status={status} W={braces(w)}"
+        line += "" if g is None else f" g={braces(g)}"
+        line += "" if only is None else f" differs={only}"
+        lines.append(line)
+    failed = any(status == "equal" for _, status, _, _, _ in verdicts)
+    lines.append("verdict: fail" if failed else "verdict: ok")
+    return int(failed), "".join(line + "\n" for line in lines), ""
+
+
+def run_dnr(root, h: NatSet, enums: StagedEnum, depth: int) -> tuple[int, str, str]:
+    (root / "w.enum").write_text(formats.render_enum(enums), encoding="utf-8")
+    (root / "h.set").write_text(formats.render_natset(h), encoding="utf-8")
+    argv = ["dnr", "--enum", str(root / "w.enum"), "--set", str(root / "h.set")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--depth", str(depth)])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDnrAgainstTree:
+    """check_fpf decides homogeneity without the tree; the oracles build it."""
+
+    @settings(max_examples=300)
+    @given(dnr_cases())
+    # A front wholly inside h shows one color on every member: None.
+    @example((StagedEnum([(0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 1, 3), (1, 1, 4),
+                          (1, 1, 5), (1, 1, 6)]), 7, NatSet.of([0, 1, 2])))
+    # Fronts 1-3 each leave one free position, which must differ from h's
+    # color; front 0 then reads only that color: None after a search.
+    @example((StagedEnum([(0, 1, 5), (0, 1, 6), (0, 1, 7)]
+                         + [(1, 1, x) for x in (0, 1, 2, 5)]
+                         + [(2, 1, x) for x in (0, 1, 2, 3, 6)]
+                         + [(3, 1, x) for x in (0, 1, 2, 3, 4, 7)]), 8, NatSet.of(range(5))))
+    # A fired index that h is too small for, with h homogeneous.
+    @example((StagedEnum([(0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 1, 3), (1, 1, 4),
+                          (1, 1, 5), (1, 1, 6)]), 7, NatSet.of([0, 3, 4])))
+    def test_verdicts_match_reference_tree(self, case):
+        enums, depth, h = case
+        try:
+            want = ref_fpf(h, enums, depth)
+        except Refusal as refusal:
+            with pytest.raises(Refusal, match=f"^{re.escape(str(refusal))}$"):
+                check_fpf(h, enums, depth)
+            return
+        assert as_tuples(check_fpf(h, enums, depth)) == want
+
+    @settings(max_examples=100)
+    @given(case=dnr_cases())
+    def test_cli_matches_reference_tree(self, case, tmp_path_factory):
+        root = tmp_path_factory.getbasetemp() / "dnr"
+        root.mkdir(exist_ok=True)
+        enums, depth, h = case
+        assert run_dnr(root, h, enums, depth) == ref_dnr_output(h, enums, depth)
+
+    def test_deep_horizon_allocates_no_tree(self, tmp_path):
+        # W_0's front {0, 5, 20} fires at level 21; a tree at depth 24 would
+        # hold millions of members.
+        enums = StagedEnum([(0, 1, 0), (0, 1, 5), (0, 1, 20)])
+        h = NatSet.of([0, 1, 2, 3, 30])
+        run_dnr(tmp_path, h, enums, 2)  # builds the argument parser
+        tracemalloc.start()
+        try:
+            code, out, err = run_dnr(tmp_path, h, enums, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert out == "e=0 status=distinct W={0,5,20} g={0,1,2} differs=1\nverdict: ok\n"
+        assert peak < 1 << 20

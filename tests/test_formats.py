@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import colorings, natsets, string_families, trees
-from rkl.core import NatSet
-from rkl.diagonal import StagedEnum
+from helpers import colorings, natsets, ref_render, string_families, trees
+from rkl.core import NatSet, StringFamily
+from rkl.diagonal import StagedEnum, build_diagonal_tree
 from rkl import formats
 from rkl.formats import (
     FormatError,
@@ -82,6 +82,33 @@ class TestSigma:
     @given(string_families())
     def test_round_trip(self, fam):
         assert frozenset(parse_sigma(render_sigma(fam))) == frozenset(fam)
+
+
+class TestRenderTree:
+    """The per-level join against one line per member."""
+
+    @given(trees(max_len=10, max_members=8))
+    def test_trees(self, t):
+        assert render_tree(t) == ref_render(t)
+
+    @given(string_families(max_len=10, max_members=8))
+    def test_families(self, fam):
+        assert render_tree(fam) == render_sigma(fam) == ref_render(fam)
+
+    @pytest.mark.parametrize(
+        "members",
+        [[], [""], ["", "0110"], ["1", "0001", "1111"], ["000000", "01"], ["10"]],
+    )
+    def test_empty_levels_and_no_root(self, members):
+        fam = StringFamily(members)
+        assert render_tree(fam) == ref_render(fam)
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 8), st.integers(0, 7)),
+                    max_size=12, unique_by=lambda t: (t[0], t[2])),
+           st.integers(1, 8))
+    def test_diagonal_trees(self, events, depth):
+        t = build_diagonal_tree(StagedEnum(events), depth).tree
+        assert render_tree(t) == ref_render(t)
 
 
 # Every character the readers treat specially: line breaks that split

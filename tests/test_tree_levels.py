@@ -4,7 +4,7 @@ and against the plain reference tree in helpers."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -42,8 +42,11 @@ def tree_text(strings) -> str:
 
 def front_heavy_enums(max_k: int = 3, max_stage: int = 6):
     """Per index, elements below 6 each entered at some stage, so that most
-    fronts trigger by depth 6."""
+    fronts trigger by depth 6.  Half the time an index enters everything at
+    stage 1, so its front fires right past its largest element, reading that
+    level's new symbol, and often at the same level as another front."""
     w = st.dictionaries(st.integers(0, 5), st.integers(1, max_stage), min_size=3)
+    w = st.one_of(w, w.map(lambda entered: dict.fromkeys(entered, 1)))
     return st.lists(w, min_size=max_k, max_size=max_k).map(
         lambda ws: StagedEnum(
             [(e, s, x) for e, entered in enumerate(ws) for x, s in entered.items()]
@@ -82,6 +85,11 @@ class TestTrustedProducers:
         assert_trusted_matches(parse_tree(tree_text(strings), close=True), ref_closure(strings))
 
     @given(front_heavy_enums(), st.integers(1, 9))
+    # Two fronts read level 6's new symbol and split the rest between them,
+    # so a parent can lose both children.
+    @example(StagedEnum([(0, 1, x) for x in (0, 1, 5)] + [(1, 1, x) for x in (2, 3, 4, 5)]), 7)
+    # One front at level 5 reads position 4 and one does not.
+    @example(StagedEnum([(0, 5, x) for x in (0, 1, 2)] + [(1, 1, x) for x in (0, 1, 2, 4)]), 6)
     def test_build_diagonal_tree(self, enums, l_max):
         report = build_diagonal_tree(enums, l_max)
         ref = ref_diagonal(enums, l_max)
