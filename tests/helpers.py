@@ -14,7 +14,7 @@ from typing import Iterator, Mapping
 from hypothesis import strategies as st
 
 from rkl import reductions
-from rkl.core import NatSet, PairColoring, Refusal, StringFamily, downward_closure
+from rkl.core import MAX_DIGITS, NatSet, PairColoring, Refusal, StringFamily, downward_closure
 from rkl.predlang import (
     Arith,
     Bit,
@@ -292,6 +292,37 @@ def ref_fpf(h: NatSet, enums, depth: int):
 def ref_render(strings) -> str:
     """One member per line, level by level, '-' for the empty string."""
     return "".join([f"{s or '-'}\n" for level in strings.text_levels for s in level])
+
+
+def ref_render_coloring(f: PairColoring) -> str:
+    """The header, then one 'x y c' line per pair in (y, x) order."""
+    parts = [f"n {f.n}\n"]
+    for y, row in enumerate(f.rows, start=1):
+        tail = f" {y} "
+        parts.extend([f"{x}{tail}{c}\n" for x, c in enumerate(row)])
+    return "".join(parts)
+
+
+def ref_canonical_coloring(text: str) -> PairColoring | None:
+    """The coloring of a text exactly as ref_render_coloring writes it, else None.
+
+    Reads n from the header and each pair's color from the last character
+    of its line, then keeps the result only if it renders back to the text.
+    """
+    head, _, body = text.partition("\n")
+    digits = head[2:]
+    if not (head[:2] == "n " and digits.isascii() and digits.isdigit()):
+        return None
+    if len(digits) > MAX_DIGITS:
+        return None
+    n = int(digits)
+    colors = "".join([line[-1:] for line in body.split("\n")])
+    if len(colors) != n * (n + 1) // 2 or colors.strip("01"):
+        return None
+    f = PairColoring(
+        n, tuple(colors[y * (y - 1) // 2 : y * (y + 1) // 2] for y in range(1, n + 1))
+    )
+    return f if ref_render_coloring(f) == text else None
 
 
 def ref_dead_bounds(ref: RefTree, x: int) -> dict[str, int]:

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import colorings, natsets, ref_render, string_families, trees
-from rkl.core import NatSet, StringFamily
+from helpers import (
+    colorings,
+    natsets,
+    ref_canonical_coloring,
+    ref_render,
+    ref_render_coloring,
+    string_families,
+    trees,
+)
+from rkl.core import MAX_DIGITS, NatSet, PairColoring, StringFamily
 from rkl.diagonal import StagedEnum, build_diagonal_tree
 from rkl import formats
 from rkl.formats import (
@@ -280,6 +289,103 @@ class TestCanonicalColoring:
         with pytest.raises(FormatError) as info:
             parse_coloring(text)
         assert str(info.value) == message
+
+
+# Sizes on each side of a change in the digit width of x or y.
+WIDTH_EDGES = [0, 1, 9, 10, 11, 99, 100, 101]
+
+
+def _random_coloring(n: int, rnd) -> PairColoring:
+    return PairColoring(n, tuple(format(rnd.getrandbits(y), f"0{y}b") for y in range(1, n + 1)))
+
+
+def _change_one_byte(lines: list[str], kind: str, data) -> None:
+    """Replace one character of the kind named: a digit of x, y or n, a space,
+    a newline, a color (turned into 2), or any character (by a non-ASCII one)."""
+    replacements = {
+        "digit": "0123456789",
+        "space": "\t0\n",
+        "newline": " 0\r",
+        "color": "2",
+        "non-ascii": "\u00e9\u00a0\u0662\u2028",
+    }
+
+    def kind_of(i: int, p: int, ch: str) -> str:
+        if i and p == len(lines[i]) - 2:
+            return "color"
+        return {" ": "space", "\n": "newline"}.get(ch, "digit" if ch.isdigit() else "")
+
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    offsets = [
+        p for p, ch in enumerate(lines[i]) if kind == "non-ascii" or kind_of(i, p, ch) == kind
+    ]
+    if offsets:  # only the header has no color
+        p = data.draw(st.sampled_from(offsets), label="offset")
+        c = data.draw(st.sampled_from(replacements[kind]), label="by")
+        lines[i] = lines[i][:p] + c + lines[i][p + 1 :]
+
+
+def _near_canonical(text: str, kind: str, data) -> str:
+    """The canonical text, with one change of the kind named."""
+    lines = text.splitlines(keepends=True)
+    if kind == "swap" and len(lines) > 1:
+        i = data.draw(st.integers(0, len(lines) - 2), label="swap")
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif kind == "drop last":
+        lines.pop()
+    elif kind == "add":
+        i = data.draw(st.integers(0, len(lines)), label="at")
+        x, y, c = data.draw(st.tuples(*[st.integers(0, len(lines))] * 2, st.integers(0, 2)))
+        lines.insert(i, data.draw(st.sampled_from([lines[i - 1], f"{x} {y} {c}\n"])))
+    elif kind != "none":
+        _change_one_byte(lines, kind, data)
+    return "".join(lines)
+
+
+class TestCanonicalColoringAgainstReference:
+    """The fixed-offset reader and writer against the line-by-line ones."""
+
+    @given(n=st.integers(0, 14), rnd=st.randoms(use_true_random=False))
+    def test_render_matches_reference(self, n, rnd):
+        f = _random_coloring(n, rnd)
+        assert render_coloring(f) == ref_render_coloring(f)
+
+    @pytest.mark.parametrize("n", WIDTH_EDGES)
+    @settings(max_examples=5)
+    @given(rnd=st.randoms(use_true_random=False))
+    def test_render_matches_reference_across_widths(self, n, rnd):
+        f = _random_coloring(n, rnd)
+        assert render_coloring(f) == ref_render_coloring(f)
+
+    KINDS = ["none", "digit", "space", "newline", "color", "non-ascii", "swap", "drop last", "add"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(n=st.integers(0, 12), rnd=st.randoms(use_true_random=False), data=st.data())
+    def test_parse_matches_reference(self, kind, n, rnd, data):
+        text = _near_canonical(ref_render_coloring(_random_coloring(n, rnd)), kind, data)
+        assert _canonical_coloring(text) == ref_canonical_coloring(text)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", WIDTH_EDGES)
+    @settings(max_examples=8)
+    @given(rnd=st.randoms(use_true_random=False), data=st.data())
+    def test_parse_matches_reference_across_widths(self, n, kind, rnd, data):
+        text = _near_canonical(ref_render_coloring(_random_coloring(n, rnd)), kind, data)
+        assert _canonical_coloring(text) == ref_canonical_coloring(text)
+
+    @pytest.mark.parametrize("digits", ["100000", "9" * MAX_DIGITS])
+    def test_bare_header_is_refused_without_the_layout(self, digits):
+        parse_coloring("n 1\n0 1 0\n")  # first-call imports and caches stay out of the peak
+        with mock.patch.object(formats, "_coloring_layout", side_effect=AssertionError):
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError) as info:
+                    parse_coloring(f"n {digits}\n")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert str(info.value) == "pair (0,1) missing"
+        assert peak < 1 << 20
 
 
 class TestEnum:
