@@ -10,11 +10,9 @@ prefer color 0 over 1 and lexicographically least strings, with 0 < 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import ClassVar, Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 # The most digits a decimal literal in any input may have.  It is CPython's
 # default limit on int(str), fixed here so that every parser refuses a
@@ -77,25 +75,31 @@ def _bits(s: object) -> str:
     return s
 
 
-@dataclass(frozen=True, init=False)
 class _LevelStore:
     """A finite set of binary strings stored by levels.
 
     text_levels[l] holds the members of length l, lexicographically sorted,
     for every l from 0 to the longest member, so iterating the levels in turn
     gives (length, lex) order.  Producers that already hold sorted levels go
-    through the unchecked _from_levels.
+    through the unchecked _from_levels.  Stores of different types are never
+    equal.
     """
 
-    text_levels: tuple[tuple[str, ...], ...]
-    _missing: ClassVar[str]  # sigma_text's refusal past the longest, given y
+    __slots__ = ("text_levels",)
+    _missing: str  # sigma_text's refusal past the longest, given y
 
     @classmethod
     def _from_levels(cls, levels: Iterable[Iterable[str]]):
         """Trusted: levels must be the sorted levels 0..longest of the members."""
         store = object.__new__(cls)
-        object.__setattr__(store, "text_levels", tuple(tuple(level) for level in levels))
+        store.text_levels = tuple(tuple(level) for level in levels)
         return store
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.text_levels == self.text_levels
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.text_levels))
 
     def level(self, l: int) -> tuple[str, ...]:
         """Members of length l, lexicographically sorted."""
@@ -121,7 +125,6 @@ class _LevelStore:
         return chain.from_iterable(self.text_levels)
 
 
-@dataclass(frozen=True, init=False)
 class FinTree(_LevelStore):
     """A finite prefix-closed set of binary strings; the root is a member.
 
@@ -129,11 +132,11 @@ class FinTree(_LevelStore):
     texts and closure; producers that are closed by construction skip both.
     """
 
+    __slots__ = ()
     _missing = "no tree member of length {}"
 
     def __init__(self, members: Iterable[str] = ()) -> None:
-        levels = _closed_levels(dict.fromkeys(map(_bits, members)))
-        object.__setattr__(self, "text_levels", levels)
+        self.text_levels = _closed_levels(dict.fromkeys(map(_bits, members)))
 
     @property
     def horizon(self) -> int:
@@ -141,7 +144,6 @@ class FinTree(_LevelStore):
         return len(self.text_levels) - 1
 
 
-@dataclass(frozen=True)
 class PairColoring:
     """A total 2-coloring of the pairs {(x, y) : 0 <= x < y <= n}.
 
@@ -149,21 +151,29 @@ class PairColoring:
     is the color of the pair (x, y).
     """
 
-    n: int
-    rows: tuple[str, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, rows: Iterable[str]) -> None:
+        rows = tuple(rows)
+        if n < 0:
             raise Refusal("n must be a natural number")
-        if len(self.rows) != self.n:
-            raise Refusal(f"expected {self.n} rows, got {len(self.rows)}")
-        for y, row in enumerate(self.rows, start=1):
+        if len(rows) != n:
+            raise Refusal(f"expected {n} rows, got {len(rows)}")
+        for y, row in enumerate(rows, start=1):
             if not isinstance(row, str):
                 raise Refusal(f"row for y={y} must be a '01' text")
             if len(row) != y:
                 raise Refusal(f"row for y={y} must have {y} entries")
             if row.strip("01"):
                 raise Refusal(f"row for y={y} holds a non-color value")
+        self.n = n
+        self.rows = rows
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.rows == self.rows
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.rows))
 
     def value(self, x: int, y: int) -> int:
         if not 0 <= x < y <= self.n:
@@ -171,7 +181,6 @@ class PairColoring:
         return int(self.rows[y - 1][x])
 
 
-@dataclass(frozen=True, init=False)
 class StringFamily(_LevelStore):
     """A finite set of binary strings, stored by levels like a tree.
 
@@ -180,11 +189,11 @@ class StringFamily(_LevelStore):
     inconsistent state exists.
     """
 
+    __slots__ = ()
     _missing = "no family member of length at least {}"
 
     def __init__(self, members: Iterable[str] = ()) -> None:
-        levels = _sorted_levels(set(map(_bits, members)))
-        object.__setattr__(self, "text_levels", levels)
+        self.text_levels = _sorted_levels(set(map(_bits, members)))
 
     @property
     def n(self) -> int:
@@ -197,28 +206,32 @@ class StringFamily(_LevelStore):
         return not levels[0] and all(len(level) == 1 for level in levels[1:])
 
 
-@dataclass(frozen=True)
 class NatSet:
     """A finite set of naturals, stored strictly increasing."""
 
-    elements: tuple[int, ...] = ()
+    __slots__ = ("elements", "_lookup")
 
-    def __post_init__(self) -> None:
-        if any(type(v) is not int or v < 0 for v in self.elements):
+    def __init__(self, elements: Iterable[int] = ()) -> None:
+        elements = tuple(elements)
+        if any(type(v) is not int or v < 0 for v in elements):
             raise Refusal("elements must be naturals")
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
+        if any(a >= b for a, b in zip(elements, elements[1:])):
             raise Refusal("elements must be strictly increasing")
+        self.elements = elements
+        self._lookup = frozenset(elements)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.elements == self.elements
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.elements))
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "NatSet":
         values = tuple(values)
         if any(type(v) is not int for v in values):  # before the sort can fail
             raise Refusal("elements must be naturals")
-        return cls(tuple(sorted(set(values))))
-
-    @cached_property
-    def _lookup(self) -> frozenset[int]:
-        return frozenset(self.elements)
+        return cls(sorted(set(values)))
 
     def __contains__(self, x: int) -> bool:
         return x in self._lookup
@@ -236,8 +249,7 @@ class NatSet:
         return "{" + ",".join(str(v) for v in self.elements) + "}"
 
 
-@dataclass(frozen=True)
-class HomWitness:
+class HomWitness(NamedTuple):
     """A color and a long member that shows it at every position of h."""
 
     color: int

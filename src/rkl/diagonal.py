@@ -16,14 +16,12 @@ l; dnr decides its question from that fact alone, without the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from rkl.core import FinTree, NatSet, Refusal
 
 
-@dataclass(frozen=True)
 class StagedEnum:
     """Finitely many staged enumerations, one per index e < k.
 
@@ -33,20 +31,30 @@ class StagedEnum:
     the events.
     """
 
-    events: tuple[tuple[int, int, int], ...]
+    __slots__ = ("events", "_by_index")
 
-    def __post_init__(self) -> None:
-        for t in self.events:  # each whole, before the sort reads it
+    def __init__(self, events: Iterable[tuple[int, int, int]]) -> None:
+        events = tuple(events)
+        for t in events:  # each whole, before the sort reads it
             if (type(t) is not tuple or len(t) != 3 or any(type(v) is not int for v in t)
                     or min(t) < 0 or t[1] < 1):
                 raise Refusal(f"bad event {t!r}")
-        events = tuple(sorted(self.events, key=lambda t: (t[1], t[0], t[2])))
-        object.__setattr__(self, "events", events)
+        self.events = tuple(sorted(events, key=lambda t: (t[1], t[0], t[2])))
         seen: set[tuple[int, int]] = set()
-        for e, s, x in events:
+        grouped: dict[int, list[tuple[int, int]]] = {}
+        for e, s, x in self.events:
             if (e, x) in seen:
                 raise Refusal(f"element {x} enumerated twice for index {e}")
             seen.add((e, x))
+            grouped.setdefault(e, []).append((s, x))
+        # Per index e, the stages and elements of its events in order.
+        self._by_index = {e: tuple(zip(*pairs)) for e, pairs in grouped.items()}
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.events == self.events
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.events))
 
     @property
     def k(self) -> int:
@@ -58,21 +66,12 @@ class StagedEnum:
         """The last stage, or 0 with no events."""
         return self.events[-1][1] if self.events else 0
 
-    @cached_property
-    def _by_index(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Per index e, the stages and elements of its events in order."""
-        grouped: dict[int, list[tuple[int, int]]] = {}
-        for e, s, x in self.events:
-            grouped.setdefault(e, []).append((s, x))
-        return {e: tuple(zip(*pairs)) for e, pairs in grouped.items()}
-
     def w_final(self, e: int) -> tuple[int, ...]:
         """Every element of W_e, in enumeration order."""
         return self._by_index.get(e, ((), ()))[1]
 
 
-@dataclass(frozen=True)
-class DiagReport:
+class DiagReport(NamedTuple):
     """The built tree plus its per-level counts and active (e, length) pairs."""
 
     tree: FinTree
@@ -80,8 +79,7 @@ class DiagReport:
     triggered: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class FpfVerdict:
+class FpfVerdict(NamedTuple):
     """Outcome of comparing one settled W_e against the least e+3 of h."""
 
     e: int

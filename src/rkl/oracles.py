@@ -17,15 +17,14 @@ the largest size, then the lexicographically least set, then color 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
+from typing import NamedTuple
 
 from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, is_homog_string
 
 
-@dataclass(frozen=True)
-class StabilityEvidence:
+class StabilityEvidence(NamedTuple):
     """What one column of a coloring shows about its own convergence.
 
     last_change is the greatest y where the column moved (x+1 when it never
@@ -38,8 +37,7 @@ class StabilityEvidence:
     final_color: int
 
 
-@dataclass(frozen=True)
-class ReductionVerdict:
+class ReductionVerdict(NamedTuple):
     """Per-threshold confirmation that a coloring matches its source object.
 
     broken is the first pair of h within the horizon that the coloring does

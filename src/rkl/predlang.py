@@ -32,8 +32,7 @@ from __future__ import annotations
 import ast
 import builtins
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Sequence, Union
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence, Union
 
 from rkl.core import MAX_DIGITS, Refusal
 
@@ -68,42 +67,35 @@ class UnboundVariable(Refusal):
         super().__init__(f"{where}unbound: {name}")
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Bit:
+class Bit(NamedTuple):
     index: "PredExpr"
 
 
-@dataclass(frozen=True)
-class Arith:
+class Arith(NamedTuple):
     op: str
     left: "PredExpr"
     right: "PredExpr"
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(NamedTuple):
     op: str
     left: "PredExpr"
     right: "PredExpr"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     operand: "PredExpr"
 
 
-@dataclass(frozen=True)
-class Logic:
+class Logic(NamedTuple):
     op: str
     left: "PredExpr"
     right: "PredExpr"

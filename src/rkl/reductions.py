@@ -9,15 +9,13 @@ explicit cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from rkl import predlang
 from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, _bits
 
 
-@dataclass(frozen=True)
-class PredMatrix:
+class PredMatrix(NamedTuple):
     """A total decidable predicate over named natural variables, kept as its
     parse tree; each reduction lowers it once per call with predlang.compile.
     """
@@ -41,8 +39,7 @@ PI2_NAMES = ("y", "z", "len", "bit")
 YOKO_NAMES = ("x", "m", "n")
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Where a column of a tree coloring settles.
 
     bound is the largest length reached by any dead branch at level x+1

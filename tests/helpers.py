@@ -57,6 +57,12 @@ def from_function(n: int, fn) -> PairColoring:
     )
 
 
+def assert_equal_and_hashed(values) -> None:
+    """Every value equals the first and hashes alike."""
+    for value in values:
+        assert value == values[0] and hash(value) == hash(values[0])
+
+
 def pairs(f: PairColoring) -> Iterator[tuple[int, int, int]]:
     """All (x, y, color) triples, ordered by (y, x)."""
     for y in range(1, f.n + 1):

@@ -14,7 +14,8 @@ tests/helpers.py instead.
 
 The program refuses input in one way: every exception class in src/rkl
 derives from core.Refusal, every raise there raises one, and the CLI
-reports only refusals and OSError as invalid input.
+reports only refusals and OSError as invalid input.  A file error with no
+line number is one of the whole-file facts the README lists.
 """
 
 from __future__ import annotations
@@ -206,3 +207,28 @@ def test_every_raise_raises_a_refusal():
 
 def test_cli_reports_only_refusals_and_os_errors():
     assert cli._INVALID_INPUT == (core.Refusal, OSError)
+
+
+# Each FormatError(None, ...) in src/rkl, by module and the source of its
+# message, with the words the README's exit-code paragraph lists it by.
+UNLOCATED = {
+    ("cli", "str(exc)"): "a non-UTF-8 file",
+    ("cli", 'f"unrecognized extension {suffix!r}"'): "an unrecognized `info` extension",
+    ("formats", "\"missing 'n <N>' header\""): "a missing `n <N>` header",
+    ("formats", 'f"pair ({x},{y}) missing"'): "`pair (x,y) missing`",
+    ("formats", '"no stages listed"'): "`no stages listed`",
+}
+
+
+def test_every_error_without_a_line_is_documented():
+    found = set()
+    for path in SRC.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and _last_name(node.func) == "FormatError"
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value is None):
+                found.add((path.stem, ast.get_source_segment(source, node.args[1])))
+    assert found == set(UNLOCATED)
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert [words for words in UNLOCATED.values() if words not in readme] == []

@@ -542,6 +542,18 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert result.stdout == "kind=tree members=8 horizon=4\n"
 
+    def test_import_loads_no_dataclasses_or_inspect(self, tmp_path):
+        # Every command is a fresh process that pays for what the import loads.
+        code = ("import sys; before = set(sys.modules); import rkl.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        added = set(result.stdout.split())
+        assert result.returncode == 0 and "rkl.cli" in added
+        assert not added & {"dataclasses", "inspect"}
+
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_fpf
+from helpers import assert_equal_and_hashed, ref_fpf
 from rkl import cli, formats
 from rkl.core import NatSet, Refusal, is_homog_path, is_homog_string
 from rkl.diagonal import StagedEnum, build_diagonal_tree, check_fpf
@@ -47,6 +47,16 @@ class TestStagedEnum:
         en = StagedEnum([(2, 5, 0), (2, 3, 1)])
         assert (en.k, en.max_stage) == (3, 5)
         assert (StagedEnum(()).k, StagedEnum(()).max_stage) == (0, 0)
+
+    @given(staged_enums(), st.randoms(use_true_random=False))
+    def test_built_from_any_iterable_by_value(self, en, rng):
+        events = list(en.events)
+        rng.shuffle(events)
+        assert_equal_and_hashed(
+            [en, StagedEnum(events), StagedEnum(iter(events)), StagedEnum(t for t in events)]
+        )
+        assert StagedEnum(t for t in events).w_final(0) == en.w_final(0)
+        assert en != en.events
 
     def test_rejects_duplicate_entry(self):
         with pytest.raises(ValueError):

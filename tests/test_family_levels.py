@@ -4,12 +4,21 @@ helpers, and the sigma_y reader against brute force on families and trees."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import RefFamily, colorings, from_function, natsets, pairs, ref_closure
+from helpers import (
+    RefFamily,
+    assert_equal_and_hashed,
+    colorings,
+    from_function,
+    natsets,
+    pairs,
+    ref_closure,
+)
 from rkl.core import (
     FinTree,
+    NatSet,
     PairColoring,
     Refusal,
     StringFamily,
@@ -78,7 +87,7 @@ def check_constructors_and_parser(strings, rng) -> None:
     ]
     for fam in built:
         assert_matches(fam, ref)
-        assert fam == built[0] and hash(fam) == hash(built[0])
+    assert_equal_and_hashed(built)
     assert parse_sigma(render_sigma(built[0])) == built[0]
 
 
@@ -123,6 +132,37 @@ class TestProducers:
         assert downward_closure(strings).text_levels == StringFamily(strings).text_levels
         assert downward_closure(strings) != StringFamily(strings)
         assert not isinstance(StringFamily(strings), FinTree)
+
+
+class TestStoresByValue:
+    """Each store copies its input to tuples, so one built from a list or a
+    one-pass iterator equals and hashes like one built from a tuple; it never
+    equals a plain tuple of its data or a store of another type."""
+
+    @given(st.lists(texts, max_size=10))
+    def test_trees(self, strings):
+        closed = ref_closure(strings).texts
+        assert_equal_and_hashed(
+            [downward_closure(strings), FinTree(tuple(closed)), FinTree(closed),
+             FinTree(iter(closed))]
+        )
+
+    @given(colorings(max_n=6))
+    @example(PairColoring(1, ("0",)))
+    @example(PairColoring(2, ("0", "01")))
+    def test_colorings(self, f: PairColoring):
+        rows = f.rows
+        assert_equal_and_hashed([f, PairColoring(f.n, list(rows)), PairColoring(f.n, iter(rows))])
+        assert f != (f.n, rows) and f != rows
+
+    @given(natsets())
+    @example(NatSet((1, 2)))
+    def test_natsets(self, h: NatSet):
+        elements = h.elements
+        assert_equal_and_hashed(
+            [h, NatSet(list(elements)), NatSet(iter(elements)), NatSet.of(reversed(elements))]
+        )
+        assert h != elements
 
 
 class TestSigmaReader:
