@@ -20,17 +20,18 @@ are rejected at parse time, so a parsed expression never mixes kinds.
 
 Evaluation is total on a fully bound environment: subtraction truncates at
 zero, "a mod 0" is zero, and bit(i) reads 0 at any index past the end of the
-bound string.  compile lowers a parsed expression, never text, once into
-one Python code object with no builtins, which can also run a least-witness
-scan.  Its "and" and "or" may short-circuit unobservably: every operator is
-total, and compile refuses unbound names first.  parse refuses nesting
-deeper than MAX_DEPTH, which bounds every recursion over an expression.
+bound string.  compile lowers a parsed expression once into the source of
+one Python lambda, evaluated with no builtins, which can also run a
+least-witness scan.  That source holds only fixed templates that wrap each
+operator in parentheses, names from the bound set, _N temporaries and int
+literals, never the matrix text.  Its "and" and "or" may short-circuit
+unobservably: every operator is total, and compile refuses unbound names
+first.  parse refuses nesting deeper than MAX_DEPTH, which bounds every
+recursion over an expression.
 """
 
 from __future__ import annotations
 
-import ast
-import builtins
 import itertools
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence, Union
 
@@ -114,19 +115,19 @@ def kind_of(expr: PredExpr) -> str:
 _KIND_NAMES = {"bool": "a comparison", "nat": "an arithmetic value"}
 
 # The one declaration of the operators: spelling -> (precedence level, node,
-# operand kind, Python operator).  A higher level binds tighter.  Binary
+# operand kind, Python spelling).  A higher level binds tighter.  Binary
 # levels associate to the left, except that comparisons do not chain; "not"
 # is the one prefix operator, and numbers, variables, bit(...) and
 # parentheses sit at _ATOM.  compile guards "-" and "mod" to keep them total.
-_OPERATORS: dict[str, tuple[int, type, str, type]] = {
-    "or": (1, Logic, "bool", ast.Or),
-    "and": (2, Logic, "bool", ast.And),
-    "not": (3, Not, "bool", ast.Not),
-    "=": (4, Cmp, "nat", ast.Eq), "!=": (4, Cmp, "nat", ast.NotEq),
-    "<": (4, Cmp, "nat", ast.Lt), "<=": (4, Cmp, "nat", ast.LtE),
-    ">": (4, Cmp, "nat", ast.Gt), ">=": (4, Cmp, "nat", ast.GtE),
-    "+": (5, Arith, "nat", ast.Add), "-": (5, Arith, "nat", ast.Sub),
-    "*": (6, Arith, "nat", ast.Mult), "mod": (6, Arith, "nat", ast.Mod),
+_OPERATORS: dict[str, tuple[int, type, str, str]] = {
+    "or": (1, Logic, "bool", "or"),
+    "and": (2, Logic, "bool", "and"),
+    "not": (3, Not, "bool", "not"),
+    "=": (4, Cmp, "nat", "=="), "!=": (4, Cmp, "nat", "!="),
+    "<": (4, Cmp, "nat", "<"), "<=": (4, Cmp, "nat", "<="),
+    ">": (4, Cmp, "nat", ">"), ">=": (4, Cmp, "nat", ">="),
+    "+": (5, Arith, "nat", "+"), "-": (5, Arith, "nat", "-"),
+    "*": (6, Arith, "nat", "*"), "mod": (6, Arith, "nat", "%"),
 }
 _ATOM = 7
 _NOT = _OPERATORS["not"][0]
@@ -305,10 +306,6 @@ def parse(text: str, names: Collection[str] | None = None) -> PredExpr:
     return node
 
 
-def _name(name: str, ctx: type = ast.Load) -> ast.Name:
-    return ast.Name(name, ctx())
-
-
 def compile(
     expr: PredExpr, params: Sequence[str], witness: str | None = None
 ) -> Callable[..., object]:
@@ -319,55 +316,40 @@ def compile(
     takes one more argument, an iterable of candidates, and returns the
     first at which the expression holds, or None.  A name that params and
     witness leave unbound raises UnboundVariable before compiling: the first
-    in text order, "bit" standing for a missing "bits".
+    in text order, "bit" standing for a missing "bits".  A number that is
+    not an int raises ValueError.
     """
-    bound = {*params, witness}
+    bound = {*params} if witness is None else {*params, witness}
     temps = itertools.count()
 
-    def temp(value: ast.expr) -> tuple[ast.NamedExpr, ast.Name]:
-        name = f"_{next(temps)}"
-        return ast.NamedExpr(_name(name, ast.Store), value), _name(name)
-
-    def lower(e: PredExpr) -> ast.expr:
+    def lower(e: PredExpr) -> str:
         if isinstance(e, Num):
-            return ast.Constant(e.value)
+            return format(e.value, "d")
         if isinstance(e, Var):
             if e.name not in bound:
                 raise UnboundVariable(e.name)
-            return _name(e.name)
+            return e.name
         if isinstance(e, Bit):  # reads 0 past the end
             if "bits" not in bound:
                 raise UnboundVariable("bit")
-            read = ast.Attribute(_name("bits"), "startswith", ast.Load())
-            test = ast.Call(read, [ast.Constant("1"), lower(e.index)], [])
-            return ast.IfExp(test, ast.Constant(1), ast.Constant(0))
+            return f"(1 if bits.startswith('1', {lower(e.index)}) else 0)"
         if isinstance(e, Not):
-            return ast.UnaryOp(ast.Not(), lower(e.operand))
-        op = _OPERATORS[e.op][3]()
+            return f"(not {lower(e.operand)})"
+        op = _OPERATORS[e.op][3]
         left, right = lower(e.left), lower(e.right)
-        if isinstance(e, Logic):
-            return ast.BoolOp(op, [left, right])
-        if isinstance(e, Cmp):
-            return ast.Compare(left, [op], [right])
-        if e.op == "-":  # (a - b if (a := left) > (b := right) else 0)
-            (set_a, a), (set_b, b) = temp(left), temp(right)
-            test = ast.Compare(set_a, [ast.Gt()], [set_b])
-            return ast.IfExp(test, ast.BinOp(a, op, b), ast.Constant(0))
-        if e.op == "mod":  # (left % b if (b := right) else 0)
-            set_b, b = temp(right)
-            return ast.IfExp(set_b, ast.BinOp(left, op, b), ast.Constant(0))
-        return ast.BinOp(left, op, right)
+        if e.op == "-":
+            a, b = f"_{next(temps)}", f"_{next(temps)}"
+            return f"({a} - {b} if ({a} := {left}) > ({b} := {right}) else 0)"
+        if e.op == "mod":
+            b = f"_{next(temps)}"
+            return f"({left} % {b} if ({b} := {right}) else 0)"
+        return f"({left} {op} {right})"
 
-    body, args = lower(expr), [ast.arg(name) for name in params]
-    if witness is not None:  # next((w for w in candidates if body), None)
-        scan = ast.comprehension(_name(witness, ast.Store), _name("candidates"), [body], 0)
-        first = ast.GeneratorExp(_name(witness), [scan])
-        body = ast.Call(_name("next"), [first, ast.Constant(None)], [])
-        args.append(ast.arg("candidates"))
-    spec = ast.arguments(posonlyargs=[], args=args, kwonlyargs=[], kw_defaults=[], defaults=[])
-    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(spec, body)))
-    code = builtins.compile(tree, "<matrix>", "eval")
-    return eval(code, {"__builtins__": {}, "next": next})
+    body = lower(expr)
+    if witness is not None:
+        body = f"next(({witness} for {witness} in candidates if {body}), None)"
+        params = (*params, "candidates")
+    return eval(f"lambda {', '.join(params)}: {body}", {"__builtins__": {}, "next": next})
 
 
 def evaluate(

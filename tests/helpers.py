@@ -133,6 +133,38 @@ def planted_colorings(max_n: int = 40, min_n: int = 0):
     )
 
 
+# Matrix texts for pi2sigma1 and yoko, over the names each binds; {a} and
+# {b} take small numbers.
+PI2_TEMPLATES = [
+    "z >= y",
+    "bit(y) + z >= y or len = {a}",
+    "z * {a} >= y + bit(y + {b})",
+    "bit(z) = 1 or z >= len + {a}",
+    "z + bit(len - {a}) > y mod {b}",
+    "z >= len - y and bit(y) = {b} mod 2",
+]
+YOKO_TEMPLATES = [
+    "n >= m + x",
+    "n >= m * (x mod {a})",
+    "n >= m + {a}",
+    "x mod {a} = {b} and n >= m",
+    "n * {a} >= m + x - {b}",
+    "n = {a} or m > {b}",
+    "n + {b} > m * {a} and x != {a}",
+    "0 = 1",
+    "not x mod {a} = {b} and n = m + {a}",
+]
+
+
+def matrix_texts(templates: list[str], max_number: int):
+    return st.builds(
+        lambda text, a, b: text.format(a=a, b=b),
+        st.sampled_from(templates),
+        st.integers(0, max_number),
+        st.integers(0, max_number),
+    )
+
+
 def graded_families(max_n: int = 8, min_n: int = 0):
     def build(codes: list[int]) -> StringFamily:
         return StringFamily(
@@ -413,7 +445,8 @@ def ref_pi2(phi: reductions.PredMatrix, tau: str, bound: int) -> bool:
     )
 
 
-def _side_holds(theta: reductions.PredMatrix, x: int, y: int, z: int) -> bool:
+def covers(theta: reductions.PredMatrix, x: int, y: int, z: int) -> bool:
+    """Every m < y has a witness n < z with theta(x, m, n)."""
     return all(
         any(ref_evaluate(theta.expr, {"x": x, "m": m, "n": n}) for n in range(z))
         for m in range(y)
@@ -428,7 +461,7 @@ def yokoyama_h(
     if cap < 1:
         raise ValueError("cap must be at least 1")
     for z in range(cap + 1):
-        if _side_holds(theta0, x, y, z) or _side_holds(theta1, x, y, z):
+        if covers(theta0, x, y, z) or covers(theta1, x, y, z):
             return z
     raise Refusal(f"no z <= {cap} covers (x={x}, y={y})")
 

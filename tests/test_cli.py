@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import colorings
+from helpers import PI2_TEMPLATES, YOKO_TEMPLATES, bitstrings, colorings, matrix_texts
+from reference import ref_main
 from rkl import cli, core, diagonal, formats
 
 DATA = Path(__file__).parent / "data"
@@ -542,7 +543,7 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert result.stdout == "kind=tree members=8 horizon=4\n"
 
-    def test_import_loads_no_dataclasses_or_inspect(self, tmp_path):
+    def test_import_loads_no_dataclasses_inspect_or_ast(self, tmp_path):
         # Every command is a fresh process that pays for what the import loads.
         code = ("import sys; before = set(sys.modules); import rkl.cli; "
                 "print(*sorted(set(sys.modules) - before))")
@@ -552,7 +553,7 @@ class TestEntryPoint:
         )
         added = set(result.stdout.split())
         assert result.returncode == 0 and "rkl.cli" in added
-        assert not added & {"dataclasses", "inspect"}
+        assert not added & {"dataclasses", "inspect", "ast"}
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -720,6 +721,35 @@ class TestFuzz:
         else:
             assert err == ""
             assert code == 0 or argv[0] in ("verify", "dnr")
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+# Matrices each command binds, plus a template of each kind it refuses.
+REF_YOKO = matrix_texts([*YOKO_TEMPLATES, "(n >= m", "len + {a} = m"], 4)
+REF_PI2 = matrix_texts([*PI2_TEMPLATES, "z >=", "x = {a}"], 3)
+REF_TAUS = bitstrings(5) | st.sampled_from(["-", "", "01a"])
+REF_ARGVS = st.builds(
+    lambda t0, t1, n, cap: ["yoko", "--theta0", t0, "--theta1", t1, "-n", n, "--cap", cap],
+    REF_YOKO, REF_YOKO, st.integers(-1, 6).map(str), st.integers(0, 12).map(str),
+) | st.builds(
+    lambda phi, tau, bound: ["pi2sigma1", "--phi", phi, "--tau", tau, "--bound", bound],
+    REF_PI2, REF_TAUS, st.integers(0, 6).map(str),
+)
+
+
+class TestAgainstReference:
+    """main gives the exit code and stdout bytes of tests/reference.py."""
+
+    @settings(max_examples=200)
+    @given(REF_ARGVS)
+    def test_matrix_commands(self, argv):
+        assert run_main(argv) == ref_main(argv)
 
 
 class TestDefectsPropagate:

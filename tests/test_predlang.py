@@ -241,8 +241,8 @@ ALL_PARAMS = (*NAT_PARAMS, "bits", "len")
 
 
 def lower(e, params, witness=None):
-    """predlang.compile with every warning an error: the ast node
-    constructors warn about missing or stray fields on newer Pythons."""
+    """predlang.compile with every warning an error: compiling the
+    generated source can emit a SyntaxWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return predlang.compile(e, params, witness)
@@ -351,6 +351,12 @@ class TestClosedLanguage:
         fn = lower(e, tuple(k for k in ALL_PARAMS if k != witness), witness)
         assert code_names(fn.__code__) <= {"next", "startswith"}
         assert fn.__globals__["__builtins__"] == {}
+
+    @pytest.mark.parametrize("value", ["0) or (1", 1.5])
+    def test_number_that_is_not_an_int_is_refused(self, value):
+        for e in (Num(value), Cmp("=", Num(value), Num(0))):
+            with pytest.raises(ValueError, match="Unknown format code 'd'"):
+                lower(e, ())
 
 
 def nested_parens(k: int) -> str:

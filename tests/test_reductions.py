@@ -5,13 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    PI2_TEMPLATES,
+    YOKO_TEMPLATES,
     PredMatrix,
     bitstrings,
     colorings,
+    covers,
     from_function,
     graded_families,
     is_prefix_of,
     lenlex_key,
+    matrix_texts,
     nonempty_bitstrings,
     pairs,
     prefix,
@@ -247,18 +251,8 @@ class TestCeTreeToSigma:
             assert any(is_prefix_of(tau, m) for tau in inputs)
 
 
-pi2_matrices = st.builds(
-    lambda text, a, b: PredMatrix.from_text(text.format(a=a, b=b), PI2_NAMES),
-    st.sampled_from([
-        "z >= y",
-        "bit(y) + z >= y or len = {a}",
-        "z * {a} >= y + bit(y + {b})",
-        "bit(z) = 1 or z >= len + {a}",
-        "z + bit(len - {a}) > y mod {b}",
-        "z >= len - y and bit(y) = {b} mod 2",
-    ]),
-    st.integers(0, 3),
-    st.integers(0, 3),
+pi2_matrices = matrix_texts(PI2_TEMPLATES, 3).map(
+    lambda text: PredMatrix.from_text(text, PI2_NAMES)
 )
 
 
@@ -294,21 +288,8 @@ class TestPi2TreeToSigma1:
                 assert pi2_tree_to_sigma1(phi, shorter, bound)
 
 
-yoko_matrices = st.builds(
-    lambda text, a, b: PredMatrix.from_text(text.format(a=a, b=b), YOKO_NAMES),
-    st.sampled_from([
-        "n >= m + x",
-        "n >= m * (x mod {a})",
-        "n >= m + {a}",
-        "x mod {a} = {b} and n >= m",
-        "n * {a} >= m + x - {b}",
-        "n = {a} or m > {b}",
-        "n + {b} > m * {a} and x != {a}",
-        "0 = 1",
-        "not x mod {a} = {b} and n = m + {a}",
-    ]),
-    st.integers(0, 4),
-    st.integers(0, 4),
+yoko_matrices = matrix_texts(YOKO_TEMPLATES, 4).map(
+    lambda text: PredMatrix.from_text(text, YOKO_NAMES)
 )
 
 
@@ -322,8 +303,7 @@ def pointwise_outcome(t0, t1, n: int, cap: int):
                 h = yokoyama_h(t0, t1, x, y, cap)
             except Refusal as exc:
                 return ("cap", str(exc))
-            covered0 = all(any(t0(x=x, m=m, n=w) for w in range(h)) for m in range(y))
-            columns[y].append("0" if covered0 else "1")
+            columns[y].append("0" if covers(t0, x, y, h) else "1")
     return ("coloring", PairColoring(n, tuple("".join(columns[y]) for y in range(1, n + 1))))
 
 
