@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from pathlib import Path
 
 from rkl import core, diagonal, formats, oracles, reductions
 
@@ -21,18 +21,26 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 
 
-def _path(name: str) -> Path:
+def _path(name: str) -> str:
     """The path named, refused when it holds a NUL byte, which no file name can."""
     if "\0" in name:
         raise core.Refusal(f"path {name!r} holds a NUL byte")
-    return Path(name)
+    return name
 
 
 def _read(path: str) -> str:
     try:
-        return _path(path).read_text(encoding="utf-8")
+        with open(_path(path), encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise formats.FormatError(None, str(exc)) from None
+
+
+def _int_arg(text: str) -> int:
+    """An optional '-' and a natural as the file formats spell one.  The
+    refusal is a ValueError, so argparse reports it and exits 2."""
+    value = formats._parse_nat(text.removeprefix("-"), None)
+    return -value if text.startswith("-") else value
 
 
 def _bits_arg(text: str) -> str:
@@ -180,9 +188,11 @@ def _cmd_dnr(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_info(args: argparse.Namespace) -> tuple[int, str]:
-    path = Path(args.file)
     text = _read(args.file)
-    suffix = path.suffix
+    # As PurePath.suffix: from the name's last dot, unless that starts or ends it.
+    name = os.path.basename(args.file)
+    dot = name.rfind(".")
+    suffix = name[dot:] if 0 < dot < len(name) - 1 else ""
     if suffix == ".tree":
         t = formats.parse_tree(text)
         return EXIT_OK, f"kind=tree members={len(t)} horizon={t.horizon}\n"
@@ -229,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("tree2color", _cmd_tree2color, "pair coloring from lex-least tree levels")
     p.add_argument("--tree", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_arg, required=True)
     p.add_argument("--close", action="store_true", help="close the input downward")
 
     p = cmd("sigma2color", _cmd_sigma2color, "pair coloring from shortest long strings")
     p.add_argument("--sigma", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_arg, required=True)
 
     p = cmd("color2sigma", _cmd_color2sigma, "graded family spelling the columns")
     p.add_argument("--coloring", required=True)
@@ -245,25 +255,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("pi2sigma1", _cmd_pi2sigma1, "bounded two-quantifier membership test")
     p.add_argument("--phi", required=True, help="matrix over y, z, bit(), len")
     p.add_argument("--tau", required=True, help="binary string ('-' for the root)")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_int_arg, required=True)
 
     p = cmd("yoko", _cmd_yoko, "coloring from a pair of covering matrices")
     p.add_argument("--theta0", required=True, help="matrix over x, m, n")
     p.add_argument("--theta1", required=True, help="matrix over x, m, n")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("-n", type=_int_arg, required=True)
+    p.add_argument("--cap", type=_int_arg, required=True)
 
     p = cmd("settree", _cmd_settree, "chain of characteristic-string prefixes")
     p.add_argument("--set", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_arg, required=True)
 
     p = cmd("diag", _cmd_diag, "diagonal tree avoiding settled enumerations")
     p.add_argument("--enum", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_arg, required=True)
 
     p = cmd("search", _cmd_search, "largest monochromatic set of a coloring")
     p.add_argument("--coloring", required=True)
-    p.add_argument("--min-size", type=int, default=2)
+    p.add_argument("--min-size", type=_int_arg, default=2)
 
     p = cmd("path", _cmd_path, "longest branch and its majority positions")
     p.add_argument("--tree", required=True)
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("stable", _cmd_stable, "per-column stability evidence of a coloring")
     p.add_argument("--coloring", required=True)
-    p.add_argument("-x", type=int, default=None)
+    p.add_argument("-x", type=_int_arg, default=None)
 
     p = cmd("verify", _cmd_verify, "check a coloring's witnesses against its source")
     src = p.add_mutually_exclusive_group(required=True)
@@ -279,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--sigma")
     p.add_argument("--coloring", required=True)
     p.add_argument("--set", required=True)
-    p.add_argument("--color", type=int, choices=(0, 1), required=True)
+    p.add_argument("--color", type=_int_arg, choices=(0, 1), required=True)
     p.add_argument("--close", action="store_true", help="close a tree input downward")
 
     p = cmd("dnr", _cmd_dnr, "compare settled enumerations with least elements of h")
     p.add_argument("--enum", required=True)
     p.add_argument("--set", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_arg, required=True)
 
     p = cmd("info", _cmd_info, "summarize a data file by extension")
     p.add_argument("file")
@@ -305,7 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, data = args.func(args)
         if args.output:
-            _path(args.output).write_text(data, encoding="utf-8")
+            with open(_path(args.output), "w", encoding="utf-8") as file:
+                file.write(data)
         else:
             sys.stdout.write(data)
     except _INVALID_INPUT as exc:

@@ -10,9 +10,10 @@ prefer color 0 over 1 and lexicographically least strings, with 0 < 1.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
 
 # The most digits a decimal literal in any input may have.  It is CPython's
 # default limit on int(str), fixed here so that every parser refuses a
@@ -249,11 +250,10 @@ class NatSet:
         return "{" + ",".join(str(v) for v in self.elements) + "}"
 
 
-class HomWitness(NamedTuple):
+class HomWitness(namedtuple("HomWitness", "color witness")):
     """A color and a long member that shows it at every position of h."""
 
-    color: int
-    witness: str
+    __slots__ = ()
 
 
 def validate_tree(strings: Iterable[str]) -> FinTree:

@@ -16,8 +16,9 @@ l; dnr decides its question from that fact alone, without the tree.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from operator import itemgetter
-from typing import Iterable, NamedTuple
 
 from rkl.core import FinTree, NatSet, Refusal
 
@@ -71,22 +72,18 @@ class StagedEnum:
         return self._by_index.get(e, ((), ()))[1]
 
 
-class DiagReport(NamedTuple):
-    """The built tree plus its per-level counts and active (e, length) pairs."""
+class DiagReport(namedtuple("DiagReport", "tree level_counts triggered")):
+    """The built tree, its member count per level and the active (e, level) pairs."""
 
-    tree: FinTree
-    level_counts: tuple[int, ...]
-    triggered: frozenset[tuple[int, int]]
+    __slots__ = ()
 
 
-class FpfVerdict(NamedTuple):
-    """Outcome of comparing one settled W_e against the least e+3 of h."""
+class FpfVerdict(namedtuple("FpfVerdict", "e status w_e g_e distinguishing",
+                            defaults=(None, None))):
+    """Outcome of comparing one settled W_e against the least e+3 of h;
+    status is "distinct", "equal" or "vacuous"."""
 
-    e: int
-    status: str  # "distinct" | "equal" | "vacuous"
-    w_e: NatSet
-    g_e: NatSet | None = None
-    distinguishing: int | None = None
+    __slots__ = ()
 
 
 def _fronts(enums: StagedEnum, depth: int) -> list[tuple[int, tuple[int, ...], int]]:

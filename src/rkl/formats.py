@@ -51,7 +51,7 @@ def _parse_bits(token: str, lineno: int) -> str:
     return token
 
 
-def _parse_nat(token: str, lineno: int, minimum: int = 0) -> int:
+def _parse_nat(token: str, lineno: int | None, minimum: int = 0) -> int:
     if not (token.isascii() and token.isdigit()):
         raise FormatError(lineno, f"not a natural number: {token!r}")
     if len(token) > MAX_DIGITS:

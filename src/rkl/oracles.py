@@ -17,14 +17,14 @@ the largest size, then the lexicographically least set, then color 0.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 from operator import itemgetter
-from typing import NamedTuple
 
 from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, is_homog_string
 
 
-class StabilityEvidence(NamedTuple):
+class StabilityEvidence(namedtuple("StabilityEvidence", "stabilized last_change final_color")):
     """What one column of a coloring shows about its own convergence.
 
     last_change is the greatest y where the column moved (x+1 when it never
@@ -32,21 +32,18 @@ class StabilityEvidence(NamedTuple):
     before the horizon.
     """
 
-    stabilized: bool
-    last_change: int
-    final_color: int
+    __slots__ = ()
 
 
-class ReductionVerdict(NamedTuple):
+class ReductionVerdict(namedtuple("ReductionVerdict", "checked counterexamples broken",
+                                  defaults=(None,))):
     """Per-threshold confirmation that a coloring matches its source object.
 
     broken is the first pair of h within the horizon that the coloring does
     not give the color checked; when it is set nothing else was checked.
     """
 
-    checked: tuple[int, ...]
-    counterexamples: tuple[int, ...]
-    broken: tuple[int, int] | None = None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

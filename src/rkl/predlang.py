@@ -33,7 +33,8 @@ recursion over an expression.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Collection, Mapping, NamedTuple, Sequence, Union
+from collections import namedtuple
+from collections.abc import Callable, Collection, Mapping, Sequence
 
 from rkl.core import MAX_DIGITS, Refusal
 
@@ -68,41 +69,16 @@ class UnboundVariable(Refusal):
         super().__init__(f"{where}unbound: {name}")
 
 
-class Num(NamedTuple):
-    value: int
+# The parsed nodes: op is a key of _OPERATORS; index, left, right, operand are nodes.
+Num = namedtuple("Num", "value")
+Var = namedtuple("Var", "name")
+Bit = namedtuple("Bit", "index")
+Arith = namedtuple("Arith", "op left right")
+Cmp = namedtuple("Cmp", "op left right")
+Not = namedtuple("Not", "operand")
+Logic = namedtuple("Logic", "op left right")
 
-
-class Var(NamedTuple):
-    name: str
-
-
-class Bit(NamedTuple):
-    index: "PredExpr"
-
-
-class Arith(NamedTuple):
-    op: str
-    left: "PredExpr"
-    right: "PredExpr"
-
-
-class Cmp(NamedTuple):
-    op: str
-    left: "PredExpr"
-    right: "PredExpr"
-
-
-class Not(NamedTuple):
-    operand: "PredExpr"
-
-
-class Logic(NamedTuple):
-    op: str
-    left: "PredExpr"
-    right: "PredExpr"
-
-
-PredExpr = Union[Num, Var, Bit, Arith, Cmp, Not, Logic]
+PredExpr = Num | Var | Bit | Arith | Cmp | Not | Logic
 
 _BOOL_NODES = (Cmp, Not, Logic)
 

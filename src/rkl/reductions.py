@@ -9,18 +9,19 @@ explicit cap.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Collection, Iterable
 
 from rkl import predlang
 from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, _bits
 
 
-class PredMatrix(NamedTuple):
+class PredMatrix(namedtuple("PredMatrix", "expr")):
     """A total decidable predicate over named natural variables, kept as its
     parse tree; each reduction lowers it once per call with predlang.compile.
     """
 
-    expr: predlang.PredExpr
+    __slots__ = ()
 
     @classmethod
     def from_expr(cls, expr: predlang.PredExpr) -> "PredMatrix":
@@ -39,7 +40,7 @@ PI2_NAMES = ("y", "z", "len", "bit")
 YOKO_NAMES = ("x", "m", "n")
 
 
-class StabilityReport(NamedTuple):
+class StabilityReport(namedtuple("StabilityReport", "x bound limit_color")):
     """Where a column of a tree coloring settles.
 
     bound is the largest length reached by any dead branch at level x+1
@@ -47,9 +48,7 @@ class StabilityReport(NamedTuple):
     level-(x+1) member that still extends to the horizon, when one exists.
     """
 
-    x: int
-    bound: int
-    limit_color: int | None
+    __slots__ = ()
 
 
 def path_pigeonhole(p: str) -> tuple[int, NatSet]:

@@ -1,17 +1,25 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import os
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PI2_TEMPLATES, YOKO_TEMPLATES, bitstrings, colorings, matrix_texts
+from helpers import (
+    PI2_TEMPLATES,
+    YOKO_TEMPLATES,
+    bitstrings,
+    colorings,
+    matrix_texts,
+    ref_render_coloring,
+)
 from reference import ref_main
 from rkl import cli, core, diagonal, formats
 
@@ -121,6 +129,14 @@ class TestOutputFile:
         assert capsys.readouterr().out == ""
         assert target.read_text() == (GOLDEN / "close_alt.txt").read_text()
 
+    def test_trailing_slash_is_refused(self, tmp_path, capsys):
+        target = f"{tmp_path / 'out.txt'}/"
+        assert cli.main(["close", "--sigma", fixture("alt.sigma"), "-o", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno {errno.EISDIR}] Is a directory: {target!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_written_output_parses_back(self, tmp_path):
         from rkl.formats import parse_coloring
 
@@ -155,6 +171,30 @@ class TestInfo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("name", ["x.", ".tree", "a..tree", "a.b.set", "noext", "d.tree/noext"])
+    def test_extension_is_read_as_pathlib_reads_it(self, name, tmp_path, capsys):
+        suffix = PurePath(name).suffix
+        target = tmp_path / name
+        target.parent.mkdir(exist_ok=True)
+        target.write_text("0\n")  # a tree and a set
+        code = cli.main(["info", str(target)])
+        err = capsys.readouterr().err
+        if suffix in (".tree", ".set"):
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"error: unrecognized extension {suffix!r}\n")
+
+    @pytest.mark.parametrize(
+        "path, code",
+        [(fixture("fork.tree") + "/", errno.ENOTDIR), ("", errno.ENOENT)],
+        ids=["trailing slash", "empty"],
+    )
+    def test_path_is_opened_as_written(self, path, code, capsys):
+        assert cli.main(["info", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n"
 
 
 class TestExitCodes:
@@ -311,6 +351,32 @@ class TestExitCodes:
         assert captured.err == (
             "error: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte\n"
         )
+
+
+class TestIntegerFlags:
+    """Integer flags take an optional '-' and ASCII digits, as the file formats do."""
+
+    @pytest.mark.parametrize("value", ["\uff13", "1_0", "+4", " 5", "4 ", "-", ""])
+    def test_other_spellings_exit_two(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["settree", "--set", fixture("evens.set"), "--depth", value])
+        assert info.value.code == 2
+        assert "argument --depth: invalid" in capsys.readouterr().err
+
+    def test_full_width_color_exits_two(self, capsys):
+        _, argv = GOLDEN_CASES["verify_fork.txt"]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv[:-1] + ["\uff10"])
+        assert info.value.code == 2
+        assert "argument --color: invalid" in capsys.readouterr().err
+
+    def test_at_most_max_digits(self, capsys):
+        argv = ["search", "--coloring", fixture("fork.color"), "--min-size"]
+        assert cli.main(argv + ["9" * core.MAX_DIGITS]) == 0
+        assert capsys.readouterr().out == "# none\n"
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["9" * (core.MAX_DIGITS + 1)])
+        assert info.value.code == 2
 
 
 class TestRootOnlyTree:
@@ -543,17 +609,18 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert result.stdout == "kind=tree members=8 horizon=4\n"
 
-    def test_import_loads_no_dataclasses_inspect_or_ast(self, tmp_path):
+    def test_import_loads_no_typing_pathlib_dataclasses_inspect_or_ast(self, tmp_path):
         # Every command is a fresh process that pays for what the import loads.
+        # -S keeps site's own imports (which may load typing or pathlib) out.
         code = ("import sys; before = set(sys.modules); import rkl.cli; "
                 "print(*sorted(set(sys.modules) - before))")
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
         )
         added = set(result.stdout.split())
         assert result.returncode == 0 and "rkl.cli" in added
-        assert not added & {"dataclasses", "inspect", "ast"}
+        assert not added & {"typing", "pathlib", "dataclasses", "inspect", "ast"}
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -743,12 +810,30 @@ REF_ARGVS = st.builds(
 )
 
 
+# The commands that read one coloring, each with its other options.
+REF_COLORING_COMMANDS = (
+    st.integers(-1, 5).map(lambda k: ["search", "--min-size", str(k)])
+    | st.one_of(st.none(), st.integers(-1, 9)).map(
+        lambda x: ["stable"] + ([] if x is None else ["-x", str(x)])
+    )
+    | st.just(["color2sigma"])
+)
+
+
 class TestAgainstReference:
     """main gives the exit code and stdout bytes of tests/reference.py."""
 
     @settings(max_examples=200)
     @given(REF_ARGVS)
     def test_matrix_commands(self, argv):
+        assert run_main(argv) == ref_main(argv)
+
+    @settings(max_examples=200)
+    @given(f=colorings(max_n=8), command=REF_COLORING_COMMANDS)
+    def test_coloring_commands(self, f, command, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "reference.color"
+        path.write_text(ref_render_coloring(f), encoding="utf-8")
+        argv = [command[0], "--coloring", str(path), *command[1:]]
         assert run_main(argv) == ref_main(argv)
 
 
