@@ -15,13 +15,17 @@ from hypothesis import strategies as st
 from helpers import (
     PI2_TEMPLATES,
     YOKO_TEMPLATES,
+    RefFamily,
     bitstrings,
     colorings,
     matrix_texts,
+    ref_closure,
+    ref_render,
     ref_render_coloring,
 )
 from reference import ref_main
 from rkl import cli, core, diagonal, formats
+from rkl.core import PairColoring
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -820,6 +824,142 @@ REF_COLORING_COMMANDS = (
 )
 
 
+def ref_strings_text(texts) -> str:
+    return ref_render(RefFamily(texts))
+
+
+# Canonical files of each kind, as the reference reads them.
+REF_STRINGS = st.frozensets(bitstrings(5), max_size=6)
+REF_SETS = st.integers(0, 5).flatmap(
+    lambda k: st.frozensets(st.integers(0, 8), min_size=k, max_size=k)
+)
+
+
+# Half the depths reach past every element drawn, where fronts fire.
+REF_DEPTHS = st.integers(0, 8) | st.integers(6, 8)
+
+
+@st.composite
+def ref_enums(draw) -> list[tuple[int, int, int]]:
+    """(stage, e, x) events, sorted: each index enumerates up to five of
+    0..5, each at a stage 1..4, mostly enough for its front to fire."""
+    events = []
+    for e in range(draw(st.integers(0, 3))):
+        k = draw(st.sampled_from([0, 2, 3, 4, 5]))
+        for x in draw(st.frozensets(st.integers(0, 5), min_size=k, max_size=k)):
+            events.append((draw(st.integers(1, 4)), e, x))
+    return sorted(events)
+
+
+def ref_set_file(h) -> str:
+    return "".join(f"{v}\n" for v in sorted(h))
+
+
+def ref_enum_file(events) -> str:
+    return "".join(f"{e} {s} {x}\n" for s, e, x in events)
+
+
+@st.composite
+def ref_tree_files(draw) -> str:
+    """Strings, prefix-closed or not; a tree file lists the root or leaves it out."""
+    texts = draw(REF_STRINGS)
+    return ref_strings_text(ref_closure(texts).texts if draw(st.booleans()) else texts)
+
+
+@st.composite
+def ref_stage_files(draw) -> str:
+    """Stages from 1 up, now and then one missing or one string too long."""
+    stages = {s: draw(bitstrings(s)) for s in range(1, draw(st.integers(0, 6)) + 1)}
+    how = draw(st.sampled_from(["valid"] * 3 + ["gap", "long"]))
+    if stages and how == "gap":
+        del stages[draw(st.sampled_from(sorted(stages)))]
+    elif stages and how == "long":
+        s = draw(st.sampled_from(sorted(stages)))
+        stages[s] = draw(st.text("01", min_size=s + 1, max_size=s + 2))
+    return "".join(f"{s} {tau or '-'}\n" for s, tau in sorted(stages.items()))
+
+
+@st.composite
+def ref_verify_args(draw) -> tuple[list[str], dict[str, str]]:
+    """A tree or family, a coloring drawn at random or built from the
+    source's columns, a small set and a color."""
+    kind = draw(st.sampled_from(["tree", "sigma"]))
+    texts = draw(REF_STRINGS)
+    if kind == "tree":
+        texts = ref_closure(texts).texts
+    source = RefFamily(texts)
+    n = draw(st.integers(0, source.n))
+    if draw(st.booleans()):
+        f = PairColoring(n, [source.sigma(y) for y in range(1, n + 1)])
+    else:
+        f = draw(colorings(max_n=source.n + 1))
+    files = {
+        f"a.{kind}": ref_strings_text(texts),
+        "a.color": ref_render_coloring(f),
+        "a.set": ref_set_file(draw(st.frozensets(st.integers(0, 6), max_size=3))),
+    }
+    argv = ["verify", f"--{kind}", f"a.{kind}", "--coloring", "a.color", "--set", "a.set",
+            "--color", draw(st.sampled_from(["0", "1"]))]
+    return argv + (["--close"] if draw(st.booleans()) else []), files
+
+
+@st.composite
+def ref_dnr_args(draw) -> tuple[list[str], dict[str, str]]:
+    """Enumerations and a set that is sometimes one index's elements and more."""
+    events = draw(ref_enums())
+    h = set(draw(REF_SETS))
+    if events and draw(st.booleans()):
+        e = draw(st.sampled_from(sorted({e for _, e, _ in events})))
+        h |= {x for _, e2, x in events if e2 == e}
+    files = {"a.enum": ref_enum_file(events), "a.set": ref_set_file(h)}
+    depth = str(draw(REF_DEPTHS))
+    return ["dnr", "--enum", "a.enum", "--set", "a.set", "--depth", depth], files
+
+
+def ref_close_switch():
+    return st.sampled_from([[], ["--close"]])
+
+
+# Per subcommand that reads files and is not yet drawn above: (argv, files
+# by name), each drawn from the reference's canonical forms.
+REF_FILE_ARGVS = {
+    "close": st.builds(
+        lambda texts: (["close", "--sigma", "a.sigma"], {"a.sigma": ref_strings_text(texts)}),
+        REF_STRINGS,
+    ),
+    "tree2color": st.builds(
+        lambda tree, n, close: (["tree2color", "--tree", "a.tree", "-n", n, *close],
+                                {"a.tree": tree}),
+        ref_tree_files(), st.integers(-1, 6).map(str), ref_close_switch(),
+    ),
+    "sigma2color": st.builds(
+        lambda texts, n: (["sigma2color", "--sigma", "a.sigma", "-n", n],
+                          {"a.sigma": ref_strings_text(texts)}),
+        REF_STRINGS, st.integers(-1, 6).map(str),
+    ),
+    "ce2sigma": st.builds(
+        lambda stages: (["ce2sigma", "--stages", "a.stages"], {"a.stages": stages}),
+        ref_stage_files(),
+    ),
+    "settree": st.builds(
+        lambda h, depth: (["settree", "--set", "a.set", "--depth", depth],
+                          {"a.set": ref_set_file(h)}),
+        REF_SETS, st.integers(-1, 10).map(str),
+    ),
+    "diag": st.builds(
+        lambda events, depth: (["diag", "--enum", "a.enum", "--depth", depth],
+                               {"a.enum": ref_enum_file(events)}),
+        ref_enums(), REF_DEPTHS.map(str),
+    ),
+    "path": st.builds(
+        lambda tree, close: (["path", "--tree", "a.tree", *close], {"a.tree": tree}),
+        ref_tree_files(), ref_close_switch(),
+    ),
+    "verify": ref_verify_args(),
+    "dnr": ref_dnr_args(),
+}
+
+
 class TestAgainstReference:
     """main gives the exit code and stdout bytes of tests/reference.py."""
 
@@ -834,6 +974,18 @@ class TestAgainstReference:
         path = tmp_path_factory.getbasetemp() / "reference.color"
         path.write_text(ref_render_coloring(f), encoding="utf-8")
         argv = [command[0], "--coloring", str(path), *command[1:]]
+        assert run_main(argv) == ref_main(argv)
+
+    @pytest.mark.parametrize("command", sorted(REF_FILE_ARGVS))
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_file_commands(self, command, data, tmp_path_factory):
+        argv, files = data.draw(REF_FILE_ARGVS[command])
+        root = tmp_path_factory.getbasetemp() / "reference"
+        root.mkdir(exist_ok=True)
+        for name, text in files.items():
+            (root / name).write_text(text, encoding="utf-8")
+        argv = [str(root / arg) if arg in files else arg for arg in argv]
         assert run_main(argv) == ref_main(argv)
 
 
