@@ -1,16 +1,13 @@
 """Command line front end.
 
-Data goes to stdout (or the --output file), diagnostics to stderr.  Exit
-codes: 0 on success or a verified check, 1 only when the verdict line of
-verify or dnr reads fail, 2 on every core.Refusal or OSError; any other
-exception is a defect and propagates out of main.  Every subcommand is
-deterministic: identical arguments and files produce byte-identical output.
+Data goes to stdout (or the -o file), diagnostics to stderr.  Exit codes: 0
+on success or a verified check, 1 only when verify's or dnr's verdict reads
+fail, 2 on every core.Refusal or OSError, a bad command line included; any
+other exception is a defect.  Identical arguments and files give identical bytes.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
 
@@ -37,91 +34,94 @@ def _read(path: str) -> str:
 
 
 def _int_arg(text: str) -> int:
-    """An optional '-' and a natural as the file formats spell one.  The
-    refusal is a ValueError, so argparse reports it and exits 2."""
-    value = formats._parse_nat(text.removeprefix("-"), None)
-    return -value if text.startswith("-") else value
+    """An optional '-' before a natural as the file formats spell one."""
+    negative = text[:1] == "-" and text[1:2].isdigit()
+    value = formats._parse_nat(text[1:] if negative else text, None)
+    return -value if negative else value
 
 
-def _bits_arg(text: str) -> str:
-    return "" if text == "-" else core._bits(text)
+def _color_arg(text: str) -> int:
+    if (value := _int_arg(text)) not in (0, 1):
+        raise core.Refusal(f"a color is 0 or 1, not {value}")
+    return value
 
 
-def _cmd_close(args: argparse.Namespace) -> tuple[int, str]:
-    family = formats.parse_sigma(_read(args.sigma))
+def _cmd_close(options: dict) -> tuple[int, str]:
+    family = formats.parse_sigma(_read(options["--sigma"]))
     return EXIT_OK, formats.render_tree(core.downward_closure(family))
 
 
-def _cmd_tree2color(args: argparse.Namespace) -> tuple[int, str]:
-    t = formats.parse_tree(_read(args.tree), close=args.close)
-    f = reductions.tree_to_stable_coloring(t, args.n)
+def _cmd_tree2color(options: dict) -> tuple[int, str]:
+    t = formats.parse_tree(_read(options["--tree"]), close="--close" in options)
+    f = reductions.tree_to_stable_coloring(t, options["-n"])
     return EXIT_OK, formats.render_coloring(f)
 
 
-def _cmd_sigma2color(args: argparse.Namespace) -> tuple[int, str]:
-    family = formats.parse_sigma(_read(args.sigma))
-    f = reductions.sigma_to_coloring(family, args.n)
+def _cmd_sigma2color(options: dict) -> tuple[int, str]:
+    family = formats.parse_sigma(_read(options["--sigma"]))
+    f = reductions.sigma_to_coloring(family, options["-n"])
     return EXIT_OK, formats.render_coloring(f)
 
 
-def _cmd_color2sigma(args: argparse.Namespace) -> tuple[int, str]:
-    f = formats.parse_coloring(_read(args.coloring))
+def _cmd_color2sigma(options: dict) -> tuple[int, str]:
+    f = formats.parse_coloring(_read(options["--coloring"]))
     return EXIT_OK, formats.render_sigma(reductions.coloring_to_sigma(f))
 
 
-def _cmd_ce2sigma(args: argparse.Namespace) -> tuple[int, str]:
-    events, max_stage = formats.parse_stages(_read(args.stages))
+def _cmd_ce2sigma(options: dict) -> tuple[int, str]:
+    events, max_stage = formats.parse_stages(_read(options["--stages"]))
     family = reductions.ce_tree_to_sigma(events, max_stage)
     return EXIT_OK, formats.render_sigma(family)
 
 
-def _cmd_pi2sigma1(args: argparse.Namespace) -> tuple[int, str]:
-    phi = reductions.PredMatrix.from_text(args.phi, reductions.PI2_NAMES)
-    held = reductions.pi2_tree_to_sigma1(phi, _bits_arg(args.tau), args.bound)
+def _cmd_pi2sigma1(options: dict) -> tuple[int, str]:
+    phi = reductions.PredMatrix.from_text(options["--phi"], reductions.PI2_NAMES)
+    tau = "" if options["--tau"] == "-" else core._bits(options["--tau"])
+    held = reductions.pi2_tree_to_sigma1(phi, tau, options["--bound"])
     return EXIT_OK, ("true\n" if held else "false\n")
 
 
-def _cmd_yoko(args: argparse.Namespace) -> tuple[int, str]:
-    theta0 = reductions.PredMatrix.from_text(args.theta0, reductions.YOKO_NAMES)
-    theta1 = reductions.PredMatrix.from_text(args.theta1, reductions.YOKO_NAMES)
-    f = reductions.yokoyama_coloring(theta0, theta1, args.n, args.cap)
+def _cmd_yoko(options: dict) -> tuple[int, str]:
+    theta0 = reductions.PredMatrix.from_text(options["--theta0"], reductions.YOKO_NAMES)
+    theta1 = reductions.PredMatrix.from_text(options["--theta1"], reductions.YOKO_NAMES)
+    f = reductions.yokoyama_coloring(theta0, theta1, options["-n"], options["--cap"])
     return EXIT_OK, formats.render_coloring(f)
 
 
-def _cmd_settree(args: argparse.Namespace) -> tuple[int, str]:
-    h = formats.parse_natset(_read(args.set))
-    return EXIT_OK, formats.render_tree(reductions.set_to_path_tree(h, args.depth))
+def _cmd_settree(options: dict) -> tuple[int, str]:
+    h = formats.parse_natset(_read(options["--set"]))
+    return EXIT_OK, formats.render_tree(reductions.set_to_path_tree(h, options["--depth"]))
 
 
-def _cmd_diag(args: argparse.Namespace) -> tuple[int, str]:
-    enums = formats.parse_enum(_read(args.enum))
-    report = diagonal.build_diagonal_tree(enums, args.depth)
+def _cmd_diag(options: dict) -> tuple[int, str]:
+    enums = formats.parse_enum(_read(options["--enum"]))
+    report = diagonal.build_diagonal_tree(enums, options["--depth"])
     counts = " ".join(str(c) for c in report.level_counts)
     fired = " ".join(f"{e}:{l}" for e, l in sorted(report.triggered)) or "none"
     out = f"# level_counts: {counts}\n# triggered: {fired}\n"
     return EXIT_OK, out + formats.render_tree(report.tree)
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
-    f = formats.parse_coloring(_read(args.coloring))
-    result = oracles.ramsey_search(f, args.min_size)
+def _cmd_search(options: dict) -> tuple[int, str]:
+    f = formats.parse_coloring(_read(options["--coloring"]))
+    result = oracles.ramsey_search(f, options.get("--min-size", 2))
     if result is None:
         return EXIT_OK, "# none\n"
     c, h = result
     return EXIT_OK, f"# color: {c}\n" + formats.render_natset(h)
 
 
-def _cmd_path(args: argparse.Namespace) -> tuple[int, str]:
-    t = formats.parse_tree(_read(args.tree), close=args.close)
+def _cmd_path(options: dict) -> tuple[int, str]:
+    t = formats.parse_tree(_read(options["--tree"]), close="--close" in options)
     p = oracles.longest_path(t)
     c, h = reductions.path_pigeonhole(p)
     header = f"# path: {p or '-'}\n# color: {c}\n"
     return EXIT_OK, header + formats.render_natset(h)
 
 
-def _cmd_stable(args: argparse.Namespace) -> tuple[int, str]:
-    f = formats.parse_coloring(_read(args.coloring))
-    xs = [args.x] if args.x is not None else list(range(f.n))
+def _cmd_stable(options: dict) -> tuple[int, str]:
+    f = formats.parse_coloring(_read(options["--coloring"]))
+    xs = [options["-x"]] if "-x" in options else list(range(f.n))
     lines = []
     for x in xs:
         ev = oracles.check_stable(f, x)
@@ -132,20 +132,20 @@ def _cmd_stable(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, "".join(line + "\n" for line in lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    if args.close and not args.tree:
+def _cmd_verify(options: dict) -> tuple[int, str]:
+    if "--close" in options and "--tree" not in options:
         raise core.Refusal("--close applies only to a --tree source")
-    f = formats.parse_coloring(_read(args.coloring))
-    h = formats.parse_natset(_read(args.set))
-    if args.tree:
+    f = formats.parse_coloring(_read(options["--coloring"]))
+    h = formats.parse_natset(_read(options["--set"]))
+    if "--tree" in options:
         source: core.FinTree | core.StringFamily = formats.parse_tree(
-            _read(args.tree), close=args.close
+            _read(options["--tree"]), close="--close" in options
         )
         t = source
     else:
-        source = formats.parse_sigma(_read(args.sigma))
+        source = formats.parse_sigma(_read(options["--sigma"]))
         t = core.downward_closure(source)
-    verdict = oracles.verify_reduction(source, f, h, args.color)
+    verdict = oracles.verify_reduction(source, f, h, options["--color"])
     if verdict.broken is not None:
         x, y = verdict.broken
         return EXIT_FAIL, f"coloring-homogeneity: fail (x={x} y={y})\nverdict: fail\n"
@@ -160,37 +160,34 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if witness is None:
         lines.append("path-witness: none")
     else:
-        sigma = witness.witness
-        lines.append(f"path-witness: color={witness.color} sigma={sigma or '-'}")
+        lines.append(f"path-witness: color={witness.color} sigma={witness.witness or '-'}")
     lines.append("verdict: ok" if verdict.ok else "verdict: fail")
     return (EXIT_OK if verdict.ok else EXIT_FAIL), "".join(l + "\n" for l in lines)
 
 
-def _cmd_dnr(args: argparse.Namespace) -> tuple[int, str]:
-    enums = formats.parse_enum(_read(args.enum))
-    h = formats.parse_natset(_read(args.set))
-    verdicts = diagonal.check_fpf(h, enums, args.depth)
+def _cmd_dnr(options: dict) -> tuple[int, str]:
+    enums = formats.parse_enum(_read(options["--enum"]))
+    h = formats.parse_natset(_read(options["--set"]))
+    verdicts = diagonal.check_fpf(h, enums, options["--depth"])
     if verdicts is None:
         return EXIT_FAIL, "not homogeneous for any path at the tree horizon\nverdict: fail\n"
     lines = []
-    failed = False
     for v in verdicts:
         line = f"e={v.e} status={v.status} W={v.w_e}"
         if v.g_e is not None:
             line += f" g={v.g_e}"
         if v.distinguishing is not None:
             line += f" differs={v.distinguishing}"
-        if v.status == "equal":
-            failed = True
         lines.append(line)
+    failed = any(v.status == "equal" for v in verdicts)
     lines.append("verdict: fail" if failed else "verdict: ok")
     return (EXIT_FAIL if failed else EXIT_OK), "".join(l + "\n" for l in lines)
 
 
-def _cmd_info(args: argparse.Namespace) -> tuple[int, str]:
-    text = _read(args.file)
+def _cmd_info(options: dict) -> tuple[int, str]:
+    text = _read(options["FILE"])
     # As PurePath.suffix: from the name's last dot, unless that starts or ends it.
-    name = os.path.basename(args.file)
+    name = os.path.basename(options["FILE"])
     dot = name.rfind(".")
     suffix = name[dot:] if 0 < dot < len(name) - 1 else ""
     if suffix == ".tree":
@@ -221,101 +218,103 @@ def _cmd_info(args: argparse.Namespace) -> tuple[int, str]:
     raise formats.FormatError(None, f"unrecognized extension {suffix!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rkl",
-        description="Finite-horizon workbench for trees, colorings, and string families.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Per subcommand: its handler, its usage after the name and what it does.  The
+# usage is the grammar: a flag is followed by its value's name unless it is a
+# switch, [...] is optional, (a | b) is exactly one of a and b, and a bare name
+# is an operand.  Every subcommand also takes -o F.
+_COMMANDS = {
+    "close": (_cmd_close, "--sigma F", "downward closure of a string family, as a tree"),
+    "tree2color": (_cmd_tree2color, "--tree F -n N [--close]",
+                   "pair coloring from lex-least tree levels"),
+    "sigma2color": (_cmd_sigma2color, "--sigma F -n N",
+                    "pair coloring from shortest long strings"),
+    "color2sigma": (_cmd_color2sigma, "--coloring F",
+                    "graded family spelling the coloring's columns"),
+    "ce2sigma": (_cmd_ce2sigma, "--stages F", "graded family from a staged string enumeration"),
+    "pi2sigma1": (_cmd_pi2sigma1, "--phi EXPR --tau BITS --bound Z",
+                  "bounded two-quantifier membership test"),
+    "yoko": (_cmd_yoko, "--theta0 EXPR --theta1 EXPR -n N --cap Z",
+             "coloring from a pair of covering matrices"),
+    "settree": (_cmd_settree, "--set F --depth L", "chain of characteristic-string prefixes"),
+    "diag": (_cmd_diag, "--enum F --depth L", "diagonal tree avoiding settled enumerations"),
+    "search": (_cmd_search, "--coloring F [--min-size K]",
+               "largest monochromatic set of a coloring"),
+    "path": (_cmd_path, "--tree F [--close]", "longest branch and its majority positions"),
+    "stable": (_cmd_stable, "--coloring F [-x X]", "per-column stability evidence"),
+    "verify": (_cmd_verify, "(--tree F [--close] | --sigma F) --coloring F --set F --color C",
+               "check witnesses against the source"),
+    "dnr": (_cmd_dnr, "--enum F --set F --depth L",
+            "compare settled enumerations with least elements, without building the tree"),
+    "info": (_cmd_info, "FILE", "summarize a data file by extension"),
+}
 
-    def cmd(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("-o", "--output", help="write data here instead of stdout")
-        return p
+_VALUES = {**dict.fromkeys("NZLKX", _int_arg), "C": _color_arg}  # others stay text
 
-    p = cmd("close", _cmd_close, "downward closure of a string family, as a tree")
-    p.add_argument("--sigma", required=True)
 
-    p = cmd("tree2color", _cmd_tree2color, "pair coloring from lex-least tree levels")
-    p.add_argument("--tree", required=True)
-    p.add_argument("-n", type=_int_arg, required=True)
-    p.add_argument("--close", action="store_true", help="close the input downward")
+def _cmd_help(options: dict) -> tuple[int, str]:
+    rows = [f"  {name} {usage}\n      {what}\n" for name, (_, usage, what) in _COMMANDS.items()]
+    return EXIT_OK, "usage: rkl SUBCOMMAND [FLAG [VALUE]]... [-o F]\n\n" + "".join(rows)
 
-    p = cmd("sigma2color", _cmd_sigma2color, "pair coloring from shortest long strings")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("-n", type=_int_arg, required=True)
 
-    p = cmd("color2sigma", _cmd_color2sigma, "graded family spelling the columns")
-    p.add_argument("--coloring", required=True)
-
-    p = cmd("ce2sigma", _cmd_ce2sigma, "graded family from a staged string enumeration")
-    p.add_argument("--stages", required=True)
-
-    p = cmd("pi2sigma1", _cmd_pi2sigma1, "bounded two-quantifier membership test")
-    p.add_argument("--phi", required=True, help="matrix over y, z, bit(), len")
-    p.add_argument("--tau", required=True, help="binary string ('-' for the root)")
-    p.add_argument("--bound", type=_int_arg, required=True)
-
-    p = cmd("yoko", _cmd_yoko, "coloring from a pair of covering matrices")
-    p.add_argument("--theta0", required=True, help="matrix over x, m, n")
-    p.add_argument("--theta1", required=True, help="matrix over x, m, n")
-    p.add_argument("-n", type=_int_arg, required=True)
-    p.add_argument("--cap", type=_int_arg, required=True)
-
-    p = cmd("settree", _cmd_settree, "chain of characteristic-string prefixes")
-    p.add_argument("--set", required=True)
-    p.add_argument("--depth", type=_int_arg, required=True)
-
-    p = cmd("diag", _cmd_diag, "diagonal tree avoiding settled enumerations")
-    p.add_argument("--enum", required=True)
-    p.add_argument("--depth", type=_int_arg, required=True)
-
-    p = cmd("search", _cmd_search, "largest monochromatic set of a coloring")
-    p.add_argument("--coloring", required=True)
-    p.add_argument("--min-size", type=_int_arg, default=2)
-
-    p = cmd("path", _cmd_path, "longest branch and its majority positions")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--close", action="store_true", help="close the input downward")
-
-    p = cmd("stable", _cmd_stable, "per-column stability evidence of a coloring")
-    p.add_argument("--coloring", required=True)
-    p.add_argument("-x", type=_int_arg, default=None)
-
-    p = cmd("verify", _cmd_verify, "check a coloring's witnesses against its source")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--tree")
-    src.add_argument("--sigma")
-    p.add_argument("--coloring", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--color", type=_int_arg, choices=(0, 1), required=True)
-    p.add_argument("--close", action="store_true", help="close a tree input downward")
-
-    p = cmd("dnr", _cmd_dnr, "compare settled enumerations with least elements of h")
-    p.add_argument("--enum", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--depth", type=_int_arg, required=True)
-
-    p = cmd("info", _cmd_info, "summarize a data file by extension")
-    p.add_argument("file")
-
-    return parser
+def _parse(argv: list[str]):
+    """(handler, options) for a command line, the options keyed by flag or
+    operand as the usage spells them; the help's when it asks for help.  Each
+    flag is spelled in full and given at most once, its value the next word."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _cmd_help, {}
+    if not argv or argv[0] not in _COMMANDS:
+        what = f"unknown subcommand {argv[0]!r}" if argv else "missing subcommand"
+        raise core.Refusal(f"{what}; rkl --help lists them")
+    name, (handler, usage, _) = argv[0], _COMMANDS[argv[0]]
+    words = usage.split()
+    operand = words[0] if words[0].isupper() else None  # info's FILE
+    # Each flag's value name (None for a switch), required flags, flags to give one of.
+    flags, required, choice = {"-o": "F"}, [operand] if operand else [], []
+    for before, word, after in zip(["", *words], words, [*words[1:], ""]):
+        bare = word.strip("[(|)]")
+        if bare.startswith("-"):
+            flags[bare] = after.strip("[(|)]") if after[:1].isupper() else None
+            if word[0] == "(" or before == "|":
+                choice.append(bare)
+            elif word == bare:
+                required.append(bare)
+    options, rest = {}, iter(argv[1:])  # a flag takes the next word of rest
+    for word in rest:
+        flag = "-o" if word == "--output" else word
+        if word in ("-h", "--help"):
+            return _cmd_help, {}
+        if flag not in flags:
+            if not operand or operand in options or word.startswith("-"):
+                raise core.Refusal(f"unknown argument {word!r} for {name}")
+            options[operand] = word
+        elif flag in options:
+            raise core.Refusal(f"{word} given twice")
+        elif flags[flag] is None:
+            options[flag] = True
+        elif (value := next(rest, None)) is None:
+            raise core.Refusal(f"{word} needs a value")
+        else:
+            try:
+                options[flag] = _VALUES.get(flags[flag], str)(value)
+            except core.Refusal as exc:
+                raise core.Refusal(f"{word}: {exc}") from None
+    if missing := [flag for flag in required if flag not in options]:
+        raise core.Refusal(f"{name} needs {missing[0]}")
+    if choice and sum(flag in options for flag in choice) != 1:
+        raise core.Refusal(f"{name} needs exactly one of {' and '.join(choice)}")
+    return handler, options
 
 
 # The package raises only refusals; OSError covers files.
 _INVALID_INPUT = (core.Refusal, OSError)
 
-# Built on first use, then reused: parse_args leaves a parser as it was.
-_parser = functools.cache(build_parser)
-
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        code, data = args.func(args)
-        if args.output:
-            with open(_path(args.output), "w", encoding="utf-8") as file:
+        handler, options = _parse(sys.argv[1:] if argv is None else argv)
+        code, data = handler(options)
+        if options.get("-o"):
+            with open(_path(options["-o"]), "w", encoding="utf-8") as file:
                 file.write(data)
         else:
             sys.stdout.write(data)

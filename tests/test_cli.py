@@ -309,17 +309,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: line 2: not a natural number: '\u0663'\n"
 
     def test_unknown_subcommand_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            cli.main(["frobnicate"])
-        assert info.value.code == 2
-        capsys.readouterr()
+        assert cli.main(["frobnicate"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: unknown subcommand 'frobnicate'; rkl --help lists them\n"
+        )
 
     def test_no_global_seed_flag(self, capsys):
         _, argv = GOLDEN_CASES["search_fork.txt"]
-        with pytest.raises(SystemExit) as info:
-            cli.main(["--seed", "7"] + argv)
-        assert info.value.code == 2
-        assert "rkl: error:" in capsys.readouterr().err
+        assert cli.main(["--seed", "7"] + argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: unknown subcommand '--seed'; rkl --help lists them\n"
+        )
 
     def test_search_none_result(self, tmp_path, capsys):
         small = tmp_path / "one.color"
@@ -362,25 +362,28 @@ class TestIntegerFlags:
 
     @pytest.mark.parametrize("value", ["\uff13", "1_0", "+4", " 5", "4 ", "-", ""])
     def test_other_spellings_exit_two(self, value, capsys):
-        with pytest.raises(SystemExit) as info:
-            cli.main(["settree", "--set", fixture("evens.set"), "--depth", value])
-        assert info.value.code == 2
-        assert "argument --depth: invalid" in capsys.readouterr().err
+        assert cli.main(["settree", "--set", fixture("evens.set"), "--depth", value]) == 2
+        assert capsys.readouterr() == ("", f"error: --depth: not a natural number: {value!r}\n")
 
     def test_full_width_color_exits_two(self, capsys):
         _, argv = GOLDEN_CASES["verify_fork.txt"]
-        with pytest.raises(SystemExit) as info:
-            cli.main(argv[:-1] + ["\uff10"])
-        assert info.value.code == 2
-        assert "argument --color: invalid" in capsys.readouterr().err
+        assert cli.main(argv[:-1] + ["\uff10"]) == 2
+        assert capsys.readouterr() == ("", "error: --color: not a natural number: '\uff10'\n")
+
+    @pytest.mark.parametrize("value", ["2", "-1"])
+    def test_color_other_than_0_or_1_exits_two(self, value, capsys):
+        _, argv = GOLDEN_CASES["verify_fork.txt"]
+        assert cli.main(argv[:-1] + [value]) == 2
+        assert capsys.readouterr() == ("", f"error: --color: a color is 0 or 1, not {value}\n")
 
     def test_at_most_max_digits(self, capsys):
         argv = ["search", "--coloring", fixture("fork.color"), "--min-size"]
         assert cli.main(argv + ["9" * core.MAX_DIGITS]) == 0
         assert capsys.readouterr().out == "# none\n"
-        with pytest.raises(SystemExit) as info:
-            cli.main(argv + ["9" * (core.MAX_DIGITS + 1)])
-        assert info.value.code == 2
+        assert cli.main(argv + ["9" * (core.MAX_DIGITS + 1)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --min-size: number longer than {core.MAX_DIGITS} digits\n"
+        )
 
 
 class TestRootOnlyTree:
@@ -563,7 +566,7 @@ class TestDeepPredicates:
 
 
 class TestParserReuse:
-    def test_identical_results_after_argparse_errors(self, capsys):
+    def test_identical_results_after_command_line_errors(self, capsys):
         stable = ["stable", "--coloring", fixture("fork.color")]
         expected = (GOLDEN / "stable_fork.txt").read_text(encoding="utf-8")
         bad_calls = [
@@ -571,15 +574,16 @@ class TestParserReuse:
             ["yoko", "--theta0", "x = 0"],
             ["search", "--coloring", fixture("fork.color"), "--min-size", "two"],
             stable + ["-x", "one"],
+            stable + ["-x", "1", "-x", "2"],
+            stable + ["-x"],
         ]
         for bad in bad_calls:
-            with pytest.raises(SystemExit) as info:
-                cli.main(bad)
-            assert info.value.code == 2
-            first_error = capsys.readouterr().err
-            with pytest.raises(SystemExit):
-                cli.main(bad)
-            assert capsys.readouterr().err == first_error
+            assert cli.main(bad) == 2
+            first = capsys.readouterr()
+            assert first.out == "" and first.err.startswith("error: ")
+            assert first.err.count("\n") == 1
+            assert cli.main(bad) == 2
+            assert capsys.readouterr() == first
             # A flag given to one call must not leak into the next.
             assert cli.main(stable + ["-x", "1"]) == 0
             capsys.readouterr()
@@ -613,7 +617,9 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert result.stdout == "kind=tree members=8 horizon=4\n"
 
-    def test_import_loads_no_typing_pathlib_dataclasses_inspect_or_ast(self, tmp_path):
+    def test_import_loads_no_argparse_re_enum_gettext_typing_pathlib_dataclasses_inspect_or_ast(
+        self, tmp_path
+    ):
         # Every command is a fresh process that pays for what the import loads.
         # -S keeps site's own imports (which may load typing or pathlib) out.
         code = ("import sys; before = set(sys.modules); import rkl.cli; "
@@ -624,8 +630,104 @@ class TestEntryPoint:
         )
         added = set(result.stdout.split())
         assert result.returncode == 0 and "rkl.cli" in added
-        assert not added & {"typing", "pathlib", "dataclasses", "inspect", "ast"}
+        assert not added & {
+            "argparse", "re", "enum", "gettext",
+            "typing", "pathlib", "dataclasses", "inspect", "ast",
+        }
 
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_table() -> list[tuple[str, str]]:
+    """(usage, what it does) for each row of the README's Command line table."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    table = next(chunk for chunk in section.split("\n\n") if chunk.startswith("| subcommand"))
+    rows = []
+    for row in table.splitlines()[2:]:
+        usage, what = row.removeprefix("| `").removesuffix(" |").split("` | ")
+        rows.append((usage.replace("\\|", "|"), what))
+    return rows
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["-h"], ["verify", "-h"], ["info", "--help"],
+         ["close", "--sigma", "x", "-o", "y", "--help"]],
+    )
+    def test_prints_the_table_and_exits_zero(self, argv, capsys):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: rkl ")
+        assert cli.main(["-h"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_lists_the_readme_command_table(self, capsys):
+        assert cli.main(["--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        listed = [
+            (line.strip(), lines[i + 1].strip())
+            for i, line in enumerate(lines)
+            if line.startswith("  ") and not line.startswith("   ")
+        ]
+        assert listed == readme_command_table()
+        assert [usage.split()[0] for usage, _ in listed] == list(cli._COMMANDS)
+
+    def test_a_value_is_never_help(self, capsys):
+        argv = ["pi2sigma1", "--phi", "-h", "--tau", "0", "--bound", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+
+COMMAND_LINE_REFUSALS = {
+    "no subcommand": ([], "missing subcommand; rkl --help lists them"),
+    "flag before the subcommand": (
+        ["-o", "x", "close"], "unknown subcommand '-o'; rkl --help lists them"
+    ),
+    "required flag missing": (["tree2color", "-n", "3"], "tree2color needs --tree"),
+    "operand missing": (["info"], "info needs FILE"),
+    "second operand": (["info", "a.tree", "b.tree"], "unknown argument 'b.tree' for info"),
+    "abbreviated flag": (["search", "--coloring", "c", "--min", "3"],
+                         "unknown argument '--min' for search"),
+    "flag=value": (["search", "--coloring=c"], "unknown argument '--coloring=c' for search"),
+    "attached short value": (["tree2color", "--tree", "t", "-n3"],
+                             "unknown argument '-n3' for tree2color"),
+    "a flag of another subcommand": (["close", "--sigma", "s", "--close"],
+                                     "unknown argument '--close' for close"),
+    "repeated flag": (["close", "--sigma", "a", "--sigma", "b"], "--sigma given twice"),
+    "repeated switch": (["path", "--tree", "t", "--close", "--close"], "--close given twice"),
+    "-o and --output": (["close", "--sigma", "a", "-o", "x", "--output", "y"],
+                        "--output given twice"),
+    "no value": (["close", "--sigma"], "--sigma needs a value"),
+    "-o with no value": (["close", "--sigma", "a", "-o"], "-o needs a value"),
+    "both sources": (
+        ["verify", "--tree", "t", "--sigma", "s", "--coloring", "c", "--set", "h", "--color", "0"],
+        "verify needs exactly one of --tree and --sigma",
+    ),
+    "no source": (["verify", "--coloring", "c", "--set", "h", "--color", "0"],
+                  "verify needs exactly one of --tree and --sigma"),
+}
+
+
+class TestCommandLine:
+    """A malformed command line is refused like a bad file: exit 2, one
+    error line, no output and no file written."""
+
+    @pytest.mark.parametrize("name", sorted(COMMAND_LINE_REFUSALS))
+    def test_refused_with_one_error_line(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv, message = COMMAND_LINE_REFUSALS[name]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flags_in_any_order_and_values_verbatim(self, capsys):
+        _, argv = GOLDEN_CASES["verify_fork.txt"]
+        assert cli.main([argv[0], *argv[3:], *argv[1:3]]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "verify_fork.txt").read_text()
+        assert cli.main(["pi2sigma1", "--tau", "-", "--phi", "z >= y", "--bound", "1"]) == 0
+        assert capsys.readouterr().out == "true\n"
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -739,9 +841,15 @@ def fuzz_file(draw, kind: str) -> bytes | None:
     return None if how == "missing" else data
 
 
+# The integer flags of FUZZ_ARGS, and spellings of an integer that each refuses.
+FUZZ_INT_FLAGS = {"-n", "--bound", "--cap", "--depth", "--min-size", "-x", "--color"}
+FUZZ_BAD_INTS = ["1_0", "+4", "\uff13", " 5", "4 ", "-", "", "0x1", "9" * 4301]
+
+
 @st.composite
-def fuzz_invocations(draw, command: str) -> tuple[list[str], dict[str, bytes | None]]:
-    """argv for the subcommand, and the files it names, by name."""
+def fuzz_invocations(draw, command: str) -> tuple[list[str], dict[str, bytes | None], bool]:
+    """argv for the subcommand, the files it names, by name, and whether the
+    command line itself was broken (so that it must be refused)."""
     argv, files = [command], {}
 
     def file(kind: str) -> str:
@@ -762,18 +870,42 @@ def fuzz_invocations(draw, command: str) -> tuple[list[str], dict[str, bytes | N
             argv += [option] if draw(st.booleans()) else []
         elif (drawn := draw(value)) is not None:
             argv += [option, drawn]
-    return argv, files
+    # argv[1:3] is the first option and its value; info's first word is its file.
+    first = argv[1:2] if command == "info" else argv[1:3]
+    ints = [i + 1 for i, word in enumerate(argv[:-1]) if word in FUZZ_INT_FLAGS]
+    breaks = ["empty", "unknown subcommand", "dropped", "unknown flag", "repeated", "dangling"]
+    breaks += ["both sources"] * (command == "verify") + ["integer"] * bool(ints)
+    how = draw(st.sampled_from(["valid"] * len(breaks) + breaks))
+    if how == "empty":
+        argv = []
+    elif how == "unknown subcommand":
+        argv[0] = draw(st.sampled_from([command[:-1], command.upper(), "--seed", "-v"]))
+    elif how == "dropped":  # a required flag, or verify's source, or info's file
+        del argv[1 : 1 + len(first)]
+    elif how == "unknown flag":
+        flag = draw(st.sampled_from(["--frobnicate", "--seed", "-v", "--output=x", "-n5"]))
+        argv.insert(draw(st.integers(1, len(argv))), flag)
+    elif how == "repeated":
+        argv += first
+    elif how == "dangling":
+        argv.append(draw(st.sampled_from(["-o", "--output"])))
+    elif how == "both sources":
+        kind = "sigma" if "--tree" in argv else "tree"
+        argv += [f"--{kind}", file(kind)]
+    elif how == "integer":
+        argv[draw(st.sampled_from(ints))] = draw(st.sampled_from(FUZZ_BAD_INTS))
+    return argv, files, how != "valid"
 
 
 class TestFuzz:
     """No input makes main raise: it exits 0, 1 (a verdict) or 2 with one
-    error line and no data."""
+    error line and no data, and a broken command line always exits 2."""
 
     @pytest.mark.parametrize("command", sorted(FUZZ_ARGS))
-    @settings(max_examples=30)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_exit_codes_and_error_lines(self, command, data, tmp_path_factory):
-        argv, files = data.draw(fuzz_invocations(command))
+        argv, files, broken = data.draw(fuzz_invocations(command))
         root = tmp_path_factory.getbasetemp() / "fuzz"
         root.mkdir(exist_ok=True)
         for name, content in files.items():
@@ -786,6 +918,7 @@ class TestFuzz:
             code = cli.main(argv)
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1, 2)
+        assert code == 2 or not broken
         if code == 2:
             assert out == ""
             assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
@@ -899,7 +1032,7 @@ def ref_verify_args(draw) -> tuple[list[str], dict[str, str]]:
         "a.set": ref_set_file(draw(st.frozensets(st.integers(0, 6), max_size=3))),
     }
     argv = ["verify", f"--{kind}", f"a.{kind}", "--coloring", "a.color", "--set", "a.set",
-            "--color", draw(st.sampled_from(["0", "1"]))]
+            "--color", draw(st.sampled_from(["0", "1", "00", "2", "-1"]))]
     return argv + (["--close"] if draw(st.booleans()) else []), files
 
 
@@ -916,8 +1049,7 @@ def ref_dnr_args(draw) -> tuple[list[str], dict[str, str]]:
     return ["dnr", "--enum", "a.enum", "--set", "a.set", "--depth", depth], files
 
 
-def ref_close_switch():
-    return st.sampled_from([[], ["--close"]])
+REF_CLOSE = st.sampled_from([[], ["--close"]])
 
 
 # Per subcommand that reads files and is not yet drawn above: (argv, files
@@ -930,7 +1062,7 @@ REF_FILE_ARGVS = {
     "tree2color": st.builds(
         lambda tree, n, close: (["tree2color", "--tree", "a.tree", "-n", n, *close],
                                 {"a.tree": tree}),
-        ref_tree_files(), st.integers(-1, 6).map(str), ref_close_switch(),
+        ref_tree_files(), st.integers(-1, 6).map(str), REF_CLOSE,
     ),
     "sigma2color": st.builds(
         lambda texts, n: (["sigma2color", "--sigma", "a.sigma", "-n", n],
@@ -953,7 +1085,7 @@ REF_FILE_ARGVS = {
     ),
     "path": st.builds(
         lambda tree, close: (["path", "--tree", "a.tree", *close], {"a.tree": tree}),
-        ref_tree_files(), ref_close_switch(),
+        ref_tree_files(), REF_CLOSE,
     ),
     "verify": ref_verify_args(),
     "dnr": ref_dnr_args(),
