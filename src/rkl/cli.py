@@ -41,9 +41,7 @@ def _int_arg(text: str) -> int:
 
 
 def _color_arg(text: str) -> int:
-    if (value := _int_arg(text)) not in (0, 1):
-        raise core.Refusal(f"a color is 0 or 1, not {value}")
-    return value
+    return core._color(_int_arg(text))
 
 
 def _cmd_close(options: dict) -> tuple[int, str]:
@@ -121,15 +119,16 @@ def _cmd_path(options: dict) -> tuple[int, str]:
 
 def _cmd_stable(options: dict) -> tuple[int, str]:
     f = formats.parse_coloring(_read(options["--coloring"]))
-    xs = [options["-x"]] if "-x" in options else list(range(f.n))
-    lines = []
-    for x in xs:
-        ev = oracles.check_stable(f, x)
-        lines.append(
-            f"x={x} stabilized={'true' if ev.stabilized else 'false'} "
-            f"last_change={ev.last_change} final_color={ev.final_color}"
-        )
-    return EXIT_OK, "".join(line + "\n" for line in lines)
+    if "-x" in options:
+        evidence = [(options["-x"], oracles.check_stable(f, options["-x"]))]
+    else:
+        evidence = enumerate(oracles.check_all_stable(f))
+    lines = [
+        f"x={x} stabilized={'true' if ev.stabilized else 'false'} "
+        f"last_change={ev.last_change} final_color={ev.final_color}\n"
+        for x, ev in evidence
+    ]
+    return EXIT_OK, "".join(lines)
 
 
 def _cmd_verify(options: dict) -> tuple[int, str]:
@@ -144,7 +143,9 @@ def _cmd_verify(options: dict) -> tuple[int, str]:
         t = source
     else:
         source = formats.parse_sigma(_read(options["--sigma"]))
-        t = core.downward_closure(source)
+        # The closure's horizon level, all is_homog_path reads, is the
+        # family's longest level; the empty family closes to the root alone.
+        t = source if source.text_levels[-1] else core.FinTree()
     verdict = oracles.verify_reduction(source, f, h, options["--color"])
     if verdict.broken is not None:
         x, y = verdict.broken

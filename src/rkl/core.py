@@ -76,6 +76,13 @@ def _bits(s: object) -> str:
     return s
 
 
+def _color(c: object) -> int:
+    """c itself when it is a color, 0 or 1; anything else is refused."""
+    if c not in (0, 1):
+        raise Refusal(f"a color is 0 or 1, not {c}")
+    return c
+
+
 class _LevelStore:
     """A finite set of binary strings stored by levels.
 
@@ -288,11 +295,12 @@ def _homog_text(h: NatSet, bits: str, symbol: str) -> bool:
 
 def is_homog_string(h: NatSet, sigma: str, c: int) -> bool:
     """Whether sigma shows color c at every position of h it covers."""
-    return _homog_text(h, _bits(sigma), "1" if c else "0")
+    return _homog_text(h, _bits(sigma), "1" if _color(c) else "0")
 
 
-def is_homog_path(h: NatSet, t: FinTree) -> HomWitness | None:
+def is_homog_path(h: NatSet, t: FinTree | StringFamily) -> HomWitness | None:
     """A single long witness: a member at the tree's horizon monochromatic on h.
+    A nonempty family's longest level is its closure's horizon level.
 
     Prefers color 0 over 1, then the lexicographically least witness.
     """

@@ -21,7 +21,7 @@ from collections import namedtuple
 from itertools import combinations
 from operator import itemgetter
 
-from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, is_homog_string
+from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, _color, is_homog_string
 
 
 class StabilityEvidence(namedtuple("StabilityEvidence", "stabilized last_change final_color")):
@@ -50,32 +50,37 @@ class ReductionVerdict(namedtuple("ReductionVerdict", "checked counterexamples b
         return self.broken is None and not self.counterexamples
 
 
-def _adjacency(f: PairColoring) -> tuple[list[int], list[int]]:
-    """Each color's graph on {0..n} as neighbour masks: row y read as binary
-    gives y's color-1 neighbours below it; color 0 is the complement."""
+def _columns(f: PairColoring) -> list[str]:
+    """Each vertex x of {0..n} as the text of its column, indexed by y: the
+    color of the pair (x, y) at every y > x, after x + 1 dashes."""
     size = f.n + 1
-    ones = [0] * size
-    for y, row in enumerate(f.rows, start=1):
-        below = int(row[::-1], 2)
-        ones[y] |= below
-        bit = 1 << y
-        while below:
-            low = below & -below
-            ones[low.bit_length() - 1] |= bit
-            below ^= low
-    full = (1 << size) - 1
-    return [full ^ m ^ (1 << v) for v, m in enumerate(ones)], ones
+    square = "".join([row.ljust(size, "-") for row in ("", *f.rows)])
+    return [square[x::size] for x in range(size)]
 
 
-def _by_degree(adj: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(adjacency, order, pos): the graph renumbered by degree, highest
-    first and ties by label; new vertex i is old order[i], old v is new pos[v]."""
-    size = len(adj)
-    order = sorted(range(size), key=lambda v: adj[v].bit_count(), reverse=True)
-    pos = sorted(range(size), key=order.__getitem__)
-    # Binary text runs from the highest bit down: pick each new bit's old one.
-    pick = itemgetter(*[size - 1 - v for v in reversed(order)])
-    return [int("".join(pick(format(adj[v], f"0{size}b"))), 2) for v in order], order, pos
+# Each color's symbol in a vertex's text, and the table that turns the text
+# into that color's bits: a vertex is not its own neighbour.
+_COLOR_BITS = (("0", str.maketrans("01-", "100")), ("1", str.maketrans("-", "0")))
+
+
+def _graphs(f: PairColoring) -> list[tuple[list[int], list[int], list[int]]]:
+    """(adjacency, order, pos) for each color: the color's graph on {0..n} as
+    neighbour masks, renumbered by degree, highest first and ties by label;
+    new vertex i is old order[i], old v is new pos[v]."""
+    # Vertex y's text: its row below it, a dash for itself, its column above.
+    texts = [row + col[y:] for y, (row, col) in enumerate(zip(("", *f.rows), _columns(f)))]
+    size = len(texts)
+    graphs = []
+    for color, table in _COLOR_BITS:
+        degree = [text.count(color) for text in texts]
+        order = sorted(range(size), key=degree.__getitem__, reverse=True)
+        pos = sorted(range(size), key=order.__getitem__)
+        # Stack the texts in reverse new order as the color's bits: column v
+        # then reads v's neighbours from new label size - 1 down to 0, which
+        # is v's mask in new labels as binary text.
+        square = "".join([texts[v] for v in reversed(order)]).translate(table)
+        graphs.append(([int(square[v::size], 2) for v in order], order, pos))
+    return graphs
 
 
 def _max_clique(
@@ -90,7 +95,7 @@ def _max_clique(
     vertex first, and branches on them in reverse colour order.  A vertex of
     colour k extends the current clique by at most k more vertices, so the
     node stops once size + k <= best; vertices that could never pass that
-    test are coloured but not kept.  On a graph numbered by _by_degree the
+    test are coloured but not kept.  On a graph numbered by _graphs the
     lowest vertices have the most neighbours, which gives fewer colours.
     """
     best, clique = floor, None
@@ -143,7 +148,7 @@ def _lex_least_clique(
     adj: list[int], order: list[int], pos: list[int], clique: list[int]
 ) -> tuple[int, ...]:
     """The lexicographically least clique of the size of clique, a largest
-    clique of the graph (adj, order, pos) from _by_degree, in old labels.
+    clique of the graph (adj, order, pos) from _graphs, in old labels.
 
     It is fixed one vertex at a time while a witness h is held: a clique of
     the full size that starts with the vertices fixed so far.  The next
@@ -177,7 +182,7 @@ def ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
     """
     if min_size < 2:
         raise Refusal("min_size must be at least 2")
-    graphs = [_by_degree(adj) for adj in _adjacency(f)]
+    graphs = _graphs(f)
     universe = (1 << (f.n + 1)) - 1
     s0, k0 = _max_clique(graphs[0][0], universe)
     # Exact whenever color 1 ties or beats color 0, which is all that matters.
@@ -198,18 +203,23 @@ def longest_path(t: FinTree) -> str:
     return t.text_levels[-1][0]
 
 
+def _evidence(n: int, col: str) -> StabilityEvidence:
+    """The evidence of a column text laid out as _columns lays it out: its
+    last change is where its final run of one color starts."""
+    last = len(col.rstrip(col[-1]))
+    return StabilityEvidence(stabilized=last < n, last_change=last, final_color=int(col[-1]))
+
+
 def check_stable(f: PairColoring, x: int) -> StabilityEvidence:
     """Scan column x for its last visible change."""
     if not 0 <= x < f.n:
         raise Refusal(f"x must satisfy 0 <= x < {f.n}")
-    rows = f.rows  # rows[y - 1][x] is the color character of (x, y)
-    last = x + 1
-    for y in range(x + 2, f.n + 1):
-        if rows[y - 1][x] != rows[y - 2][x]:
-            last = y
-    return StabilityEvidence(
-        stabilized=last < f.n, last_change=last, final_color=int(rows[-1][x])
-    )
+    return _evidence(f.n, "-" * (x + 1) + "".join(map(itemgetter(x), f.rows[x:])))
+
+
+def check_all_stable(f: PairColoring) -> list[StabilityEvidence]:
+    """check_stable for every x from 0 to n - 1, in order."""
+    return [_evidence(f.n, col) for col in _columns(f)[:-1]]
 
 
 def verify_reduction(
@@ -222,8 +232,10 @@ def verify_reduction(
     pair.  Then, for each y >= 1 in h, the witness string sigma_text(y) is
     re-derived from the source alone and must show color c at every smaller
     element of h; offending y values are returned as counterexamples.  A
-    source with no member that long refuses y as its sigma_text does.
+    source with no member that long refuses y as its sigma_text does, and a
+    color other than 0 or 1 is refused.
     """
+    _color(c)
     inside = [v for v in h if v <= f.n]
     for x, y in combinations(inside, 2):
         if f.value(x, y) != c:

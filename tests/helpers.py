@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from hypothesis import strategies as st
 
 from rkl import reductions
 from rkl.core import MAX_DIGITS, NatSet, PairColoring, Refusal, StringFamily, downward_closure
+from rkl.oracles import StabilityEvidence
 from rkl.predlang import (
     Arith,
     Bit,
@@ -495,6 +497,28 @@ def ref_adjacency(f: PairColoring) -> tuple[list[int], list[int]]:
         adj[c][x] |= 1 << y
         adj[c][y] |= 1 << x
     return adj
+
+
+def ref_by_degree(adj: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(adjacency, order, pos): the graph renumbered by degree, highest
+    first and ties by label, one mask at a time through its binary text."""
+    size = len(adj)
+    order = sorted(range(size), key=lambda v: adj[v].bit_count(), reverse=True)
+    pos = sorted(range(size), key=order.__getitem__)
+    # Binary text runs from the highest bit down: pick each new bit's old one.
+    pick = itemgetter(*[size - 1 - v for v in reversed(order)])
+    return [int("".join(pick(format(adj[v], f"0{size}b"))), 2) for v in order], order, pos
+
+
+def ref_check_stable(f: PairColoring, x: int) -> StabilityEvidence:
+    """check_stable by comparing each pair of column x with the one before."""
+    last = x + 1
+    for y in range(x + 2, f.n + 1):
+        if f.value(x, y) != f.value(x, y - 1):
+            last = y
+    return StabilityEvidence(
+        stabilized=last < f.n, last_change=last, final_color=f.value(x, f.n)
+    )
 
 
 def ref_ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:

@@ -420,6 +420,27 @@ class TestVerifyLines:
                 "verdict: ok\n"
             )
 
+    @pytest.mark.parametrize("sigma, h, coloring, color, lines", [
+        # The empty family closes to the root alone, which is constant on h.
+        ("", "0\n", "n 1\n0 1 0\n", "0",
+         "witness-checks: ok (y = none)\npath-witness: color=0 sigma=-\n"),
+        ("-\n", "0\n", "n 1\n0 1 1\n", "1",
+         "witness-checks: ok (y = none)\npath-witness: color=0 sigma=-\n"),
+        # The longest level holds 011, 101 and 110: color 0 has no witness,
+        # and 101 is the least for color 1.
+        ("11\n011\n101\n110\n", "0\n2\n", "n 2\n0 1 0\n0 2 1\n1 2 0\n", "1",
+         "witness-checks: ok (y = 2)\npath-witness: color=1 sigma=101\n"),
+    ], ids=["empty family", "root only", "longest level of three"])
+    def test_family_path_witness(self, sigma, h, coloring, color, lines, tmp_path, capsys):
+        files = {"--sigma": sigma, "--set": h, "--coloring": coloring}
+        argv = ["verify", "--color", color]
+        for flag, text in files.items():
+            path = tmp_path / flag.strip("-")
+            path.write_text(text)
+            argv += [flag, str(path)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == f"coloring-homogeneity: ok\n{lines}verdict: ok\n"
+
     def test_close_refused_for_a_family(self, capsys):
         _, argv = GOLDEN_CASES["verify_alt.txt"]
         assert cli.main(argv + ["--close"]) == 2

@@ -276,6 +276,13 @@ class TestIsHomogString:
         assert is_homog_string(NatSet.of([9]), "01", 0)
         assert is_homog_string(NatSet.of([9]), "01", 1)
 
+    @pytest.mark.parametrize("c", [2, -1])
+    def test_color_other_than_0_or_1_is_refused(self, c):
+        # Even where no position of h is covered, so nothing is read.
+        for h in (NatSet.of([1]), NatSet.of([9])):
+            with pytest.raises(Refusal, match=f"^a color is 0 or 1, not {c}$"):
+                is_homog_string(h, "01", c)
+
     @given(natsets(), bitstrings(), st.integers(0, 1))
     def test_monotone_under_prefix(self, h: NatSet, s: str, c: int):
         if is_homog_string(h, s, c):

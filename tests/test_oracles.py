@@ -5,7 +5,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,6 +14,8 @@ from helpers import (
     naive_ramsey,
     planted_colorings,
     ref_adjacency,
+    ref_by_degree,
+    ref_check_stable,
     ref_max_clique,
     ref_ramsey_search,
     string_families,
@@ -29,9 +31,9 @@ from rkl.core import (
 )
 from rkl import oracles
 from rkl.oracles import (
-    _adjacency,
-    _by_degree,
+    _graphs,
     _max_clique,
+    check_all_stable,
     check_stable,
     longest_path,
     ramsey_search,
@@ -131,7 +133,7 @@ class TestColourBoundedSearch:
 
     @given(planted_colorings(max_n=24), st.integers(0, 1), st.integers(-1, 27), st.data())
     def test_max_clique_is_floor_or_the_true_size(self, f, c, floor, data):
-        adj = _adjacency(f)[c]
+        adj = ref_adjacency(f)[c]
         cand = data.draw(st.integers(0, (1 << (f.n + 1)) - 1), label="cand")
         true_size = ref_max_clique(adj, cand)
         size, clique = _max_clique(adj, cand, floor)
@@ -147,14 +149,17 @@ class TestColourBoundedSearch:
         else:
             assert (size, clique) == (floor, None)
 
-    @given(colorings(max_n=12))
-    def test_adjacency_matches_the_pairs(self, f):
-        assert _adjacency(f) == ref_adjacency(f)
+    @given(st.one_of(colorings(max_n=12), planted_colorings(max_n=40)))
+    @example(from_function(0, lambda x, y: 0))
+    @example(from_function(1, lambda x, y: 0))
+    @example(from_function(1, lambda x, y: 1))
+    def test_graphs_match_the_pairs_renumbered_mask_by_mask(self, f):
+        assert _graphs(f) == [ref_by_degree(adj) for adj in ref_adjacency(f)]
 
     @given(planted_colorings(max_n=30), st.integers(0, 1))
     def test_degree_renumbering_is_an_isomorphism(self, f, c):
-        adj = _adjacency(f)[c]
-        renumbered, order, pos = _by_degree(adj)
+        adj = ref_adjacency(f)[c]
+        renumbered, order, pos = _graphs(f)[c]
         size = len(adj)
         assert sorted(order) == list(range(size))
         assert [order[pos[v]] for v in range(size)] == list(range(size))
@@ -164,8 +169,7 @@ class TestColourBoundedSearch:
 
     @given(planted_colorings(max_n=30), st.integers(0, 1))
     def test_degrees_do_not_increase_in_the_new_order(self, f, c):
-        adj = _adjacency(f)[c]
-        renumbered, order, _ = _by_degree(adj)
+        renumbered, order, _ = _graphs(f)[c]
         degrees = [row.bit_count() for row in renumbered]
         assert degrees == sorted(degrees, reverse=True)
         # Equal degrees keep their old order.
@@ -259,6 +263,12 @@ class TestCheckStable:
         with pytest.raises(ValueError):
             check_stable(f, 3)
 
+    @given(st.one_of(colorings(max_n=40), planted_colorings(max_n=40), x_only_colorings(40)))
+    def test_every_column_matches_the_per_pair_loop(self, f):
+        evidence = [ref_check_stable(f, x) for x in range(f.n)]
+        assert check_all_stable(f) == evidence
+        assert [check_stable(f, x) for x in range(f.n)] == evidence
+
     @given(colorings(max_n=8, min_n=1), st.integers(0, 7))
     def test_evidence_recomputes(self, f, x):
         if x >= f.n:
@@ -323,6 +333,14 @@ class TestVerifyReduction:
             verify_reduction(downward_closure(["00"]), f, N([1, 3]), 0)
         with pytest.raises(Refusal, match="^no family member of length at least 3$"):
             verify_reduction(StringFamily(["00"]), f, N([1, 3]), 0)
+
+    @pytest.mark.parametrize("h", [N([4]), N([])])
+    @pytest.mark.parametrize("c", [2, -1])
+    def test_color_other_than_0_or_1_is_refused(self, h, c):
+        t = downward_closure(["000", "1111"])
+        f = tree_to_stable_coloring(t, 4)
+        with pytest.raises(Refusal, match=f"^a color is 0 or 1, not {c}$"):
+            verify_reduction(t, f, h, c)
 
     def test_elements_outside_column_range_are_skipped(self):
         t = downward_closure(["00"])
