@@ -4,15 +4,18 @@ Everything here recomputes from first principles: the search enumerates
 monochromatic sets with branch and bound, and the verifier re-derives each
 witness string from the source object rather than trusting the coloring.
 
-The search treats each color as a graph, renumbered once by degree, highest
-first (the initial order of Tomita and Seki's MCQ), and looks for a largest
-clique, bounding each branch by a greedy colouring of its candidates: a
-clique holds at most one vertex of each colour class.  The clique found is
-the witness the lexicographically least step starts from, so that step asks
-only whether a candidate below the witness's next vertex starts a clique of
-the remaining size, and each such query has a ceiling: it returns at the
-first clique of the size asked.  None of this changes the canonical answer:
-the largest size, then the lexicographically least set, then color 0.
+The search treats each color as a graph, renumbered once by degree so that
+the highest bit has the most neighbours (the initial order of Tomita and
+Seki's MCQ, read from the top bit down), and looks for a largest clique,
+bounding each branch by a greedy colouring of its candidates: a clique holds
+at most one vertex of each colour class.  Color 0's search only has to beat
+a greedy clique grown from each vertex, which is its witness when nothing
+does.  The clique found is the witness the lexicographically least step
+starts from, so that step asks only whether a candidate below the witness's
+next vertex starts a clique of the remaining size, and each such query has a
+ceiling: it returns at the first clique of the size asked.  None of this
+changes the canonical answer: the largest size, then the lexicographically
+least set, then color 0.
 """
 
 from __future__ import annotations
@@ -58,48 +61,62 @@ def _columns(f: PairColoring) -> list[str]:
     return [square[x::size] for x in range(size)]
 
 
-# Each color's symbol in a vertex's text, and the table that turns the text
-# into that color's bits: a vertex is not its own neighbour.
-_COLOR_BITS = (("0", str.maketrans("01-", "100")), ("1", str.maketrans("-", "0")))
+# The table that turns a vertex's text into each color's bits: a vertex is
+# not its own neighbour.
+_COLOR_BITS = (str.maketrans("01-", "100"), str.maketrans("-", "0"))
 
 
-def _graphs(f: PairColoring) -> list[tuple[list[int], list[int], list[int]]]:
-    """(adjacency, order, pos) for each color: the color's graph on {0..n} as
-    neighbour masks, renumbered by degree, highest first and ties by label;
-    new vertex i is old order[i], old v is new pos[v]."""
+def _graphs(f: PairColoring) -> list[tuple[tuple[list[int], ...], list[int], list[int]]]:
+    """(masks, order, pos) for each color: the color's graph on {0..n}
+    renumbered by degree, lowest first, so that the highest bit has the most
+    neighbours, with equal degrees in label order read from the top down;
+    new vertex i is old order[i], old v is new pos[v].
+
+    masks is (adj, avoid, bit), what _max_clique reads: adj[i] is i's
+    neighbour mask, avoid[i] clears i and its neighbours, bit[i] is 1 << i.
+    """
     # Vertex y's text: its row below it, a dash for itself, its column above.
     texts = [row + col[y:] for y, (row, col) in enumerate(zip(("", *f.rows), _columns(f)))]
     size = len(texts)
+    bit = [1 << v for v in range(size)]
+    # Every other vertex is a neighbour in exactly one color, so color 1's
+    # degree order is color 0's reversed.  A stable sort of the labels taken
+    # downwards leaves ties in descending label, ascending from the top.
+    degree = [text.count("0") for text in texts]
+    down = range(size - 1, -1, -1)
     graphs = []
-    for color, table in _COLOR_BITS:
-        degree = [text.count(color) for text in texts]
-        order = sorted(range(size), key=degree.__getitem__, reverse=True)
+    for table, reverse in zip(_COLOR_BITS, (False, True)):
+        order = sorted(down, key=degree.__getitem__, reverse=reverse)
         pos = sorted(range(size), key=order.__getitem__)
-        # Stack the texts in reverse new order as the color's bits: column v
-        # then reads v's neighbours from new label size - 1 down to 0, which
-        # is v's mask in new labels as binary text.
+        # Stack the texts from new label size - 1 down to 0 as the color's
+        # bits: column v then reads v's neighbours in that order, which is
+        # v's mask in new labels as binary text.
         square = "".join([texts[v] for v in reversed(order)]).translate(table)
-        graphs.append(([int(square[v::size], 2) for v in order], order, pos))
+        adj = [int(square[v::size], 2) for v in order]
+        avoid = [~(a | b) for a, b in zip(adj, bit)]
+        graphs.append(((adj, avoid, bit), order, pos))
     return graphs
 
 
 def _max_clique(
-    adj: list[int], cand: int, floor: int = 0, ceiling: int = -1
+    masks: tuple[list[int], ...], cand: int, floor: int = 0, ceiling: int = -1
 ) -> tuple[int, list[int] | None]:
     """(size, vertices) of a largest clique within cand, or (floor, None)
-    when none is larger.  With a ceiling above floor the search returns at
-    the first clique of that size, so the size is min(ceiling, true size).
+    when none is larger, in the graph whose masks _graphs built.  With a
+    ceiling above floor the search returns at the first clique of that
+    size, so the size is min(ceiling, true size).
 
     Branch and bound with a greedy colouring bound: each node splits its
-    candidates into colour classes of pairwise non-adjacent vertices, lowest
-    vertex first, and branches on them in reverse colour order.  A vertex of
-    colour k extends the current clique by at most k more vertices, so the
-    node stops once size + k <= best; vertices that could never pass that
-    test are coloured but not kept.  On a graph numbered by _graphs the
-    lowest vertices have the most neighbours, which gives fewer colours.
+    candidates into colour classes of pairwise non-adjacent vertices,
+    highest vertex first, and branches on them in reverse colour order.  A
+    vertex of colour k extends the current clique by at most k more
+    vertices, so the node stops once size + k <= best; the first best - size
+    classes, which could never pass that test, are coloured but not kept.
+    On a graph numbered by _graphs the highest vertices have the most
+    neighbours, which gives fewer colours.
     """
+    adj, avoid, bit = masks
     best, clique = floor, None
-    avoid = [~a for a in adj]  # the vertices not adjacent to v, v included
     # Open nodes wait on a stack as [size, candidates, vertices, colours,
     # vertex branched on], so the depth of the search is not limited by
     # Python's recursion, and the current clique is read off the stack.
@@ -110,23 +127,25 @@ def _max_clique(
             best, clique = size, [node[4] for node in stack]
             if size == ceiling:
                 return best, clique
-        vertices: list[int] = []
-        colours: list[int] = []
-        skip = best - size
-        colour = 0
         uncoloured = cand
-        while uncoloured:
-            colour += 1
-            keep = colour > skip
+        for _ in range(best - size):
             free = uncoloured
             while free:
-                low = free & -free
-                v = low.bit_length() - 1
-                uncoloured ^= low
-                free = (free ^ low) & avoid[v]
-                if keep:
-                    vertices.append(v)
-                    colours.append(colour)
+                v = free.bit_length() - 1
+                uncoloured ^= bit[v]
+                free &= avoid[v]
+        vertices: list[int] = []
+        colours: list[int] = []
+        colour = best - size
+        while uncoloured:
+            colour += 1
+            free = uncoloured
+            while free:
+                v = free.bit_length() - 1
+                uncoloured ^= bit[v]
+                free &= avoid[v]
+                vertices.append(v)
+                colours.append(colour)
         stack.append([size, cand, vertices, colours, -1])
         # Branch on the last kept vertex of the deepest node that may still
         # beat best; a node whose last vertex cannot is finished.
@@ -136,7 +155,7 @@ def _max_clique(
             if vertices and size + colours[-1] > best:
                 v = vertices.pop()
                 colours.pop()
-                node[1], node[4] = cand ^ (1 << v), v
+                node[1], node[4] = cand ^ bit[v], v
                 size, cand = size + 1, cand & adj[v]
                 break
             stack.pop()
@@ -144,11 +163,30 @@ def _max_clique(
             return best, clique
 
 
+def _greedy_clique(adj: list[int]) -> list[int]:
+    """The largest of the cliques grown from each vertex by adding the
+    highest candidate left, on a graph numbered by _graphs."""
+    best: list[int] = []
+    for v in range(len(adj) - 1, -1, -1):
+        cand = adj[v]
+        # Degrees fall from the top: no lower vertex can do better.
+        if cand.bit_count() < len(best):
+            break
+        clique = [v]
+        while cand:
+            u = cand.bit_length() - 1
+            clique.append(u)
+            cand &= adj[u]
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
 def _lex_least_clique(
-    adj: list[int], order: list[int], pos: list[int], clique: list[int]
+    masks: tuple[list[int], ...], order: list[int], pos: list[int], clique: list[int]
 ) -> tuple[int, ...]:
     """The lexicographically least clique of the size of clique, a largest
-    clique of the graph (adj, order, pos) from _graphs, in old labels.
+    clique of the graph (masks, order, pos) from _graphs, in old labels.
 
     It is fixed one vertex at a time while a witness h is held: a clique of
     the full size that starts with the vertices fixed so far.  The next
@@ -157,18 +195,19 @@ def _lex_least_clique(
     asked, in ascending order, each up to the ceiling need - 1; the first
     that passes gives h a new tail, and one that fails is dropped.
     """
+    adj, _, bit = masks
     h = sorted(order[v] for v in clique)
     cand = (1 << len(adj)) - 1  # in new labels
     for i in range(len(h)):
         need = len(h) - i
         for v in range(h[i - 1] + 1 if i else 0, h[i]):
             p = pos[v]
-            if cand >> p & 1:
-                found = _max_clique(adj, cand & adj[p], need - 2, need - 1)[1]
+            if cand & bit[p]:
+                found = _max_clique(masks, cand & adj[p], need - 2, need - 1)[1]
                 if found is not None:
                     h[i:] = [v, *sorted(order[u] for u in found)]
                     break
-                cand ^= 1 << p
+                cand ^= bit[p]
         cand &= adj[pos[h[i]]]
     return tuple(h)
 
@@ -184,7 +223,9 @@ def ramsey_search(f: PairColoring, min_size: int) -> tuple[int, NatSet] | None:
         raise Refusal("min_size must be at least 2")
     graphs = _graphs(f)
     universe = (1 << (f.n + 1)) - 1
-    s0, k0 = _max_clique(graphs[0][0], universe)
+    seed = _greedy_clique(graphs[0][0][0])
+    s0, k0 = _max_clique(graphs[0][0], universe, len(seed))
+    k0 = k0 or seed
     # Exact whenever color 1 ties or beats color 0, which is all that matters.
     s1, k1 = _max_clique(graphs[1][0], universe, s0 - 1)
     best = max(s0, s1)

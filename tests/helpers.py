@@ -499,15 +499,24 @@ def ref_adjacency(f: PairColoring) -> tuple[list[int], list[int]]:
     return adj
 
 
-def ref_by_degree(adj: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(adjacency, order, pos): the graph renumbered by degree, highest
-    first and ties by label, one mask at a time through its binary text."""
+def ref_masks(adj: list[int]) -> tuple[list[int], ...]:
+    """(adj, avoid, bit) as _max_clique reads a graph in any numbering:
+    avoid[v] clears v and its neighbours, bit[v] is v's own bit."""
+    bit = [1 << v for v in range(len(adj))]
+    return adj, [-1 - (a | b) for a, b in zip(adj, bit)], bit
+
+
+def ref_by_degree(adj: list[int]) -> tuple[tuple[list[int], ...], list[int], list[int]]:
+    """(masks, order, pos): the graph renumbered by degree, lowest first and
+    ties by label from the highest new label down, one mask at a time
+    through its binary text."""
     size = len(adj)
-    order = sorted(range(size), key=lambda v: adj[v].bit_count(), reverse=True)
+    order = sorted(range(size), key=lambda v: (adj[v].bit_count(), -v))
     pos = sorted(range(size), key=order.__getitem__)
     # Binary text runs from the highest bit down: pick each new bit's old one.
     pick = itemgetter(*[size - 1 - v for v in reversed(order)])
-    return [int("".join(pick(format(adj[v], f"0{size}b"))), 2) for v in order], order, pos
+    renumbered = [int("".join(pick(format(adj[v], f"0{size}b"))), 2) for v in order]
+    return ref_masks(renumbered), order, pos
 
 
 def ref_check_stable(f: PairColoring, x: int) -> StabilityEvidence:

@@ -16,6 +16,7 @@ from helpers import (
     ref_adjacency,
     ref_by_degree,
     ref_check_stable,
+    ref_masks,
     ref_max_clique,
     ref_ramsey_search,
     string_families,
@@ -32,6 +33,7 @@ from rkl.core import (
 from rkl import oracles
 from rkl.oracles import (
     _graphs,
+    _greedy_clique,
     _max_clique,
     check_all_stable,
     check_stable,
@@ -134,15 +136,16 @@ class TestColourBoundedSearch:
     @given(planted_colorings(max_n=24), st.integers(0, 1), st.integers(-1, 27), st.data())
     def test_max_clique_is_floor_or_the_true_size(self, f, c, floor, data):
         adj = ref_adjacency(f)[c]
+        masks = ref_masks(adj)
         cand = data.draw(st.integers(0, (1 << (f.n + 1)) - 1), label="cand")
         true_size = ref_max_clique(adj, cand)
-        size, clique = _max_clique(adj, cand, floor)
+        size, clique = _max_clique(masks, cand, floor)
         assert size == max(floor, true_size)
         assert (clique is None) == (size == floor)
         if clique is not None:
             assert len(clique) == size and is_clique_within(adj, cand, clique)
         ceiling = data.draw(st.integers(floor + 1, 28), label="ceiling")
-        size, clique = _max_clique(adj, cand, floor, ceiling)
+        size, clique = _max_clique(masks, cand, floor, ceiling)
         if true_size > floor:
             assert size == min(ceiling, true_size)
             assert len(clique) == size and is_clique_within(adj, cand, clique)
@@ -159,23 +162,53 @@ class TestColourBoundedSearch:
     @given(planted_colorings(max_n=30), st.integers(0, 1))
     def test_degree_renumbering_is_an_isomorphism(self, f, c):
         adj = ref_adjacency(f)[c]
-        renumbered, order, pos = _graphs(f)[c]
+        (renumbered, avoid, bit), order, pos = _graphs(f)[c]
         size = len(adj)
         assert sorted(order) == list(range(size))
         assert [order[pos[v]] for v in range(size)] == list(range(size))
+        assert bit == [1 << v for v in range(size)]
         for u in range(size):
             for v in range(size):
                 assert renumbered[pos[u]] >> pos[v] & 1 == adj[u] >> v & 1
+                # avoid keeps exactly the vertices that are neither u nor
+                # its neighbours.
+                assert avoid[pos[u]] >> pos[v] & 1 == (u != v and not adj[u] >> v & 1)
 
     @given(planted_colorings(max_n=30), st.integers(0, 1))
-    def test_degrees_do_not_increase_in_the_new_order(self, f, c):
-        renumbered, order, _ = _graphs(f)[c]
+    def test_degrees_do_not_decrease_in_the_new_order(self, f, c):
+        (renumbered, _, _), order, _ = _graphs(f)[c]
         degrees = [row.bit_count() for row in renumbered]
-        assert degrees == sorted(degrees, reverse=True)
-        # Equal degrees keep their old order.
+        assert degrees == sorted(degrees)
+        # Equal degrees keep their old order, read from the top down.
         assert all(
-            order[i] < order[i + 1] for i in range(len(order) - 1) if degrees[i] == degrees[i + 1]
+            order[i] > order[i + 1] for i in range(len(order) - 1) if degrees[i] == degrees[i + 1]
         )
+
+    @given(st.one_of(colorings(max_n=12), planted_colorings(max_n=40)), st.integers(2, 6))
+    # Color 0's largest set has four vertices and the greedy clique three.
+    @example(PairColoring(7, ("0", "01", "010", "0000", "10101", "100010", "1011110")), 2)
+    def test_seeded_search_hands_on_the_greedy_clique_unless_beaten(self, f, min_size):
+        masks = _graphs(f)[0][0]
+        universe = (1 << (f.n + 1)) - 1
+        seed = _greedy_clique(masks[0])
+        assert seed and is_clique_within(masks[0], universe, seed)
+        sizes = [ref_max_clique(adj, universe) for adj in ref_adjacency(f)]
+        witnesses = []
+        lex = oracles._lex_least_clique
+
+        def spy(*args):
+            witnesses.append(args[-1])
+            return lex(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "_lex_least_clique", spy)
+            assert ramsey_search(f, min_size) == ref_ramsey_search(f, min_size)
+        if sizes[0] == max(sizes) >= min_size:
+            # Color 0's witness is handed on first.
+            if sizes[0] == len(seed):
+                assert witnesses[0] == seed
+            else:
+                assert len(witnesses[0]) == sizes[0] > len(seed)
 
     @pytest.mark.parametrize("c", [0, 1])
     def test_constant_coloring_asks_no_lex_query(self, c, monkeypatch):
@@ -223,7 +256,7 @@ class TestColourBoundedSearch:
         assert n > sys.getrecursionlimit()
         universe = (1 << n) - 1
         adj = [universe ^ (1 << v) for v in range(n)]
-        assert _max_clique(adj, universe)[0] == n
+        assert _max_clique(ref_masks(adj), universe)[0] == n
 
 
 class TestLongestPath:
