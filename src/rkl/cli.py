@@ -44,6 +44,14 @@ def _color_arg(text: str) -> int:
     return core._color(_int_arg(text))
 
 
+def _named(flag: str, read, text: str, *args):
+    """read(text, *args), a refusal's message prefixed with the flag it reads."""
+    try:
+        return read(text, *args)
+    except core.Refusal as exc:
+        raise core.Refusal(f"{flag}: {exc}") from None
+
+
 def _cmd_close(options: dict) -> tuple[int, str]:
     family = formats.parse_sigma(_read(options["--sigma"]))
     return EXIT_OK, formats.render_tree(core.downward_closure(family))
@@ -73,15 +81,17 @@ def _cmd_ce2sigma(options: dict) -> tuple[int, str]:
 
 
 def _cmd_pi2sigma1(options: dict) -> tuple[int, str]:
-    phi = reductions.PredMatrix.from_text(options["--phi"], reductions.PI2_NAMES)
-    tau = "" if options["--tau"] == "-" else core._bits(options["--tau"])
+    matrix = reductions.PredMatrix.from_text
+    phi = _named("--phi", matrix, options["--phi"], reductions.PI2_NAMES)
+    tau = "" if options["--tau"] == "-" else _named("--tau", core._bits, options["--tau"])
     held = reductions.pi2_tree_to_sigma1(phi, tau, options["--bound"])
     return EXIT_OK, ("true\n" if held else "false\n")
 
 
 def _cmd_yoko(options: dict) -> tuple[int, str]:
-    theta0 = reductions.PredMatrix.from_text(options["--theta0"], reductions.YOKO_NAMES)
-    theta1 = reductions.PredMatrix.from_text(options["--theta1"], reductions.YOKO_NAMES)
+    matrix, names = reductions.PredMatrix.from_text, reductions.YOKO_NAMES
+    theta0 = _named("--theta0", matrix, options["--theta0"], names)
+    theta1 = _named("--theta1", matrix, options["--theta1"], names)
     f = reductions.yokoyama_coloring(theta0, theta1, options["-n"], options["--cap"])
     return EXIT_OK, formats.render_coloring(f)
 
@@ -295,10 +305,7 @@ def _parse(argv: list[str]):
         elif (value := next(rest, None)) is None:
             raise core.Refusal(f"{word} needs a value")
         else:
-            try:
-                options[flag] = _VALUES.get(flags[flag], str)(value)
-            except core.Refusal as exc:
-                raise core.Refusal(f"{word}: {exc}") from None
+            options[flag] = _named(word, _VALUES.get(flags[flag], str), value)
     if missing := [flag for flag in required if flag not in options]:
         raise core.Refusal(f"{name} needs {missing[0]}")
     if choice and sum(flag in options for flag in choice) != 1:

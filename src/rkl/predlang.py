@@ -20,14 +20,16 @@ are rejected at parse time, so a parsed expression never mixes kinds.
 
 Evaluation is total on a fully bound environment: subtraction truncates at
 zero, "a mod 0" is zero, and bit(i) reads 0 at any index past the end of the
-bound string.  compile lowers a parsed expression once into the source of
-one Python lambda, evaluated with no builtins, which can also run a
-least-witness scan.  That source holds only fixed templates that wrap each
-operator in parentheses, names from the bound set, _N temporaries and int
-literals, never the matrix text.  Its "and" and "or" may short-circuit
-unobservably: every operator is total, and compile refuses unbound names
-first.  parse refuses nesting deeper than MAX_DEPTH, which bounds every
-recursion over an expression.
+bound string.  compile lowers a parsed expression once into Python source
+run with no builtins: a lambda, or for a least-witness scan a function that
+computes each witness-free part once and then loops over the candidates.
+That source holds only fixed templates that wrap each operator in
+parentheses, names from the bound set, _N and _hK temporaries and int
+literals, never the matrix text.  Its "and" and "or" may short-circuit, and
+a hoisted part may be computed where a short-circuit would have skipped it;
+neither is observable: every operator is total, and compile refuses unbound
+names first.  parse refuses nesting deeper than MAX_DEPTH, which bounds
+every recursion over an expression.
 """
 
 from __future__ import annotations
@@ -290,42 +292,59 @@ def compile(
     "bits" binds the string bit(...) reads, and "len" its length.  Without
     witness the function returns the expression's value; with witness it
     takes one more argument, an iterable of candidates, and returns the
-    first at which the expression holds, or None.  A name that params and
-    witness leave unbound raises UnboundVariable before compiling: the first
-    in text order, "bit" standing for a missing "bits".  A number that is
-    not an int raises ValueError.
+    first at which the expression holds, or None: it computes each part
+    that reads no witness once, even where "and" or "or" would skip it,
+    then loops.  A name that params and witness leave unbound raises
+    UnboundVariable before compiling: the first in text order, "bit"
+    standing for a missing "bits".  A number that is not an int raises
+    ValueError.
     """
     bound = {*params} if witness is None else {*params, witness}
     temps = itertools.count()
+    hoisted: list[str] = []  # lines "_hK = source" that run before the scan
 
-    def lower(e: PredExpr) -> str:
+    def hoist(source: str, reads: bool) -> str:
+        """A compound source that reads no witness as a temporary; else source."""
+        if reads or source[0] != "(":
+            return source
+        hoisted.append(f" _h{len(hoisted)} = {source}\n")
+        return f"_h{len(hoisted) - 1}"
+
+    def lower(e: PredExpr) -> tuple[str, bool]:
+        """e's source, in parentheses unless a number or name, and whether it
+        reads the witness; beside an operand that does, the others are hoisted."""
         if isinstance(e, Num):
-            return format(e.value, "d")
+            return format(e.value, "d"), False
         if isinstance(e, Var):
             if e.name not in bound:
                 raise UnboundVariable(e.name)
-            return e.name
+            return e.name, e.name == witness
+        if isinstance(e, Bit) and "bits" not in bound:
+            raise UnboundVariable("bit")
+        # The operands: every node is a tuple, and no other field is.
+        lowered = [lower(part) for part in e if isinstance(part, tuple)]
+        reads = any(r for _, r in lowered)
+        parts = [hoist(*part) if reads else part[0] for part in lowered]
         if isinstance(e, Bit):  # reads 0 past the end
-            if "bits" not in bound:
-                raise UnboundVariable("bit")
-            return f"(1 if bits.startswith('1', {lower(e.index)}) else 0)"
+            return f"(1 if bits.startswith('1', {parts[0]}) else 0)", reads
         if isinstance(e, Not):
-            return f"(not {lower(e.operand)})"
-        op = _OPERATORS[e.op][3]
-        left, right = lower(e.left), lower(e.right)
+            return f"(not {parts[0]})", reads
+        op, (left, right) = _OPERATORS[e.op][3], parts
         if e.op == "-":
             a, b = f"_{next(temps)}", f"_{next(temps)}"
-            return f"({a} - {b} if ({a} := {left}) > ({b} := {right}) else 0)"
+            return f"({a} - {b} if ({a} := {left}) > ({b} := {right}) else 0)", reads
         if e.op == "mod":
             b = f"_{next(temps)}"
-            return f"({left} % {b} if ({b} := {right}) else 0)"
-        return f"({left} {op} {right})"
+            return f"({left} % {b} if ({b} := {right}) else 0)", reads
+        return f"({left} {op} {right})", reads
 
-    body = lower(expr)
-    if witness is not None:
-        body = f"next(({witness} for {witness} in candidates if {body}), None)"
-        params = (*params, "candidates")
-    return eval(f"lambda {', '.join(params)}: {body}", {"__builtins__": {}, "next": next})
+    if witness is None:
+        return eval(f"lambda {', '.join(params)}: {lower(expr)[0]}", {"__builtins__": {}})
+    body, scan = hoist(*lower(expr)), {}
+    head = f"def scan({', '.join((*params, 'candidates'))}):\n{''.join(hoisted)}"
+    loop = f" for {witness} in candidates:\n  if {body}:\n   return {witness}\n"
+    exec(head + loop, {"__builtins__": {}}, scan)
+    return scan["scan"]
 
 
 def evaluate(

@@ -459,37 +459,50 @@ DEEP_PREDICATES = {
 PARSE_TIME_REFUSALS = {
     "numeric matrix": (
         ["pi2sigma1", "--phi", "z", "--tau", "01", "--bound", "3"],
-        "error: at offset 0: expected a comparison, found an arithmetic value\n",
+        "error: --phi: at offset 0: expected a comparison, found an arithmetic value\n",
     ),
     "bit in yoko": (
         ["yoko", "--theta0", "bit(0) = 1", "--theta1", "n >= m", "-n", "3", "--cap", "4"],
-        "error: at offset 0: unbound: bit\n",
+        "error: --theta0: at offset 0: unbound: bit\n",
     ),
     "x in pi2sigma1": (
         ["pi2sigma1", "--phi", "x = 0", "--tau", "0", "--bound", "1"],
-        "error: at offset 0: unbound: x\n",
+        "error: --phi: at offset 0: unbound: x\n",
     ),
     "y in yoko's second matrix": (
         ["yoko", "--theta0", "n >= m", "--theta1", "n >= m + y", "-n", "3", "--cap", "4"],
-        "error: at offset 9: unbound: y\n",
+        "error: --theta1: at offset 9: unbound: y\n",
+    ),
+    # The same matrices swapped: only the flag tells the two refusals apart.
+    "y in yoko's first matrix": (
+        ["yoko", "--theta0", "n >= m + y", "--theta1", "n >= m", "-n", "3", "--cap", "4"],
+        "error: --theta0: at offset 9: unbound: y\n",
+    ),
+    "both matrices bad": (
+        ["yoko", "--theta0", "n >= y", "--theta1", "n >= len", "-n", "3", "--cap", "4"],
+        "error: --theta0: at offset 5: unbound: y\n",
     ),
     "len after a bound name": (
         ["yoko", "--theta0", "n >= len", "--theta1", "n >= m", "-n", "3", "--cap", "4"],
-        "error: at offset 5: unbound: len\n",
+        "error: --theta0: at offset 5: unbound: len\n",
+    ),
+    "matrix refused before the string": (
+        ["pi2sigma1", "--phi", "x = 0", "--tau", "012", "--bound", "1"],
+        "error: --phi: at offset 0: unbound: x\n",
     ),
     # Offsets count characters: x is character 10 but byte 12, after the ≥.
     "character offset past a non-ASCII operator": (
         ["pi2sigma1", "--phi", "z ≥ y and x = 1", "--tau", "01", "--bound", "3"],
-        "error: at offset 10: unbound: x\n",
+        "error: --phi: at offset 10: unbound: x\n",
     ),
 }
 
 
 NOT_BINARY_TAUS = {
     # The bound is bad too: the string is refused first, as an argument.
-    "digit 2": (["--tau", "012", "--bound", "0"], "error: not a binary string: '012'\n"),
-    "space": (["--tau", "0 1", "--bound", "4"], "error: not a binary string: '0 1'\n"),
-    "empty marker": (["--tau", "ε", "--bound", "4"], "error: not a binary string: 'ε'\n"),
+    "digit 2": (["--tau", "012", "--bound", "0"], "error: --tau: not a binary string: '012'\n"),
+    "space": (["--tau", "0 1", "--bound", "4"], "error: --tau: not a binary string: '0 1'\n"),
+    "empty marker": (["--tau", "ε", "--bound", "4"], "error: --tau: not a binary string: 'ε'\n"),
 }
 
 
@@ -538,7 +551,7 @@ class TestOverlongNumbers:
             (
                 {},
                 ["pi2sigma1", "--phi", f"z >= {OVERLONG}", "--tau", "01", "--bound", "3"],
-                "error: at offset 5: expected a number of at most 4300 digits, found 5000 digits\n",
+                "error: --phi: at offset 5: expected a number of at most 4300 digits, found 5000 digits\n",
             ),
             (
                 {"a.set": f"{OVERLONG}\n"},
@@ -570,7 +583,7 @@ class TestDeepPredicates:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: at offset ")
+        assert captured.err.startswith("error: --phi: at offset ")
         assert "levels of nesting" in captured.err and captured.err.count("\n") == 1
 
     def test_no_traceback_from_a_fresh_process(self):
@@ -582,7 +595,7 @@ class TestDeepPredicates:
             text=True,
         )
         assert result.returncode == 2
-        assert result.stderr.startswith("error: at offset ")
+        assert result.stderr.startswith("error: --phi: at offset ")
         assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 

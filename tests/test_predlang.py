@@ -332,6 +332,17 @@ class TestWitness:
            st.integers(0, 40), st.integers(0, 12))
     @example(Cmp(">=", Arith("*", Var("n"), Num(HUGE)), Arith("mod", Num(HUGE), Var("x"))),
              dict(FULL_ENV), "01", "n", 0, 3)
+    # A body that never reads the witness is computed once, over no
+    # candidates and over some.
+    @example(Cmp("<=", Arith("mod", Var("x"), Num(7)), Num(6)), dict(FULL_ENV), "", "n", 5, 0)
+    @example(Cmp("<=", Arith("mod", Var("x"), Num(7)), Num(6)), dict(FULL_ENV), "", "n", 5, 3)
+    @example(Cmp(">", Arith("mod", Var("x"), Num(7)), Num(6)), dict(FULL_ENV), "", "n", 5, 3)
+    # The witness read only inside a bit(...) index.
+    @example(Cmp("=", Bit(Arith("+", Var("z"), Arith("*", Num(2), Var("y")))), Num(1)),
+             dict(FULL_ENV, y=1), "0001011", "z", 0, 8)
+    # Hoisted "-" and "mod" next to the witness, with a mod by a witness-free zero.
+    @example(parse("n >= x - 9 and n mod (m - m) = 0"), dict(FULL_ENV, x=12), "", "n", 0, 6)
+    @example(parse("n mod (x - m) = x mod (m + 1) and n - x > m"), dict(FULL_ENV), "", "n", 0, 30)
     def test_first_witness_matches_brute_force_scan(self, e, env, tau, witness, start, size):
         bindings = {k: v for k, v in env.items() if k != witness}
         bindings.update(bits=tau, len=len(tau))
@@ -347,10 +358,10 @@ class TestWitness:
 
 class TestClosedLanguage:
     @given(any_exprs, st.sampled_from((None, *NAT_PARAMS)))
-    def test_code_reads_no_name_but_next_and_startswith(self, e, witness):
+    def test_code_reads_no_name_but_startswith_and_has_no_builtins(self, e, witness):
         fn = lower(e, tuple(k for k in ALL_PARAMS if k != witness), witness)
-        assert code_names(fn.__code__) <= {"next", "startswith"}
-        assert fn.__globals__["__builtins__"] == {}
+        assert code_names(fn.__code__) <= {"startswith"}
+        assert fn.__globals__ == {"__builtins__": {}}
 
     @pytest.mark.parametrize("value", ["0) or (1", 1.5])
     def test_number_that_is_not_an_int_is_refused(self, value):
