@@ -24,37 +24,8 @@ deterministic code over finite data:
 Everything is deterministic: ties are broken lexicographically with
 ``0 < 1``, color 0 is preferred over color 1, and serialized output is
 sorted by (length, lex) so equal inputs give byte-identical output.
+
+Import each name from its module, as in ``from rkl.core import FinTree``.
 """
 
-from __future__ import annotations
-
-from rkl.core import (
-    FinTree,
-    HomWitness,
-    NatSet,
-    NotPrefixClosed,
-    PairColoring,
-    Refusal,
-    StringFamily,
-    downward_closure,
-    is_homog_path,
-    is_homog_string,
-    validate_tree,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FinTree",
-    "HomWitness",
-    "NatSet",
-    "NotPrefixClosed",
-    "PairColoring",
-    "Refusal",
-    "StringFamily",
-    "downward_closure",
-    "is_homog_path",
-    "is_homog_string",
-    "validate_tree",
-    "__version__",
-]

@@ -75,8 +75,7 @@ def _cmd_color2sigma(options: dict) -> tuple[int, str]:
 
 
 def _cmd_ce2sigma(options: dict) -> tuple[int, str]:
-    events, max_stage = formats.parse_stages(_read(options["--stages"]))
-    family = reductions.ce_tree_to_sigma(events, max_stage)
+    family = reductions.ce_tree_to_sigma(formats.parse_stages(_read(options["--stages"])))
     return EXIT_OK, formats.render_sigma(family)
 
 
@@ -224,8 +223,8 @@ def _cmd_info(options: dict) -> tuple[int, str]:
             extent = ""
         return EXIT_OK, f"kind=set size={len(h)}{extent}\n"
     if suffix == ".stages":
-        events, max_stage = formats.parse_stages(text)
-        return EXIT_OK, f"kind=stages stages={len(events)} max_stage={max_stage}\n"
+        stages = formats.parse_stages(text)
+        return EXIT_OK, f"kind=stages stages={len(stages)} max_stage={max(stages)}\n"
     raise formats.FormatError(None, f"unrecognized extension {suffix!r}")
 
 

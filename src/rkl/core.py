@@ -217,7 +217,7 @@ class StringFamily(_LevelStore):
 class NatSet:
     """A finite set of naturals, stored strictly increasing."""
 
-    __slots__ = ("elements", "_lookup")
+    __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[int] = ()) -> None:
         elements = tuple(elements)
@@ -226,7 +226,6 @@ class NatSet:
         if any(a >= b for a, b in zip(elements, elements[1:])):
             raise Refusal("elements must be strictly increasing")
         self.elements = elements
-        self._lookup = frozenset(elements)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and other.elements == self.elements
@@ -242,16 +241,13 @@ class NatSet:
         return cls(sorted(set(values)))
 
     def __contains__(self, x: int) -> bool:
-        return x in self._lookup
+        return x in self.elements
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __bool__(self) -> bool:
-        return bool(self.elements)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(v) for v in self.elements) + "}"

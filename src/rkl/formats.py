@@ -35,11 +35,17 @@ class FormatError(Refusal):
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
-    return [
-        (lineno, body)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (body := raw.partition("#")[0].strip())
-    ]
+    """(line number, data before '#') of each nonblank line; a line ends only
+    at a line feed, and its data must be ASCII."""
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        data = raw.partition("#")[0]
+        if not data.isascii():
+            bad = next(c for c in data if not c.isascii())
+            raise FormatError(lineno, f"non-ASCII character {bad!r}")
+        if body := data.strip():
+            lines.append((lineno, body))
+    return lines
 
 
 def _parse_bits(token: str, lineno: int) -> str:
@@ -229,29 +235,27 @@ def parse_natset(text: str) -> NatSet:
     return NatSet(tuple(values))
 
 
-def parse_stages(text: str) -> tuple[list[tuple[int, str]], int]:
-    """Read a .stages file of 's string' lines; returns (events, max stage).
+def parse_stages(text: str) -> dict[int, str]:
+    """Read a .stages file of 's string' lines as {stage: string} in file order.
 
     A repeated stage, or a string longer than its stage, is refused on its
     line; a stage missing below the largest is left to ce_tree_to_sigma.
     """
-    events: list[tuple[int, str]] = []
-    seen: set[int] = set()
+    stages: dict[int, str] = {}
     for lineno, body in _data_lines(text):
         parts = body.split()
         if len(parts) != 2:
             raise FormatError(lineno, "expected 's string'")
         s = _parse_nat(parts[0], lineno, minimum=1)
         bits = _parse_bits(parts[1], lineno)
-        if s in seen:
+        if s in stages:
             raise FormatError(lineno, f"stage {s} is listed twice")
         if len(bits) > s:
             raise FormatError(lineno, f"stage {s} holds '{bits}', longer than {s}")
-        seen.add(s)
-        events.append((s, bits))
-    if not events:
+        stages[s] = bits
+    if not stages:
         raise FormatError(None, "no stages listed")
-    return events, max(s for s, _ in events)
+    return stages
 
 
 def render_tree(strings: FinTree | StringFamily) -> str:

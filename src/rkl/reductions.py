@@ -10,7 +10,7 @@ explicit cap.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Collection, Iterable
+from collections.abc import Collection
 
 from rkl import predlang
 from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, _bits
@@ -106,26 +106,21 @@ def coloring_to_sigma(f: PairColoring) -> StringFamily:
     return StringFamily._from_levels([(), *((row,) for row in f.rows)])
 
 
-def ce_tree_to_sigma(
-    events: Iterable[tuple[int, str]], max_stage: int
-) -> StringFamily:
+def ce_tree_to_sigma(stages: dict[int, str]) -> StringFamily:
     """Zero-pad each stage's string to the stage number, giving a graded family.
 
-    events lists (stage, string) pairs; every stage 1..max_stage must appear
-    exactly once with a string no longer than the stage number.
+    stages maps each stage to its string; every stage from 1 to the largest
+    must appear, with a string no longer than the stage number.
     """
-    by_stage: dict[int, str] = {}
-    for s, tau in events:
-        if not 1 <= s <= max_stage:
-            raise Refusal(f"stage {s} is outside 1..{max_stage}")
-        if s in by_stage:
-            raise Refusal(f"stage {s} is listed twice")
-        by_stage[s] = tau
+    top = max(stages, default=0)
+    for s in stages:
+        if s < 1:
+            raise Refusal(f"stage {s} is outside 1..{top}")
     levels: list[tuple[str, ...]] = [()]
-    for s in range(1, max_stage + 1):
-        if s not in by_stage:
+    for s in range(1, top + 1):
+        if s not in stages:
             raise Refusal(f"stage {s} is missing")
-        tau = by_stage[s]
+        tau = stages[s]
         try:
             _bits(tau)
         except Refusal:
@@ -196,5 +191,10 @@ def set_to_path_tree(a: NatSet, l: int) -> FinTree:
     """The chain of prefixes of a's characteristic string, up to length l."""
     if l < 0:
         raise Refusal("depth must be a natural number")
-    chi = "".join("1" if x in a else "0" for x in range(l))
+    bits = ["0"] * l
+    for x in a:  # ascending, so the first x past the prefix ends the scan
+        if x >= l:
+            break
+        bits[x] = "1"
+    chi = "".join(bits)
     return FinTree._from_levels((chi[:i],) for i in range(len(chi) + 1))

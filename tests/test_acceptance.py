@@ -362,7 +362,7 @@ def test_criterion_11_staged_strings_grade_out():
             events = [
                 (s, random_bits(rng, rng.randint(0, s))) for s in range(1, 21)
             ]
-            fam = ce_tree_to_sigma(events, 20)
+            fam = ce_tree_to_sigma(dict(events))
             assert fam.graded and len(fam) == 20
             members = list(fam)
             for _, tau in events:

@@ -8,9 +8,8 @@ attribute, or as a string literal that spells it (the benchmark's tracer
 looks attributes up by name).  A method counts as used only through an
 attribute (`.name`) or such a literal, not through a plain variable of the
 same name; it is matched by name alone, so a use of another class's method
-of the same name counts too.  __init__.py only re-exports, so it neither
-defines nor uses a name.  A name that only tests call belongs in
-tests/helpers.py instead.
+of the same name counts too.  A name that only tests call belongs in
+tests/helpers.py instead; the package itself re-exports nothing.
 
 The program refuses input in one way: every exception class in src/rkl
 derives from core.Refusal, every raise there raises one, and the CLI
@@ -22,6 +21,9 @@ from __future__ import annotations
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -37,8 +39,8 @@ ALLOWED = {
 
 
 def program_files() -> list[Path]:
-    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    return modules + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    return [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+            *sorted((ROOT / "bench").glob("*.py"))]
 
 
 def definitions(path: Path) -> list[tuple[str, str, bool, int, int]]:
@@ -110,8 +112,6 @@ def test_every_public_name_has_a_caller_in_the_program():
     refs = {path: references(path) for path in program_files()}
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for local, name, method, first, last in definitions(path):
             qualified = f"{path.stem}.{local}"
             used = any(
@@ -133,6 +133,13 @@ def test_names_in_fstring_fields_are_references(tmp_path):
         ("en", 1, False), ("k", 1, True), ("top", 1, False), ("width", 1, False),
         ("a", 3, False), ("b", 3, True),
     } <= set(references(snippet))
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    code = "import sys, rkl; print(sorted(m for m in sys.modules if m.startswith('rkl.')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_allowlist_names_real_definitions():

@@ -306,7 +306,7 @@ class TestExitCodes:
         bad = tmp_path / "h.set"
         bad.write_text("1\n\u0663\n", encoding="utf-8")
         assert cli.main(["info", str(bad)]) == 2
-        assert capsys.readouterr().err == "error: line 2: not a natural number: '\u0663'\n"
+        assert capsys.readouterr().err == "error: line 2: non-ASCII character '\u0663'\n"
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert cli.main(["frobnicate"]) == 2

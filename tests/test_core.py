@@ -64,7 +64,7 @@ class TestBitString:
         assert extended("1", 0) == "10"
         assert extended("1", 1) == "11"
         # Stage strings are padded with 0 up to the stage; a full one is kept.
-        family = ce_tree_to_sigma([(1, "1"), (2, ""), (3, "111")], 3)
+        family = ce_tree_to_sigma({1: "1", 2: "", 3: "111"})
         assert family.text_levels == ((), ("1",), ("00",), ("111",))
 
     def test_order_is_lexicographic_prefix_first(self):
@@ -89,7 +89,7 @@ NOT_BINARY = ["012", "0 1", "ε", 5, (0, 1)]
         lambda b: is_homog_string(NatSet.of([0]), b, 0),
         path_pigeonhole,
         lambda b: pi2_tree_to_sigma1(PredMatrix.from_text("z = y"), b, 4),
-        lambda b: ce_tree_to_sigma([(1, b)], 1),
+        lambda b: ce_tree_to_sigma({1: b}),
     ],
     ids=[
         "FinTree", "StringFamily", "validate_tree", "downward_closure",
@@ -259,6 +259,14 @@ class TestNatSet:
         h = NatSet.of([1, 4, 6])
         assert 4 in h and 5 not in h
         assert [v for v in h if v < 5] == [1, 4]
+        # Absent values below, between and past the maximum.
+        assert [x for x in range(-2, 12) if x in h] == [1, 4, 6]
+        assert 10**30 not in h
+        assert 0 not in NatSet()
+
+    def test_truth_is_having_an_element(self):
+        assert not NatSet()
+        assert NatSet.of([0])
 
     def test_str(self):
         assert str(NatSet.of([2, 0])) == "{0,2}"

@@ -115,7 +115,7 @@ class TestProducers:
         events = list(enumerate(staged, start=1))
         rng.shuffle(events)
         padded = [tau.ljust(s, "0") for s, tau in enumerate(staged, start=1)]
-        fam = ce_tree_to_sigma(events, len(staged))
+        fam = ce_tree_to_sigma(dict(events))
         assert_matches(fam, RefFamily(padded))
         assert fam.graded
         assert fam == StringFamily(padded)

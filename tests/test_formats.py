@@ -47,6 +47,65 @@ class TestComments:
         assert list(t) == [""]
 
 
+# Each line reader with a valid two-line file, as (first line, second line).
+TWO_LINE_FILES = {
+    "tree": (parse_tree, "-", "0"),
+    "sigma": (parse_sigma, "0", "1"),
+    "coloring": (parse_coloring, "n 1", "0 1 1"),
+    "enum": (parse_enum, "0 1 2", "0 2 3"),
+    "set": (parse_natset, "1", "3"),
+    "stages": (parse_stages, "1 0", "2 01"),
+}
+
+# Characters that str.splitlines() ends a line at, and non-ASCII spaces that
+# str.split() and str.strip() read as separators.
+NOT_LINE_ENDS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+NOT_SPACES = ["\xa0", "\u2003"]
+NON_ASCII = [c for c in NOT_LINE_ENDS + NOT_SPACES if not c.isascii()]
+
+
+class TestLines:
+    """A line ends at a line feed only, and its data holds only ASCII."""
+
+    @pytest.mark.parametrize("kind", sorted(TWO_LINE_FILES))
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS + NOT_SPACES, ids=repr)
+    def test_only_a_line_feed_ends_a_line(self, kind, char):
+        parse, first, second = TWO_LINE_FILES[kind]
+        parse(f"# {kind}\n{first}\n{second}\n")
+        with pytest.raises(FormatError) as info:
+            parse(f"# {kind}\n{first}{char}{second}\n")
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("kind", sorted(TWO_LINE_FILES))
+    @pytest.mark.parametrize("char", NON_ASCII, ids=repr)
+    def test_non_ascii_data_refused_on_its_line(self, kind, char):
+        parse, first, second = TWO_LINE_FILES[kind]
+        for text in (f"{first}\n{second}{char}\n", f"{first}\n{char}\n"):
+            with pytest.raises(FormatError) as info:
+                parse(text)
+            assert str(info.value) == f"line 2: non-ASCII character {char!r}"
+
+    @pytest.mark.parametrize("space", NOT_SPACES, ids=repr)
+    def test_non_ascii_space_is_no_separator(self, space):
+        for parse, text, line in [
+            (parse_enum, f"0{space}1 2\n", 1),
+            (parse_coloring, f"n 1\n0{space}1 1\n", 2),
+        ]:
+            with pytest.raises(FormatError) as info:
+                parse(text)
+            assert str(info.value) == f"line {line}: non-ASCII character {space!r}"
+
+    def test_later_error_keeps_its_line(self):
+        with pytest.raises(FormatError, match="^line 2: not a natural number: 'X'$"):
+            parse_natset("1 #\f\nX\n")
+
+    @pytest.mark.parametrize("kind", sorted(TWO_LINE_FILES))
+    def test_comments_stay_free_text(self, kind):
+        parse, first, second = TWO_LINE_FILES[kind]
+        plain = parse(f"{first}\n{second}\n")
+        assert parse(f"{first} # \u00b2\xa0\u2028\n{second}\r\n# \x85\n") == plain
+
+
 class TestTree:
     def test_strict_by_default(self):
         with pytest.raises(ValueError):
@@ -271,7 +330,7 @@ class TestCanonicalColoring:
             ("n\n", "line 1: header must read 'n <N>'"),
             ("n x\n", "line 1: not a natural number: 'x'"),
             ("n -1\n", "line 1: not a natural number: '-1'"),
-            ("n \u0662\n0 1 0\n0 2 0\n1 2 0\n", "line 1: not a natural number: '\u0662'"),
+            ("n \u0662\n0 1 0\n0 2 0\n1 2 0\n", "line 1: non-ASCII character '\u0662'"),
             ("n 1\n0 1\n", "line 2: expected 'x y c'"),
             ("n 1\n0 1 0 1\n", "line 2: expected 'x y c'"),
             ("n 1\n1 1 0\n", "line 2: pair (1,1) outside 0 <= x < y <= 1"),
@@ -282,7 +341,7 @@ class TestCanonicalColoring:
             ("n 2\n0 1 1\n0 2 0\n", "pair (1,2) missing"),
             ("n 2\n0 1 1\n0 2 0\n0 2 0\n", "line 4: pair (0,2) given twice"),
             ("n 2\n0 1 1\n\n0 2 0\n", "pair (1,2) missing"),
-            ("n 1\n0 1 \u0661\n", "line 2: not a natural number: '\u0661'"),
+            ("n 1\n0 1 \u0661\n", "line 2: non-ASCII character '\u0661'"),
         ],
     )
     def test_error_messages(self, text, message):
@@ -436,13 +495,13 @@ class TestNatSet:
 
 class TestStages:
     def test_parse(self):
-        events, max_stage = parse_stages("1 1\n2 11\n3 0\n")
-        assert max_stage == 3
-        assert events == [(1, "1"), (2, "11"), (3, "0")]
+        stages = parse_stages("1 1\n2 11\n3 0\n")
+        assert max(stages) == 3
+        assert list(stages.items()) == [(1, "1"), (2, "11"), (3, "0")]
 
     def test_dash_for_empty(self):
-        events, _ = parse_stages("1 -\n")
-        assert events[0][1] == ""
+        stages = parse_stages("1 -\n")
+        assert stages[1] == ""
 
     def test_empty_file_rejected(self):
         with pytest.raises(FormatError):
@@ -461,5 +520,5 @@ class TestStages:
             parse_stages("1 0\n\n2 101\n")
 
     def test_missing_stage_left_to_the_reduction(self):
-        events, max_stage = parse_stages("3 0\n")
-        assert (events, max_stage) == ([(3, "0")], 3)
+        stages = parse_stages("3 0\n")
+        assert (list(stages.items()), max(stages)) == ([(3, "0")], 3)

@@ -206,32 +206,32 @@ class TestColoringToSigma:
 
 class TestCeTreeToSigma:
     def test_padding_with_zeros(self):
-        fam = ce_tree_to_sigma([(1, "1"), (2, "11"), (3, "0")], 3)
+        fam = ce_tree_to_sigma({1: "1", 2: "11", 3: "0"})
         assert lenlex_sorted(fam) == ["1", "11", "000"]
 
     def test_no_padding_needed(self):
-        fam = ce_tree_to_sigma([(1, "0"), (2, "00"), (3, "000")], 3)
+        fam = ce_tree_to_sigma({1: "0", 2: "00", 3: "000"})
         assert lenlex_sorted(fam) == ["0", "00", "000"]
 
     def test_string_too_long_for_stage(self):
         with pytest.raises(Refusal, match="^stage 1 holds '11', longer than 1$"):
-            ce_tree_to_sigma([(1, "11")], 1)
+            ce_tree_to_sigma({1: "11"})
 
     def test_non_binary_string_named_by_stage(self):
         with pytest.raises(Refusal, match="^stage 2 holds '0a', not a binary string$"):
-            ce_tree_to_sigma([(1, "1"), (2, "0a")], 2)
+            ce_tree_to_sigma({1: "1", 2: "0a"})
 
     def test_missing_stage(self):
         with pytest.raises(Refusal, match="^stage 2 is missing$"):
-            ce_tree_to_sigma([(1, "1")], 2)
+            ce_tree_to_sigma({1: "1", 3: "0"})
 
-    def test_repeated_stage(self):
-        with pytest.raises(Refusal, match="^stage 1 is listed twice$"):
-            ce_tree_to_sigma([(1, "1"), (1, "0")], 1)
+    @pytest.mark.parametrize("low", [0, -1])
+    def test_stage_below_one(self, low):
+        with pytest.raises(Refusal, match=rf"^stage {low} is outside 1\.\.2$"):
+            ce_tree_to_sigma({1: "1", low: "", 2: "0"})
 
-    def test_stage_outside_the_range(self):
-        with pytest.raises(Refusal, match=r"^stage 3 is outside 1\.\.2$"):
-            ce_tree_to_sigma([(1, "1"), (3, "0")], 2)
+    def test_empty_table_gives_the_empty_family(self):
+        assert ce_tree_to_sigma({}) == StringFamily()
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), max_size=8))
     def test_inputs_prefix_outputs_and_vice_versa(self, shape):
@@ -241,7 +241,7 @@ class TestCeTreeToSigma:
             events.append((s, prefix("10" * s, max(0, s - cut))))
         if not events:
             return
-        fam = ce_tree_to_sigma(events, len(events))
+        fam = ce_tree_to_sigma(dict(events))
         assert fam.graded and len(fam) == len(events)
         members = list(fam)
         for _, tau in events:
@@ -399,6 +399,16 @@ class TestSetToPathTree:
 
     def test_full_set(self):
         assert lenlex_sorted(set_to_path_tree(N([0, 1, 2]), 2)) == ["", "1", "11"]
+
+    @given(st.integers(0, 12).flatmap(lambda l: st.tuples(st.just(l), st.frozensets(
+        st.integers(0, l + 1) | st.sampled_from([l, l + 1, l + 2, 10**9]), max_size=8
+    ))))
+    def test_ones_set_by_index(self, case):
+        # Elements at, just past and far past the prefix length l.
+        l, a = case
+        chi = "".join("1" if x in set(a) else "0" for x in range(l))
+        t = set_to_path_tree(N(a), l)
+        assert t.text_levels == tuple((chi[:i],) for i in range(l + 1))
 
     @given(st.frozensets(st.integers(0, 15)), st.integers(0, 15))
     def test_one_member_per_length(self, a, depth):
