@@ -52,14 +52,22 @@ def _named(flag: str, read, text: str, *args):
         raise core.Refusal(f"{flag}: {exc}") from None
 
 
+def _tree(options: dict) -> core.FinTree:
+    """The --tree file as a tree; with --close, the closure of the strings it
+    lists, built as close builds it."""
+    text = _read(options["--tree"])
+    if "--close" in options:
+        return core.downward_closure(formats.parse_sigma(text))
+    return formats.parse_tree(text)
+
+
 def _cmd_close(options: dict) -> tuple[int, str]:
     family = formats.parse_sigma(_read(options["--sigma"]))
     return EXIT_OK, formats.render_tree(core.downward_closure(family))
 
 
 def _cmd_tree2color(options: dict) -> tuple[int, str]:
-    t = formats.parse_tree(_read(options["--tree"]), close="--close" in options)
-    f = reductions.tree_to_stable_coloring(t, options["-n"])
+    f = reductions.tree_to_stable_coloring(_tree(options), options["-n"])
     return EXIT_OK, formats.render_coloring(f)
 
 
@@ -119,8 +127,7 @@ def _cmd_search(options: dict) -> tuple[int, str]:
 
 
 def _cmd_path(options: dict) -> tuple[int, str]:
-    t = formats.parse_tree(_read(options["--tree"]), close="--close" in options)
-    p = oracles.longest_path(t)
+    p = oracles.longest_path(_tree(options))
     c, h = reductions.path_pigeonhole(p)
     header = f"# path: {p or '-'}\n# color: {c}\n"
     return EXIT_OK, header + formats.render_natset(h)
@@ -145,16 +152,8 @@ def _cmd_verify(options: dict) -> tuple[int, str]:
         raise core.Refusal("--close applies only to a --tree source")
     f = formats.parse_coloring(_read(options["--coloring"]))
     h = formats.parse_natset(_read(options["--set"]))
-    if "--tree" in options:
-        source: core.FinTree | core.StringFamily = formats.parse_tree(
-            _read(options["--tree"]), close="--close" in options
-        )
-        t = source
-    else:
-        source = formats.parse_sigma(_read(options["--sigma"]))
-        # The closure's horizon level, all is_homog_path reads, is the
-        # family's longest level; the empty family closes to the root alone.
-        t = source if source.text_levels[-1] else core.FinTree()
+    source = (_tree(options) if "--tree" in options
+              else formats.parse_sigma(_read(options["--sigma"])))
     verdict = oracles.verify_reduction(source, f, h, options["--color"])
     if verdict.broken is not None:
         x, y = verdict.broken
@@ -166,7 +165,7 @@ def _cmd_verify(options: dict) -> tuple[int, str]:
     else:
         bad = " ".join(str(y) for y in verdict.counterexamples)
         lines.append(f"witness-checks: fail (counterexamples y = {bad})")
-    witness = core.is_homog_path(h, t)
+    witness = core.is_homog_path(h, source)
     if witness is None:
         lines.append("path-witness: none")
     else:

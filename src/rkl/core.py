@@ -296,13 +296,13 @@ def is_homog_string(h: NatSet, sigma: str, c: int) -> bool:
 
 def is_homog_path(h: NatSet, t: FinTree | StringFamily) -> HomWitness | None:
     """A single long witness: a member at the tree's horizon monochromatic on h.
-    A nonempty family's longest level is its closure's horizon level.
+    A family is read as its closure: its longest level, or the root if empty.
 
     Prefers color 0 over 1, then the lexicographically least witness.
     """
     for c, symbol in enumerate("01"):
         # The level is sorted, so its first match is its least.
-        for s in t.text_levels[-1]:
+        for s in t.text_levels[-1] or ("",):
             if _homog_text(h, s, symbol):
                 return HomWitness(color=c, witness=s)
     return None

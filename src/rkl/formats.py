@@ -3,11 +3,12 @@
 All formats share the same skeleton: '#' starts a comment, blank lines are
 ignored, and the empty string is written as '-'.  Rendering is canonical so
 equal values always serialize to identical bytes: strings sort by (length,
-lex), coloring pairs by (y, x), enumeration events by (stage, index,
-element), and naturals ascending.
+lex), coloring pairs by (y, x), and naturals ascending.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from rkl.core import (
     MAX_DIGITS,
@@ -19,7 +20,6 @@ from rkl.core import (
     StringFamily,
     _closed_levels,
     _sorted_levels,
-    downward_closure,
     validate_tree,  # not called here; bench/tracing.py wraps it as formats.validate_tree
 )
 from rkl.diagonal import StagedEnum
@@ -34,18 +34,24 @@ class FormatError(Refusal):
         super().__init__(where + message)
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, data before '#') of each nonblank line; a line ends only
-    at a line feed, and its data must be ASCII."""
+def _data_lines(text: str, count: int = 0, shape: str = "") -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each nonblank line, all lines checked first: a
+    line ends at a line feed, less one carriage return at its very end, and
+    its data, before '#', is printable ASCII split at tabs and spaces.  Given
+    a count, a line of any other number of fields is refused as 'expected <shape>'."""
     lines = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        data = raw.partition("#")[0]
-        if not data.isascii():
-            bad = next(c for c in data if not c.isascii())
-            raise FormatError(lineno, f"non-ASCII character {bad!r}")
-        if body := data.strip():
-            lines.append((lineno, body))
-    return lines
+        data = raw.removesuffix("\r").partition("#")[0]
+        if not (data.isascii() and (data.isprintable() or data.replace("\t", " ").isprintable())):
+            bad = next(c for c in data if not (c.isascii() and c.isprintable()) and c != "\t")
+            kind = "control" if bad.isascii() else "non-ASCII"
+            raise FormatError(lineno, f"{kind} character {bad!r}")
+        if fields := data.split():
+            lines.append((lineno, fields))
+    for lineno, fields in lines:
+        if count and len(fields) != count:
+            raise FormatError(lineno, f"expected {shape}")
+        yield lineno, fields
 
 
 def _parse_bits(token: str, lineno: int) -> str:
@@ -82,7 +88,7 @@ def _bare_texts(text: str) -> list[str] | None:
     return texts
 
 
-def _string_lines(text: str, what: str) -> dict[str, None]:
+def _string_lines(text: str) -> dict[str, None]:
     """The bit texts listed one per line, as a table of members in file order."""
     texts = _bare_texts(text)
     if texts is not None:
@@ -91,32 +97,25 @@ def _string_lines(text: str, what: str) -> dict[str, None]:
             return members
     # Not bare, or a repeat: read line by line, refusing the first bad line.
     members = {}
-    for lineno, body in _data_lines(text):
-        if len(body.split()) != 1:
-            raise FormatError(lineno, f"expected one {what} per line")
-        s = _parse_bits(body, lineno)
+    for lineno, (token,) in _data_lines(text, 1, "one string per line"):
+        s = _parse_bits(token, lineno)
         if s in members:
-            raise FormatError(lineno, f"duplicate {what} {s or 'ε'!r}")
+            raise FormatError(lineno, f"duplicate string {s or 'ε'!r}")
         members[s] = None
     return members
 
 
-def parse_tree(text: str, close: bool = False) -> FinTree:
-    """Read a .tree file; with close=True take the downward closure instead
-    of insisting the listed strings are already prefix-closed."""
-    members = _string_lines(text, "string")
-    if close:
-        return downward_closure(StringFamily._from_levels(_sorted_levels(members)))
+def parse_tree(text: str) -> FinTree:
+    """Read a .tree file, whose strings must already be prefix-closed."""
     try:
-        return FinTree._from_levels(_closed_levels(members))
+        return FinTree._from_levels(_closed_levels(_string_lines(text)))
     except NotPrefixClosed as exc:
-        member = exc.offending
-        lineno = next(n for n, body in _data_lines(text) if body == member)
+        lineno = next(n for n, [s] in _data_lines(text) if s == exc.offending)
         raise FormatError(lineno, str(exc)) from exc
 
 
 def parse_sigma(text: str) -> StringFamily:
-    return StringFamily._from_levels(_sorted_levels(_string_lines(text, "string")))
+    return StringFamily._from_levels(_sorted_levels(_string_lines(text)))
 
 
 def _coloring_layout(n: int) -> tuple[bytes, list[tuple[slice, int, int]]]:
@@ -177,16 +176,14 @@ def parse_coloring(text: str) -> PairColoring:
     if canonical is not None:
         return canonical
     lines = _data_lines(text)
-    if not lines:
+    lineno, parts = next(lines, (None, None))
+    if parts is None:
         raise FormatError(None, "missing 'n <N>' header")
-    lineno, header = lines[0]
-    parts = header.split()
     if len(parts) != 2 or parts[0] != "n":
         raise FormatError(lineno, "header must read 'n <N>'")
     n = _parse_nat(parts[1], lineno)
     values: dict[tuple[int, int], str] = {}
-    for lineno, body in lines[1:]:
-        parts = body.split()
+    for lineno, parts in lines:
         if len(parts) != 3:
             raise FormatError(lineno, "expected 'x y c'")
         x, y, c = (_parse_nat(p, lineno) for p in parts)
@@ -209,13 +206,8 @@ def parse_coloring(text: str) -> PairColoring:
 def parse_enum(text: str) -> StagedEnum:
     events: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, body in _data_lines(text):
-        parts = body.split()
-        if len(parts) != 3:
-            raise FormatError(lineno, "expected 'e s x'")
-        e = _parse_nat(parts[0], lineno)
-        s = _parse_nat(parts[1], lineno, minimum=1)
-        x = _parse_nat(parts[2], lineno)
+    for lineno, (e, s, x) in _data_lines(text, 3, "'e s x'"):
+        e, s, x = _parse_nat(e, lineno), _parse_nat(s, lineno, minimum=1), _parse_nat(x, lineno)
         if (e, x) in seen:
             raise FormatError(lineno, f"element {x} enumerated twice for index {e}")
         seen.add((e, x))
@@ -225,10 +217,8 @@ def parse_enum(text: str) -> StagedEnum:
 
 def parse_natset(text: str) -> NatSet:
     values: list[int] = []
-    for lineno, body in _data_lines(text):
-        if len(body.split()) != 1:
-            raise FormatError(lineno, "expected one natural per line")
-        value = _parse_nat(body, lineno)
+    for lineno, (token,) in _data_lines(text, 1, "one natural per line"):
+        value = _parse_nat(token, lineno)
         if values and value <= values[-1]:
             raise FormatError(lineno, "elements must be strictly increasing")
         values.append(value)
@@ -242,12 +232,9 @@ def parse_stages(text: str) -> dict[int, str]:
     line; a stage missing below the largest is left to ce_tree_to_sigma.
     """
     stages: dict[int, str] = {}
-    for lineno, body in _data_lines(text):
-        parts = body.split()
-        if len(parts) != 2:
-            raise FormatError(lineno, "expected 's string'")
-        s = _parse_nat(parts[0], lineno, minimum=1)
-        bits = _parse_bits(parts[1], lineno)
+    for lineno, (stage, token) in _data_lines(text, 2, "'s string'"):
+        s = _parse_nat(stage, lineno, minimum=1)
+        bits = _parse_bits(token, lineno)
         if s in stages:
             raise FormatError(lineno, f"stage {s} is listed twice")
         if len(bits) > s:
@@ -274,10 +261,6 @@ def render_coloring(f: PairColoring) -> str:
     for run, i, j in runs:
         text[run] = colors[i:j]
     return text.decode()
-
-
-def render_enum(enums: StagedEnum) -> str:
-    return "".join(f"{e} {s} {x}\n" for e, s, x in enums.events)
 
 
 def render_natset(h: NatSet) -> str:

@@ -112,6 +112,8 @@ def ce_tree_to_sigma(stages: dict[int, str]) -> StringFamily:
     stages maps each stage to its string; every stage from 1 to the largest
     must appear, with a string no longer than the stage number.
     """
+    if bad := [s for s in stages if type(s) is not int]:
+        raise Refusal(f"stage {bad[0]!r} is not an integer")
     top = max(stages, default=0)
     for s in stages:
         if s < 1:

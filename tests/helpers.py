@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from rkl import reductions
 from rkl.core import MAX_DIGITS, NatSet, PairColoring, Refusal, StringFamily, downward_closure
+from rkl.diagonal import StagedEnum
 from rkl.oracles import StabilityEvidence
 from rkl.predlang import (
     Arith,
@@ -63,6 +64,12 @@ def assert_equal_and_hashed(values) -> None:
     """Every value equals the first and hashes alike."""
     for value in values:
         assert value == values[0] and hash(value) == hash(values[0])
+
+
+def render_enum(enums: StagedEnum) -> str:
+    """The .enum text of an enumeration, one 'e s x' line per event, in the
+    enumeration's (stage, index, element) order; no command writes one."""
+    return "".join(f"{e} {s} {x}\n" for e, s, x in enums.events)
 
 
 def pairs(f: PairColoring) -> Iterator[tuple[int, int, int]]:

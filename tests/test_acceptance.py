@@ -15,7 +15,7 @@ import random
 import time
 from pathlib import Path
 
-from helpers import PredMatrix, extended, is_prefix_of, prefix, prefixes
+from helpers import PredMatrix, extended, is_prefix_of, prefix, prefixes, render_enum
 from rkl import cli
 from rkl.core import (
     FinTree,
@@ -35,7 +35,6 @@ from rkl.formats import (
     parse_sigma,
     parse_tree,
     render_coloring,
-    render_enum,
     render_natset,
     render_sigma,
     render_tree,

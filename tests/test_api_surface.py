@@ -32,12 +32,6 @@ from rkl import cli, core
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rkl"
 
-# Public names kept with no caller in the program, each with its reason.
-ALLOWED = {
-    "formats.render_enum": "the acceptance gate round-trips .enum files with it",
-}
-
-
 def program_files() -> list[Path]:
     return [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
             *sorted((ROOT / "bench").glob("*.py"))]
@@ -121,7 +115,7 @@ def test_every_public_name_has_a_caller_in_the_program():
                 for where, found in refs.items()
                 for ident, line, attribute in found
             )
-            if not used and qualified not in ALLOWED:
+            if not used:
                 unused.append(qualified)
     assert unused == []
 
@@ -140,15 +134,6 @@ def test_importing_the_package_loads_no_module_of_it():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
-
-
-def test_allowlist_names_real_definitions():
-    defined = {
-        f"{path.stem}.{local}"
-        for path in SRC.glob("*.py")
-        for local, *_ in definitions(path)
-    }
-    assert set(ALLOWED) <= defined
 
 
 # -- refusals: the one kind of exception the program raises -------------------

@@ -22,6 +22,7 @@ from helpers import (
     ref_closure,
     ref_render,
     ref_render_coloring,
+    render_enum,
 )
 from reference import ref_main
 from rkl import cli, core, diagonal, formats
@@ -397,6 +398,44 @@ class TestRootOnlyTree:
         assert capsys.readouterr().out == "kind=tree members=1 horizon=0\n"
         assert cli.main(["path", "--tree", str(tree)]) == 0
         assert capsys.readouterr().out == "# path: -\n# color: 0\n"
+
+
+# Each command that takes --close, with its options after --tree F, and the
+# files it reads there: string lists closed or not, empty, and one refused.
+CLOSE_COMMANDS = {
+    "tree2color": ["-n", "4"],
+    "path": [],
+    "verify": [
+        "--coloring", fixture("alt.color"), "--set", fixture("h16.set"), "--color", "0"
+    ],
+}
+CLOSE_SOURCES = {
+    "alt": (DATA / "alt.sigma").read_text(),
+    "notclosed": (DATA / "notclosed.tree").read_text(),
+    "fork": (DATA / "fork.tree").read_text(),
+    "two leaves": "01\n10\n",
+    "empty": "",
+    "duplicate": "0\n0\n",
+}
+
+
+class TestCloseFlag:
+    """--tree F --close reads F as close --sigma F closes it."""
+
+    @pytest.mark.parametrize("command", sorted(CLOSE_COMMANDS))
+    @pytest.mark.parametrize("source", sorted(CLOSE_SOURCES))
+    def test_same_as_close_first(self, command, source, tmp_path, capsys):
+        listed, closed = tmp_path / "listed.tree", tmp_path / "closed.tree"
+        listed.write_text(CLOSE_SOURCES[source])
+        options = CLOSE_COMMANDS[command]
+        code = cli.main([command, "--tree", str(listed), "--close", *options])
+        flagged = code, *capsys.readouterr()
+        closing = cli.main(["close", "--sigma", str(listed), "-o", str(closed)])
+        if closing == 0:
+            code = cli.main([command, "--tree", str(closed), *options])
+            assert flagged == (code, *capsys.readouterr())
+        else:
+            assert flagged == (closing, *capsys.readouterr())
 
 
 class TestVerifyLines:
@@ -835,7 +874,7 @@ FUZZ_VALID = {
     "enum": st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 8)), st.integers(1, 6), max_size=8
     ).map(
-        lambda stages: formats.render_enum(
+        lambda stages: render_enum(
             diagonal.StagedEnum([(e, s, x) for (e, x), s in stages.items()])
         )
     ),

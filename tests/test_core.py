@@ -321,6 +321,11 @@ class TestIsHomogPath:
         w = is_homog_path(NatSet.of([0, 1]), t)
         assert (w.color, w.witness) == (0, "00")
 
+    def test_empty_family_reads_as_the_root(self):
+        h = NatSet.of([0, 3])
+        assert is_homog_path(h, StringFamily()) == (0, "")
+        assert is_homog_path(h, StringFamily()) == is_homog_path(h, downward_closure([]))
+
     @given(trees(), natsets(max_value=9))
     def test_witness_certifies_itself(self, t: FinTree, h: NatSet):
         w = is_homog_path(h, t)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_equal_and_hashed, ref_fpf
+from helpers import assert_equal_and_hashed, ref_fpf, render_enum
 from rkl import cli, formats
 from rkl.core import NatSet, Refusal, is_homog_path, is_homog_string
 from rkl.diagonal import StagedEnum, build_diagonal_tree, check_fpf
@@ -258,7 +258,7 @@ def ref_dnr_output(h: NatSet, enums: StagedEnum, depth: int) -> tuple[int, str, 
 
 
 def run_dnr(root, h: NatSet, enums: StagedEnum, depth: int) -> tuple[int, str, str]:
-    (root / "w.enum").write_text(formats.render_enum(enums), encoding="utf-8")
+    (root / "w.enum").write_text(render_enum(enums), encoding="utf-8")
     (root / "h.set").write_text(formats.render_natset(h), encoding="utf-8")
     argv = ["dnr", "--enum", str(root / "w.enum"), "--set", str(root / "h.set")]
     out, err = io.StringIO(), io.StringIO()

@@ -13,10 +13,11 @@ from helpers import (
     ref_canonical_coloring,
     ref_render,
     ref_render_coloring,
+    render_enum,
     string_families,
     trees,
 )
-from rkl.core import MAX_DIGITS, NatSet, PairColoring, StringFamily
+from rkl.core import MAX_DIGITS, NatSet, PairColoring, StringFamily, downward_closure
 from rkl.diagonal import StagedEnum, build_diagonal_tree
 from rkl import formats
 from rkl.formats import (
@@ -30,7 +31,6 @@ from rkl.formats import (
     parse_stages,
     parse_tree,
     render_coloring,
-    render_enum,
     render_natset,
     render_sigma,
     render_tree,
@@ -62,6 +62,9 @@ TWO_LINE_FILES = {
 NOT_LINE_ENDS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 NOT_SPACES = ["\xa0", "\u2003"]
 NON_ASCII = [c for c in NOT_LINE_ENDS + NOT_SPACES if not c.isascii()]
+# Every ASCII control character but the line feed, which ends a line, and the
+# tab, which separates fields as a space does.
+CONTROLS = [chr(i) for i in [*range(32), 127] if chr(i) not in "\n\t"]
 
 
 class TestLines:
@@ -95,6 +98,26 @@ class TestLines:
                 parse(text)
             assert str(info.value) == f"line {line}: non-ASCII character {space!r}"
 
+    @pytest.mark.parametrize("kind", sorted(TWO_LINE_FILES))
+    @pytest.mark.parametrize("char", CONTROLS, ids=repr)
+    def test_control_character_refused_on_its_line(self, kind, char):
+        parse, first, second = TWO_LINE_FILES[kind]
+        # At the start of the data, and just before a comment, which for a
+        # carriage return is not the end of the line.
+        for text in (f"{first}\n{char}{second}\n", f"{first}\n{second}{char}# c\n"):
+            with pytest.raises(FormatError) as info:
+                parse(text)
+            assert str(info.value) == f"line 2: control character {char!r}"
+
+    @pytest.mark.parametrize("kind", sorted(TWO_LINE_FILES))
+    def test_final_carriage_return_and_comments_accepted(self, kind):
+        parse, first, second = TWO_LINE_FILES[kind]
+        plain = parse(f"{first}\n{second}\n")
+        assert parse(f"{first}\r\n{second}# {''.join(CONTROLS)}\r") == plain
+
+    def test_tab_separates_fields(self):
+        assert parse_enum("0\t1 \t2\t\n") == parse_enum("0 1 2\n")
+
     def test_later_error_keeps_its_line(self):
         with pytest.raises(FormatError, match="^line 2: not a natural number: 'X'$"):
             parse_natset("1 #\f\nX\n")
@@ -112,7 +135,7 @@ class TestTree:
             parse_tree("01\n")
 
     def test_close_flag(self):
-        t = parse_tree("01\n", close=True)
+        t = downward_closure(parse_sigma("01\n"))
         assert list(t) == ["", "0", "01"]
 
     def test_duplicate_rejected_with_line(self):
@@ -214,7 +237,7 @@ class TestBareReader:
     @settings(max_examples=400)
     @given(member_files())
     def test_matches_the_general_scan(self, text):
-        parsers = [parse_tree, lambda text: parse_tree(text, close=True), parse_sigma]
+        parsers = [parse_tree, lambda text: downward_closure(parse_sigma(text)), parse_sigma]
         fast = [read(parse, text) for parse in parsers]
         with mock.patch.object(formats, "_bare_texts", lambda text: None):
             general = [read(parse, text) for parse in parsers]
@@ -226,7 +249,7 @@ class TestBareReader:
     def test_bare_files_skip_the_general_scan(self, text):
         assert _bare_texts(text) is not None
         with mock.patch.object(formats, "_data_lines", side_effect=AssertionError):
-            for parse in (lambda text: parse_tree(text, close=True), parse_sigma):
+            for parse in (lambda text: downward_closure(parse_sigma(text)), parse_sigma):
                 parse(text)
 
     @pytest.mark.parametrize(

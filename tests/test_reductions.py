@@ -230,6 +230,14 @@ class TestCeTreeToSigma:
         with pytest.raises(Refusal, match=rf"^stage {low} is outside 1\.\.2$"):
             ce_tree_to_sigma({1: "1", low: "", 2: "0"})
 
+    @pytest.mark.parametrize(
+        "key, why", [("1", "not an integer"), (1.0, "not an integer"),
+                     (True, "not an integer"), (0, r"outside 1\.\.0")], ids=repr
+    )
+    def test_key_that_is_no_stage(self, key, why):
+        with pytest.raises(Refusal, match=rf"^stage {key!r} is {why}$"):
+            ce_tree_to_sigma({key: "0"})
+
     def test_empty_table_gives_the_empty_family(self):
         assert ce_tree_to_sigma({}) == StringFamily()
 

@@ -30,7 +30,7 @@ from rkl.core import (
     validate_tree,
 )
 from rkl.diagonal import StagedEnum, build_diagonal_tree
-from rkl.formats import FormatError, parse_tree, render_tree
+from rkl.formats import FormatError, parse_sigma, parse_tree, render_tree
 from rkl.reductions import set_to_path_tree, stability_bound
 
 texts = st.text(alphabet="01", max_size=8)
@@ -82,7 +82,8 @@ class TestTrustedProducers:
 
     @given(st.lists(texts, max_size=12, unique=True))
     def test_parse_tree_with_close(self, strings):
-        assert_trusted_matches(parse_tree(tree_text(strings), close=True), ref_closure(strings))
+        tree = downward_closure(parse_sigma(tree_text(strings)))
+        assert_trusted_matches(tree, ref_closure(strings))
 
     @given(front_heavy_enums(), st.integers(1, 9))
     # Two fronts read level 6's new symbol and split the rest between them,
