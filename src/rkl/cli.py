@@ -27,7 +27,7 @@ def _path(name: str) -> str:
 
 def _read(path: str) -> str:
     try:
-        with open(_path(path), encoding="utf-8") as file:
+        with open(_path(path), encoding="utf-8", newline="") as file:
             return file.read()
     except UnicodeDecodeError as exc:
         raise formats.FormatError(None, str(exc)) from None
@@ -319,9 +319,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         handler, options = _parse(sys.argv[1:] if argv is None else argv)
         code, data = handler(options)
-        if options.get("-o"):
-            with open(_path(options["-o"]), "w", encoding="utf-8") as file:
-                file.write(data)
+        if "-o" in options:
+            # In place, as closing a file truncated to zero starts its write-back
+            # on ext4.  A longer file is cut to the output's length first; devices
+            # and FIFOs report size 0 and are never cut.
+            out = data.encode()
+            with open(os.open(_path(options["-o"]), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+                if os.fstat(file.fileno()).st_size > len(out):
+                    file.truncate(len(out))
+                file.write(out)
         else:
             sys.stdout.write(data)
     except _INVALID_INPUT as exc:

@@ -47,7 +47,7 @@ SWITCHES = {"--close"}
 
 
 def ref_read(options: dict[str, str], flag: str) -> str:
-    with open(options[flag], encoding="utf-8") as file:
+    with open(options[flag], encoding="utf-8", newline="") as file:
         return file.read()
 
 

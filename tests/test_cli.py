@@ -4,8 +4,10 @@ import contextlib
 import errno
 import io
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path, PurePath
 
 import pytest
@@ -123,6 +125,31 @@ class TestGolden:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_rewrites_a_longer_file_with_the_golden_bytes(self, name, tmp_path, capsys):
+        want_code, argv = GOLDEN_CASES[name]
+        target = tmp_path / "out"
+        target.write_bytes(b"junk\n" * 2000)
+        assert cli.main(argv + ["-o", str(target)]) == want_code
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_crlf_inputs_read_as_their_lf_twins(self, name, tmp_path, capsys):
+        want_code, argv = GOLDEN_CASES[name]
+        twins = []
+        for word in argv:
+            if word.startswith(str(DATA)):
+                twin = tmp_path / Path(word).name
+                twin.write_bytes(Path(word).read_bytes().replace(b"\n", b"\r\n"))
+                word = str(twin)
+            twins.append(word)
+        assert cli.main(twins) == want_code
+        assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+CLOSE_ALT = ["close", "--sigma", fixture("alt.sigma")]
+
 
 class TestOutputFile:
     def test_output_flag_writes_file_and_not_stdout(self, tmp_path, capsys):
@@ -141,6 +168,61 @@ class TestOutputFile:
         assert captured.out == ""
         assert captured.err == f"error: [Errno {errno.EISDIR}] Is a directory: {target!r}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra", [40, -5, 0], ids=["longer", "shorter", "equal"])
+    def test_existing_file_holds_exactly_the_output(self, extra, tmp_path):
+        want = (GOLDEN / "close_alt.txt").read_bytes()
+        target = tmp_path / "out.tree"
+        target.write_bytes(b"x" * (len(want) + extra))
+        assert cli.main(CLOSE_ALT + ["-o", str(target)]) == 0
+        assert target.read_bytes() == want
+
+    def test_existing_file_keeps_inode_mode_and_links(self, tmp_path):
+        target, link, sym = (tmp_path / name for name in ("out.tree", "link.tree", "sym.tree"))
+        target.write_bytes(b"old\n" * 100)
+        target.chmod(0o600)
+        os.link(target, link)
+        sym.symlink_to(target)
+        before = target.stat()
+        assert cli.main(CLOSE_ALT + ["-o", str(sym)]) == 0
+        after = target.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode), after.st_nlink) == (
+            before.st_ino, 0o600, 2)
+        assert sym.is_symlink()
+        assert link.read_bytes() == (GOLDEN / "close_alt.txt").read_bytes()
+
+    def test_new_file_mode_is_0o666_less_the_umask(self, tmp_path):
+        target = tmp_path / "out.tree"
+        old = os.umask(0o027)
+        try:
+            assert cli.main(CLOSE_ALT + ["-o", str(target)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_bytes() == (GOLDEN / "close_alt.txt").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null(self, capsys):
+        assert cli.main(CLOSE_ALT + ["-o", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_receives_the_bytes(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert cli.main(CLOSE_ALT + ["-o", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [(GOLDEN / "close_alt.txt").read_bytes()]
+
+    def test_empty_path_is_refused(self, capsys):
+        assert cli.main(CLOSE_ALT + ["-o", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''\n"
 
     def test_written_output_parses_back(self, tmp_path):
         from rkl.formats import parse_coloring
@@ -189,6 +271,13 @@ class TestInfo:
             assert (code, err) == (0, "")
         else:
             assert (code, err) == (2, f"error: unrecognized extension {suffix!r}\n")
+
+    @pytest.mark.parametrize("name", ["cr.set", "cr.sigma", "cr.color", "cr.enum", "cr.stages"])
+    def test_carriage_return_inside_a_line_is_refused_on_its_line(self, name, tmp_path, capsys):
+        target = tmp_path / name
+        target.write_bytes(b"# a comment\n1\r2\n")
+        assert cli.main(["info", str(target)]) == 2
+        assert capsys.readouterr() == ("", "error: line 2: control character '\\r'\n")
 
     @pytest.mark.parametrize(
         "path, code",
