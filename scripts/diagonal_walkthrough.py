@@ -28,6 +28,8 @@ def main() -> int:
     parser.add_argument("--depth", type=int, default=6, help="tree depth (default 6)")
     parser.add_argument("--seed", type=int, default=3, help="RNG seed (default 3)")
     args = parser.parse_args()
+    if args.depth < 1:
+        parser.error("--depth must be at least 1")
     rng = random.Random(args.seed)
 
     events = [(0, s + 1, x) for s, x in enumerate(rng.sample(range(4), 3))]

@@ -32,6 +32,10 @@ def main() -> int:
         "--min-size", type=int, default=3, help="target set size (default 3)"
     )
     args = parser.parse_args()
+    if args.n < 0:
+        parser.error("--n must be at least 0")
+    if args.min_size < 2:
+        parser.error("--min-size must be at least 2")
     rng = random.Random(args.seed)
 
     family = StringFamily(

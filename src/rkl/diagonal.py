@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from operator import itemgetter
+from itertools import compress
 
 from rkl.core import FinTree, NatSet, Refusal
 
@@ -94,14 +94,18 @@ def _fronts(enums: StagedEnum, depth: int) -> list[tuple[int, tuple[int, ...], i
             for e, (s, w) in enums._by_index.items() if len(w) >= e + 3]
 
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # a mask's binary digits as compress selectors
+
+
 def build_diagonal_tree(enums: StagedEnum, depth: int) -> DiagReport:
     """Keep exactly the strings that split every settled e+3-element front.
 
     A child agrees with its parent on every older front, so level l is
-    filtered only by the fronts that first fire there.  One without l-1
-    drops the parents constant on it before the level is doubled; one with
-    l-1 drops the child that repeats what its parent shows on the rest.  The
-    member set is prefix-closed, and at most half of each level is excluded.
+    filtered only by the fronts that first fire there, read off masks of the
+    parents' columns.  One without l-1 drops both children of each parent
+    constant on it; one with l-1 drops the child that repeats what its
+    parent shows on the rest.  The member set is prefix-closed, and at most
+    half of each level is excluded.
     """
     firing: dict[int, list[tuple[int, ...]]] = {}
     triggered: set[tuple[int, int]] = set()
@@ -110,25 +114,28 @@ def build_diagonal_tree(enums: StagedEnum, depth: int) -> DiagReport:
         triggered.update((e, l) for l in range(first, depth + 1))
     levels: list[list[str]] = [[""]]
     for l in range(1, depth + 1):
-        parents, late = levels[l - 1], []
-        for front in firing.get(l, ()):
-            rest = [x for x in front if x != l - 1]
-            read = itemgetter(*rest)  # a front is split unless all 0s or all 1s
-            same = (("0",) * len(rest), ("1",) * len(rest))
-            if len(rest) < len(front):
-                late.append((read, same))
-            else:
-                parents = [p for p in parents if read(p) not in same]
+        parents = levels[l - 1]
         children = [""] * (2 * len(parents))
         children[::2] = [p + "0" for p in parents]
         children[1::2] = [p + "1" for p in parents]
-        if late:
-            keep = [True] * len(children)
-            for read, same in late:
-                for i, shown in enumerate(map(read, parents)):
-                    if shown in same:  # drop the child that repeats it
-                        keep[2 * i + (shown[0] == "1")] = False
-            children = [s for s, kept in zip(children, keep) if kept]
+        if l in firing:  # so l >= 3 (a front has 3 positions below l) and l-1 > 0
+            n, block = len(parents), "".join(parents)
+            full = keep0 = keep1 = (1 << n) - 1
+            for front in firing[l]:
+                ones = zeros = full  # the parents showing only 1s, only 0s, below l-1
+                for x in front:
+                    if x != l - 1:  # column x is block[x::l-1], parent 0 on the top bit
+                        column = int(block[x::l - 1], 2)
+                        ones &= column
+                        zeros &= ~column
+                if l - 1 not in front:  # split unless all 0s or all 1s
+                    ones = zeros = ones | zeros
+                keep0 &= ~zeros
+                keep1 &= ~ones
+            flags = bytearray(2 * n)  # child 2i ends in 0, child 2i+1 in 1
+            flags[::2] = format(keep0, f"0{n}b").encode().translate(_FLAGS)
+            flags[1::2] = format(keep1, f"0{n}b").encode().translate(_FLAGS)
+            children = list(compress(children, flags))
         levels.append(children)
     return DiagReport(
         tree=FinTree._from_levels(levels),

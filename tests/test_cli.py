@@ -908,6 +908,20 @@ class TestDemoScripts:
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == (GOLDEN / f"demo_{name}.txt").read_bytes()
 
+    @pytest.mark.parametrize("name, args", [
+        ("diagonal_walkthrough", ["--depth", "0"]),
+        ("tree_pipeline", ["--n", "-1"]),
+        ("tree_pipeline", ["--min-size", "1"]),
+    ])
+    def test_refuses_out_of_range_arguments(self, name, args, tmp_path):
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / f"{name}.py"), *args],
+            capture_output=True, cwd=tmp_path,
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert f"error: {args[0]} must be at least".encode() in result.stderr
+        assert b"Traceback" not in result.stderr
+
 
 # -- fuzz: every subcommand on generated, mutated and undecodable files -------
 

@@ -3,6 +3,8 @@ and against the plain reference tree in helpers."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -72,6 +74,15 @@ def assert_trusted_matches(t: FinTree, ref: RefTree) -> None:
     assert_matches(checked, ref)
 
 
+def assert_diagonal_matches(enums: StagedEnum, l_max: int) -> None:
+    """build_diagonal_tree's tree, level counts and triggered pairs equal the reference's."""
+    report = build_diagonal_tree(enums, l_max)
+    ref = ref_diagonal(enums, l_max)
+    assert_trusted_matches(report.tree, ref)
+    assert report.level_counts == tuple(len(ref.level(l)) for l in range(l_max + 1))
+    assert report.triggered == ref_triggered(enums, l_max)
+
+
 class TestTrustedProducers:
     @given(st.lists(texts, max_size=12))
     def test_downward_closure(self, strings):
@@ -91,12 +102,24 @@ class TestTrustedProducers:
     @example(StagedEnum([(0, 1, x) for x in (0, 1, 5)] + [(1, 1, x) for x in (2, 3, 4, 5)]), 7)
     # One front at level 5 reads position 4 and one does not.
     @example(StagedEnum([(0, 5, x) for x in (0, 1, 2)] + [(1, 1, x) for x in (0, 1, 2, 4)]), 6)
+    # A front at level 3, where each parent's columns lie 2 apart.
+    @example(StagedEnum([(0, 1, x) for x in (0, 1, 2)]), 5)
+    # Nothing fires below level 14, so its masks span all 8,192 parents, past
+    # the 4,300 digits int() takes from a decimal string; one front reads 13.
+    @example(StagedEnum([(0, 1, x) for x in (0, 6, 13)] + [(1, 14, x) for x in (1, 2, 3, 12)]), 14)
     def test_build_diagonal_tree(self, enums, l_max):
-        report = build_diagonal_tree(enums, l_max)
-        ref = ref_diagonal(enums, l_max)
-        assert_trusted_matches(report.tree, ref)
-        assert report.level_counts == tuple(len(ref.level(l)) for l in range(l_max + 1))
-        assert report.triggered == ref_triggered(enums, l_max)
+        assert_diagonal_matches(enums, l_max)
+
+    def test_build_diagonal_tree_at_workload_sizes(self):
+        """Enumerations drawn as the diagonal benchmark draws them."""
+        rng = random.Random(0)
+        for k, l_max in zip((2, 3, 4, 5, 6) * 2, (11, 12, 13) * 4):
+            enums = StagedEnum(
+                (e, rng.randint(1, l_max), x)
+                for e in range(k)
+                for x in rng.sample(range(l_max), rng.randint(e + 2, e + 5))
+            )
+            assert_diagonal_matches(enums, l_max)
 
     @given(natsets(max_value=12), st.integers(0, 12))
     def test_set_to_path_tree(self, a, l):
