@@ -253,15 +253,8 @@ class NatSet:
         return "{" + ",".join(str(v) for v in self.elements) + "}"
 
 
-class HomWitness(namedtuple("HomWitness", "color witness")):
-    """A color and a long member that shows it at every position of h."""
-
-    __slots__ = ()
-
-
-def validate_tree(strings: Iterable[str]) -> FinTree:
-    """Wrap a string set as a tree, adding the root; reject unclosed sets."""
-    return FinTree(strings)
+HomWitness = namedtuple("HomWitness", "color witness")
+HomWitness.__doc__ = """A color and a long member that shows it at every position of h."""
 
 
 def downward_closure(family: StringFamily | Iterable[str]) -> FinTree:

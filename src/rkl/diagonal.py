@@ -72,18 +72,12 @@ class StagedEnum:
         return self._by_index.get(e, ((), ()))[1]
 
 
-class DiagReport(namedtuple("DiagReport", "tree level_counts triggered")):
-    """The built tree, its member count per level and the active (e, level) pairs."""
+DiagReport = namedtuple("DiagReport", "tree level_counts triggered")
+DiagReport.__doc__ = """The built tree, its member count per level and the active (e, level) pairs."""
 
-    __slots__ = ()
-
-
-class FpfVerdict(namedtuple("FpfVerdict", "e status w_e g_e distinguishing",
-                            defaults=(None, None))):
-    """Outcome of comparing one settled W_e against the least e+3 of h;
-    status is "distinct", "equal" or "vacuous"."""
-
-    __slots__ = ()
+FpfVerdict = namedtuple("FpfVerdict", "e status w_e g_e distinguishing", defaults=(None, None))
+FpfVerdict.__doc__ = """Outcome of comparing one settled W_e against the least e+3 of h;
+status is "distinct", "equal" or "vacuous"."""
 
 
 def _fronts(enums: StagedEnum, depth: int) -> list[tuple[int, tuple[int, ...], int]]:

@@ -13,6 +13,7 @@ from collections.abc import Iterator
 from rkl.core import (
     MAX_DIGITS,
     FinTree,
+    FinTree as validate_tree,  # not called here; bench/tracing.py wraps it as formats.validate_tree
     NatSet,
     NotPrefixClosed,
     PairColoring,
@@ -20,7 +21,6 @@ from rkl.core import (
     StringFamily,
     _closed_levels,
     _sorted_levels,
-    validate_tree,  # not called here; bench/tracing.py wraps it as formats.validate_tree
 )
 from rkl.diagonal import StagedEnum
 

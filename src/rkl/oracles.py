@@ -22,20 +22,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
-from operator import itemgetter
 
 from rkl.core import FinTree, NatSet, PairColoring, Refusal, StringFamily, _color, is_homog_string
 
 
-class StabilityEvidence(namedtuple("StabilityEvidence", "stabilized last_change final_color")):
-    """What one column of a coloring shows about its own convergence.
+StabilityEvidence = namedtuple("StabilityEvidence", "stabilized last_change final_color")
+StabilityEvidence.__doc__ = """What one column of a coloring shows about its own convergence.
 
-    last_change is the greatest y where the column moved (x+1 when it never
-    did); the column counts as stabilized only when that happens strictly
-    before the horizon.
-    """
-
-    __slots__ = ()
+last_change is the greatest y where the column moved (x+1 when it never
+did); the column counts as stabilized only when that happens strictly
+before the horizon.
+"""
 
 
 class ReductionVerdict(namedtuple("ReductionVerdict", "checked counterexamples broken",
@@ -255,7 +252,7 @@ def check_stable(f: PairColoring, x: int) -> StabilityEvidence:
     """Scan column x for its last visible change."""
     if not 0 <= x < f.n:
         raise Refusal(f"x must satisfy 0 <= x < {f.n}")
-    return _evidence(f.n, "-" * (x + 1) + "".join(map(itemgetter(x), f.rows[x:])))
+    return _evidence(f.n, _columns(f)[x])
 
 
 def check_all_stable(f: PairColoring) -> list[StabilityEvidence]:

@@ -40,15 +40,13 @@ PI2_NAMES = ("y", "z", "len", "bit")
 YOKO_NAMES = ("x", "m", "n")
 
 
-class StabilityReport(namedtuple("StabilityReport", "x bound limit_color")):
-    """Where a column of a tree coloring settles.
+StabilityReport = namedtuple("StabilityReport", "x bound limit_color")
+StabilityReport.__doc__ = """Where a column of a tree coloring settles.
 
-    bound is the largest length reached by any dead branch at level x+1
-    (0 when none die); limit_color reads position x off the lex-least
-    level-(x+1) member that still extends to the horizon, when one exists.
-    """
-
-    __slots__ = ()
+bound is the largest length reached by any dead branch at level x+1
+(0 when none die); limit_color reads position x off the lex-least
+level-(x+1) member that still extends to the horizon, when one exists.
+"""
 
 
 def path_pigeonhole(p: str) -> tuple[int, NatSet]:
@@ -61,15 +59,15 @@ def path_pigeonhole(p: str) -> tuple[int, NatSet]:
     return c, NatSet(tuple(x for x, b in enumerate(p) if b == symbol))
 
 
-def _column_coloring(source: FinTree | StringFamily, n: int) -> PairColoring:
-    """Color (x, y) by position x of the source's sigma_text(y), which
-    refuses the first y with no member that long."""
+def sigma_to_coloring(source: FinTree | StringFamily, n: int) -> PairColoring:
+    """Color (x, y) by position x of the source's sigma_text(y): the
+    lex-least shortest member of length >= y, which for a tree is the least
+    member of level y.  The first y with no member that long is refused."""
     return PairColoring(n, tuple(source.sigma_text(y) for y in range(1, n + 1)))
 
 
-def tree_to_stable_coloring(t: FinTree, n: int) -> PairColoring:
-    """Color (x, y) by the x-th symbol of the lex-least member of length y."""
-    return _column_coloring(t, n)
+# The tree-to-stable-coloring reduction is the same construction.
+tree_to_stable_coloring = sigma_to_coloring
 
 
 def stability_bound(t: FinTree, x: int) -> StabilityReport:
@@ -93,11 +91,6 @@ def stability_bound(t: FinTree, x: int) -> StabilityReport:
         bound=max((reach[tau] for tau in roots if reach[tau] < t.horizon), default=0),
         limit_color=int(survivors[0][x]) if survivors else None,
     )
-
-
-def sigma_to_coloring(family: StringFamily, n: int) -> PairColoring:
-    """Color (x, y) by position x of the lex-least shortest member of length >= y."""
-    return _column_coloring(family, n)
 
 
 def coloring_to_sigma(f: PairColoring) -> StringFamily:

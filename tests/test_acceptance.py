@@ -25,7 +25,6 @@ from rkl.core import (
     downward_closure,
     is_homog_path,
     is_homog_string,
-    validate_tree,
 )
 from rkl.diagonal import StagedEnum, build_diagonal_tree, check_fpf
 from rkl.formats import (
@@ -147,7 +146,7 @@ def _random_spined_tree(rng: random.Random, horizon: int, die_by: int) -> FinTre
         twig = extended(prefix(spine, depth), 1 - int(spine[depth]))
         twig = twig.ljust(rng.randint(len(twig), die_by), "01"[rng.randint(0, 1)])
         members.update(prefixes(twig))
-    return validate_tree(members)
+    return FinTree(members)
 
 
 def test_criterion_04_stability_bound_governs_columns():
@@ -209,7 +208,7 @@ def test_criterion_07_diagonal_tree_avoids_settled_fronts():
         for _ in range(200):
             enums = _random_staged_enum(rng, max_k=4, max_stage=12)
             report = build_diagonal_tree(enums, 12)
-            validate_tree(frozenset(report.tree))  # prefix closure
+            FinTree(frozenset(report.tree))  # prefix closure
             for l, count in enumerate(report.level_counts):
                 assert 2 * count >= 1 << l
             for e, l in report.triggered:

@@ -120,6 +120,44 @@ def test_every_public_name_has_a_caller_in_the_program():
     assert unused == []
 
 
+def forwarders(path: Path, defined: set[str]) -> list[str]:
+    """Each public module-level function of the file whose body, after an
+    optional docstring, is one `return g(p1, ..., pk)`: g a name defined in
+    src/rkl, called with the function's own parameters, unchanged, in order
+    and without keywords."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        params = [a.arg for a in (*node.args.posonlyargs, *node.args.args)]
+        if (isinstance(call, ast.Call) and _last_name(call.func) in defined
+                and not call.keywords
+                and [a.id if isinstance(a, ast.Name) else None for a in call.args] == params):
+            found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_public_function_only_forwards_its_arguments():
+    """A second name for one definition is a binding, not a def that passes
+    its arguments on."""
+    paths = sorted(SRC.glob("*.py"))
+    defined = {
+        name for path in paths
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for name in (
+            [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            else [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+        )
+    }
+    assert [name for path in paths for name in forwarders(path, defined)] == []
+
+
 def test_names_in_fstring_fields_are_references(tmp_path):
     snippet = tmp_path / "snippet.py"
     snippet.write_text('line = f"k={en.k} {top(en)!r:>{width}}"\ntext = f"""\n{a.b}"""\n')

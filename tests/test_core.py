@@ -27,7 +27,6 @@ from rkl.core import (
     downward_closure,
     is_homog_path,
     is_homog_string,
-    validate_tree,
 )
 from rkl.formats import FormatError, parse_sigma
 from rkl.reductions import PredMatrix, ce_tree_to_sigma, path_pigeonhole, pi2_tree_to_sigma1
@@ -84,7 +83,6 @@ NOT_BINARY = ["012", "0 1", "ε", 5, (0, 1)]
     [
         lambda b: FinTree(["", b]),
         lambda b: StringFamily(["0", b]),
-        lambda b: validate_tree([b]),
         lambda b: downward_closure(["1", b]),
         lambda b: is_homog_string(NatSet.of([0]), b, 0),
         path_pigeonhole,
@@ -92,7 +90,7 @@ NOT_BINARY = ["012", "0 1", "ε", 5, (0, 1)]
         lambda b: ce_tree_to_sigma({1: b}),
     ],
     ids=[
-        "FinTree", "StringFamily", "validate_tree", "downward_closure",
+        "FinTree", "StringFamily", "downward_closure",
         "is_homog_string", "path_pigeonhole", "pi2_tree_to_sigma1", "ce_tree_to_sigma",
     ],
 )
@@ -103,12 +101,12 @@ def test_entry_points_refuse_non_binary(entry, bad):
 
 class TestFinTree:
     def test_accepts_closed_set(self):
-        t = validate_tree(["0", "00", "1"])
+        t = FinTree(["0", "00", "1"])
         assert sorted(t) == ["", "0", "00", "1"]
 
     def test_rejects_missing_prefix(self):
         with pytest.raises(NotPrefixClosed) as info:
-            validate_tree(["01"])
+            FinTree(["01"])
         assert info.value.offending == "01"
         assert info.value.missing == "0"
 
@@ -118,18 +116,18 @@ class TestFinTree:
         assert info.value.missing == "1"
 
     def test_root_always_added(self):
-        assert list(validate_tree([])) == [""]
+        assert list(FinTree([])) == [""]
         assert "" in FinTree()
 
     def test_horizon_and_levels(self):
-        t = validate_tree(["0", "1", "11", "10"])
+        t = FinTree(["0", "1", "11", "10"])
         assert t.horizon == 2
         assert t.level(1) == ("0", "1")
         assert t.level(2) == ("10", "11")
         assert t.level(5) == ()
 
     def test_iteration_is_lenlex(self):
-        t = validate_tree(["1", "0", "00"])
+        t = FinTree(["1", "0", "00"])
         assert list(t) == ["", "0", "1", "00"]
 
     @given(trees())

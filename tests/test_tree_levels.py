@@ -29,7 +29,6 @@ from rkl.core import (
     _sorted_levels,
     downward_closure,
     is_homog_path,
-    validate_tree,
 )
 from rkl.diagonal import StagedEnum, build_diagonal_tree
 from rkl.formats import FormatError, parse_sigma, parse_tree, render_tree
@@ -68,7 +67,7 @@ def assert_matches(t: FinTree, ref: RefTree) -> None:
 
 def assert_trusted_matches(t: FinTree, ref: RefTree) -> None:
     """A tree from a trusted producer equals its validated rebuild and the reference."""
-    checked = validate_tree(frozenset(t))
+    checked = FinTree(frozenset(t))
     assert t == checked
     assert_matches(t, ref)
     assert_matches(checked, ref)
@@ -133,8 +132,8 @@ class TestValidation:
         unclosed = ref_unclosed(strings)
         text = tree_text(sorted(strings))
         builders = [
-            lambda: validate_tree(strings),
-            lambda: validate_tree(sorted(strings)),
+            lambda: FinTree(strings),
+            lambda: FinTree(sorted(strings)),
             lambda: FinTree(s for s in strings),
         ]
         if unclosed is None:
@@ -154,7 +153,7 @@ class TestValidation:
 
     def test_non_binary_text_rejected(self):
         with pytest.raises(ValueError, match="not a binary string: '0a'"):
-            validate_tree(["0", "0a"])
+            FinTree(["0", "0a"])
         with pytest.raises(ValueError, match="not a binary string"):
             downward_closure(["01", "2"])
 
@@ -187,11 +186,11 @@ class TestLevelCode:
         assert downward_closure(StringFamily(strings)).text_levels == want
 
     @given(repeated_strings())
-    def test_closed_levels_and_validate_tree(self, strings):
+    def test_closed_levels_and_fintree(self, strings):
         unclosed = ref_unclosed(strings)
         builders = [
             lambda: _closed_levels(dict.fromkeys(strings)),
-            lambda: validate_tree(strings).text_levels,
+            lambda: FinTree(strings).text_levels,
             lambda: FinTree(iter(strings)).text_levels,
         ]
         for build in builders:
