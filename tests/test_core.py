@@ -28,7 +28,7 @@ from rkl.core import (
     is_homog_path,
     is_homog_string,
 )
-from rkl.formats import FormatError, parse_sigma
+from rkl.formats import FormatError, parse_sigma, validate_tree
 from rkl.reductions import PredMatrix, ce_tree_to_sigma, path_pigeonhole, pi2_tree_to_sigma1
 
 
@@ -83,6 +83,7 @@ NOT_BINARY = ["012", "0 1", "ε", 5, (0, 1)]
     [
         lambda b: FinTree(["", b]),
         lambda b: StringFamily(["0", b]),
+        lambda b: validate_tree([b]),  # formats keeps this name for FinTree; the tracer swaps it
         lambda b: downward_closure(["1", b]),
         lambda b: is_homog_string(NatSet.of([0]), b, 0),
         path_pigeonhole,
@@ -90,7 +91,7 @@ NOT_BINARY = ["012", "0 1", "ε", 5, (0, 1)]
         lambda b: ce_tree_to_sigma({1: b}),
     ],
     ids=[
-        "FinTree", "StringFamily", "downward_closure",
+        "FinTree", "StringFamily", "validate_tree", "downward_closure",
         "is_homog_string", "path_pigeonhole", "pi2_tree_to_sigma1", "ce_tree_to_sigma",
     ],
 )
