@@ -272,19 +272,15 @@ def downward_closure(family: StringFamily | Iterable[str]) -> FinTree:
     return FinTree._from_levels(closed[::-1])
 
 
-def _homog_text(h: NatSet, bits: str, symbol: str) -> bool:
-    n = len(bits)
+def is_homog_string(h: NatSet, sigma: str, c: int) -> bool:
+    """Whether sigma shows color c at every position of h it covers."""
+    n, symbol = len(_bits(sigma)), "1" if _color(c) else "0"
     for x in h:  # ascending, so the first x past the end ends the scan
         if x >= n:
             break
-        if bits[x] != symbol:
+        if sigma[x] != symbol:
             return False
     return True
-
-
-def is_homog_string(h: NatSet, sigma: str, c: int) -> bool:
-    """Whether sigma shows color c at every position of h it covers."""
-    return _homog_text(h, _bits(sigma), "1" if _color(c) else "0")
 
 
 def is_homog_path(h: NatSet, t: FinTree | StringFamily) -> HomWitness | None:
@@ -293,9 +289,16 @@ def is_homog_path(h: NatSet, t: FinTree | StringFamily) -> HomWitness | None:
 
     Prefers color 0 over 1, then the lexicographically least witness.
     """
-    for c, symbol in enumerate("01"):
-        # The level is sorted, so its first match is its least.
-        for s in t.text_levels[-1] or ("",):
-            if _homog_text(h, s, symbol):
-                return HomWitness(color=c, witness=s)
+    level = t.text_levels[-1] or ("",)
+    k, w, block = len(level), len(level[0]), "".join(level)
+    ones = zeros = (1 << k) - 1  # the members showing only 1s, only 0s, on h
+    for x in h:  # column x is block[x::w], member 0 on the top bit
+        if x >= w:
+            break
+        column = int(block[x::w], 2)
+        ones &= column
+        zeros &= ~column
+    for c, keep in enumerate((zeros, ones)):
+        if keep:  # the level is sorted, so its top bit is the least match
+            return HomWitness(color=c, witness=level[k - keep.bit_length()])
     return None

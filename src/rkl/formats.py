@@ -8,7 +8,10 @@ lex), coloring pairs by (y, x), and naturals ascending.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
+from itertools import islice
+from operator import lt
 
 from rkl.core import (
     MAX_DIGITS,
@@ -20,6 +23,7 @@ from rkl.core import (
     Refusal,
     StringFamily,
     _closed_levels,
+    _parent,
     _sorted_levels,
 )
 from rkl.diagonal import StagedEnum
@@ -39,19 +43,20 @@ def _data_lines(text: str, count: int = 0, shape: str = "") -> Iterator[tuple[in
     line ends at a line feed, less one carriage return at its very end, and
     its data, before '#', is printable ASCII split at tabs and spaces.  Given
     a count, a line of any other number of fields is refused as 'expected <shape>'."""
-    lines = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        data = raw.removesuffix("\r").partition("#")[0]
-        if not (data.isascii() and (data.isprintable() or data.replace("\t", " ").isprintable())):
-            bad = next(c for c in data if not (c.isascii() and c.isprintable()) and c != "\t")
-            kind = "control" if bad.isascii() else "non-ASCII"
-            raise FormatError(lineno, f"{kind} character {bad!r}")
-        if fields := data.split():
-            lines.append((lineno, fields))
-    for lineno, fields in lines:
-        if count and len(fields) != count:
-            raise FormatError(lineno, f"expected {shape}")
-        yield lineno, fields
+    # A text of printable ASCII, tabs and line feeds needs no check line by line.
+    if not (text.isascii() and text.replace("\t", "").replace("\n", "").isprintable()):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            data = raw.removesuffix("\r").partition("#")[0]
+            if not (data.isascii() and data.replace("\t", " ").isprintable()):
+                bad = next(c for c in data if not (c.isascii() and c.isprintable()) and c != "\t")
+                kind = "control" if bad.isascii() else "non-ASCII"
+                raise FormatError(lineno, f"{kind} character {bad!r}")
+    rows = [raw.removesuffix("\r").partition("#")[0].split() for raw in text.split("\n")]
+    for lineno, fields in enumerate(rows, start=1):
+        if fields:
+            if count and len(fields) != count:
+                raise FormatError(lineno, f"expected {shape}")
+            yield lineno, fields
 
 
 def _parse_bits(token: str, lineno: int) -> str:
@@ -105,10 +110,37 @@ def _string_lines(text: str) -> dict[str, None]:
     return members
 
 
+def _canonical_tree(text: str) -> tuple[list[str], ...] | None:
+    """The levels of a text exactly as render_tree writes a tree, else None.
+
+    Level l's k lines are found by length, then proved by its block of text,
+    which must hold k line feeds, one every l+1 characters.  Each level must
+    ascend and have its parents in a set of the level above; the deepest
+    level is never hashed.
+    """
+    if not (text.startswith("-\n") and text.endswith("\n")) or (
+            text.encode("ascii", "replace").translate(None, b"01\n") != b"-"):
+        return None
+    lines = text[2:-1].split("\n") if len(text) > 2 else []
+    levels, above, i, start = [[""]], {""}, 0, 2
+    while i < len(lines):
+        l = len(levels)
+        j = bisect_right(lines, l, i, key=len)  # a guess where the text is not sorted
+        level, block = lines[i:j], text[start : start + (j - i) * (l + 1)]
+        if not (level and block.count("\n") == len(level) == block[l :: l + 1].count("\n")):
+            return None
+        if not (all(map(lt, level, islice(level, 1, None))) and above.issuperset(map(_parent, level))):
+            return None
+        levels.append(level)
+        i, start = j, start + len(block)
+        above = set(level) if i < len(lines) else above
+    return tuple(levels)
+
+
 def parse_tree(text: str) -> FinTree:
     """Read a .tree file, whose strings must already be prefix-closed."""
     try:
-        return FinTree._from_levels(_closed_levels(_string_lines(text)))
+        return FinTree._from_levels(_canonical_tree(text) or _closed_levels(_string_lines(text)))
     except NotPrefixClosed as exc:
         lineno = next(n for n, [s] in _data_lines(text) if s == exc.offending)
         raise FormatError(lineno, str(exc)) from exc

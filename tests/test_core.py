@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,6 +14,8 @@ from helpers import (
     pairs,
     prefix,
     prefixes,
+    ref_closure,
+    ref_homog_path,
     string_families,
     trees,
 )
@@ -324,6 +326,18 @@ class TestIsHomogPath:
         h = NatSet.of([0, 3])
         assert is_homog_path(h, StringFamily()) == (0, "")
         assert is_homog_path(h, StringFamily()) == is_homog_path(h, downward_closure([]))
+
+    @given(st.one_of(trees(max_members=12), string_families(max_members=12)), natsets(max_value=10))
+    @example(StringFamily(), NatSet())
+    @example(StringFamily(), NatSet.of([5, 9]))
+    @example(downward_closure([]), NatSet.of([0]))
+    @example(StringFamily(["01"]), NatSet.of([1, 2]))
+    def test_column_masks_match_the_reference(self, t, h):
+        """The masks' answer is the reference's, for trees and families, with
+        h empty, or reaching below, at and past the horizon (8 at most)."""
+        ref = ref_closure(t)
+        got = is_homog_path(h, t)
+        assert (None if got is None else tuple(got)) == ref_homog_path(h, ref, ref.horizon)
 
     @given(trees(), natsets(max_value=9))
     def test_witness_certifies_itself(self, t: FinTree, h: NatSet):

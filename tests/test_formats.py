@@ -17,13 +17,23 @@ from helpers import (
     string_families,
     trees,
 )
-from rkl.core import MAX_DIGITS, NatSet, PairColoring, StringFamily, downward_closure
+from rkl.core import (
+    MAX_DIGITS,
+    FinTree,
+    NatSet,
+    PairColoring,
+    StringFamily,
+    _closed_levels,
+    downward_closure,
+)
 from rkl.diagonal import StagedEnum, build_diagonal_tree
 from rkl import formats
 from rkl.formats import (
     FormatError,
     _bare_texts,
     _canonical_coloring,
+    _canonical_tree,
+    _string_lines,
     parse_coloring,
     parse_enum,
     parse_natset,
@@ -257,6 +267,77 @@ class TestBareReader:
     )
     def test_other_forms_take_the_general_scan(self, text):
         assert _bare_texts(text) is None
+
+
+def _edit_lines(text: str, kind: str, data) -> str:
+    """The text with one edit of the kind named to its lines."""
+    lines = text.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    if kind == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1), label="with")
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "add":
+        lines.insert(i, data.draw(st.text(alphabet="01", min_size=1, max_size=6)) + "\n")
+    elif kind == "blank line":
+        lines.insert(i, "\n")
+    elif kind == "comment":
+        lines.insert(i, "# a tree\n")
+    elif kind == "crlf":
+        return text.replace("\n", "\r\n")
+    elif kind == "no final newline":
+        return text[:-1]
+    return "".join(lines)
+
+
+def _general_tree(text: str):
+    """What parse_tree reads with the canonical reader turned off."""
+    with mock.patch.object(formats, "_canonical_tree", lambda text: None):
+        return read(parse_tree, text)
+
+
+class TestCanonicalTree:
+    """The level-by-level reader of render_tree's own text against the
+    general reader: where it answers, both read the same levels, and
+    parse_tree reads the same tree or refusal either way."""
+
+    EDITS = ["none", "swap", "repeat", "drop", "add", "blank line", "comment", "crlf",
+             "no final newline"]
+
+    @given(trees(max_len=10, max_members=24))
+    def test_rendered_trees_take_the_fast_path(self, t):
+        text = render_tree(t)
+        assert _canonical_tree(text) is not None
+        assert parse_tree(text) == t
+
+    @pytest.mark.parametrize("kind", EDITS)
+    @given(t=trees(max_len=10, max_members=24), data=st.data())
+    def test_edited_texts_match_the_general_reader(self, kind, t, data):
+        text = _edit_lines(render_tree(t), kind, data)
+        levels = _canonical_tree(text)
+        if levels is not None:
+            assert tuple(map(tuple, levels)) == _closed_levels(_string_lines(text))
+            assert FinTree._from_levels(levels) == parse_tree(text)
+        assert read(parse_tree, text) == _general_tree(text)
+
+    @pytest.mark.parametrize(
+        "text", ["-\n", "-\n0\n", "-\n0\n1\n00\n01\n10\n", "-\n1\n10\n11\n110\n"]
+    )
+    def test_canonical_texts(self, text):
+        assert _canonical_tree(text) == tuple(map(list, _closed_levels(_string_lines(text))))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "-", "\n", "-\n\n", "-\n0", "-\n1\n0\n", "-\n0\n0\n", "-\n00\n", "-\n0\n11\n",
+         "-\n0\n1\n0\n", "-\n01\n0\n", "-\n0\r\n", "-\n0 \n", "-\n0#\n", "-\n\u0660\n",
+         "0\n", "-\n-\n", "-\n0\n\n1\n"],
+    )
+    def test_other_texts_take_the_general_reader(self, text):
+        assert _canonical_tree(text) is None
+        assert read(parse_tree, text) == _general_tree(text)
 
 
 class TestColoring:
