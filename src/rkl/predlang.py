@@ -14,9 +14,12 @@ Grammar (EBNF, whitespace insignificant):
 
 The unicode spellings ≠ ≤ ≥ are accepted for != <= >=.  The operator table
 _OPERATORS is the one place that declares each operator's precedence and
-operand kind; the tokenizer, the parser and render all read it.  Logical
-operators take boolean operands and comparisons arithmetic ones; violations
-are rejected at parse time, so a parsed expression never mixes kinds.
+operand kind; the tokenizer, the parser and render all read it.  parse is
+one recursive-descent function over _OPERATORS, whose nested expr parses
+each level of the table and returns (node, offset, depth).  Logical
+operators take boolean operands and comparisons arithmetic ones;
+violations are rejected at parse time, so a parsed expression never mixes
+kinds.
 
 Evaluation is total on a fully bound environment: subtraction truncates at
 zero, "a mod 0" is zero, and bit(i) reads 0 at any index past the end of the
@@ -119,31 +122,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
+        ch, j = text[i], i + 1  # j: the end of the token at i
         if "0" <= ch <= "9":
-            j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("num", text[i:j], i))
-            i = j
         elif ch.isalpha() or ch == "_":
-            j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
-            i = j
         elif ch in _UNICODE_OPS:
             tokens.append(("sym", _UNICODE_OPS[ch], i))
-            i += 1
-        else:
+        elif not ch.isspace():
             sym = next((s for s in _SYMBOLS if text.startswith(s, i)), None)
             if sym is None:
                 raise ParseError(i, ("a token",), repr(ch))
             tokens.append(("sym", sym, i))
-            i += len(sym)
+            j = i + len(sym)
+        i = j
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -159,111 +155,15 @@ MAX_DEPTH = 64
 _DEPTH_EXPECTED = (f"at most {MAX_DEPTH} levels of nesting",)
 
 
-class _Parser:
-    """Recursive descent; each parse_* returns (node, offset, depth)."""
+def _require(kind: str, node: PredExpr, offset: int) -> None:
+    if kind_of(node) != kind:
+        raise ParseError(offset, (_KIND_NAMES[kind],), _KIND_NAMES[kind_of(node)])
 
-    def __init__(
-        self, tokens: list[tuple[str, str, int]], names: Collection[str] | None
-    ) -> None:
-        self.tokens = tokens
-        self.names = names
-        self.i = 0
-        self.open = 0  # enclosing "(", "bit(" and "not" tokens
 
-    def require_bound(self, name: str, offset: int) -> None:
-        if self.names is not None and name not in self.names:
-            raise UnboundVariable(name, offset)
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def at_name(self, word: str) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "name" and value == word
-
-    def expect_sym(self, sym: str) -> None:
-        kind, value, offset = self.peek()
-        if kind != "sym" or value != sym:
-            raise ParseError(offset, (f"'{sym}'",), value or "end of input")
-        self.advance()
-
-    def require(self, kind: str, node: PredExpr, offset: int) -> None:
-        if kind_of(node) != kind:
-            raise ParseError(offset, (_KIND_NAMES[kind],), _KIND_NAMES[kind_of(node)])
-
-    def nest(self, depth: int, offset: int) -> int:
-        if depth > MAX_DEPTH:
-            raise ParseError(offset, _DEPTH_EXPECTED, "deeper nesting")
-        return depth
-
-    def nested(self, offset: int, level: int) -> tuple[PredExpr, int, int]:
-        """Parse an expression of the given level one level below the "(",
-        "bit(" or "not" at offset.  Levels are counted on the way down too,
-        so deep nesting is refused early."""
-        self.open += 1
-        self.nest(self.open + 1, offset)
-        node, noff, depth = self.parse_expr(level)
-        self.open -= 1
-        return node, noff, self.nest(depth + 1, offset)
-
-    def parse_expr(self, level: int = 1) -> tuple[PredExpr, int, int]:
-        """An expression of the given precedence level or tighter."""
-        if level == _ATOM:
-            return self.parse_prim()
-        if level == _NOT:
-            if not self.at_name("not"):
-                return self.parse_expr(level + 1)
-            _, _, offset = self.advance()
-            operand, ooff, depth = self.nested(offset, _NOT)
-            self.require("bool", operand, ooff)
-            return Not(operand), offset, depth
-        node, offset, depth = self.parse_expr(level + 1)
-        while True:
-            _, value, op_off = self.peek()
-            op_level, node_type, kind, _ = _OPERATORS.get(value, (None,) * 4)
-            if op_level != level:
-                return node, offset, depth
-            self.require(kind, node, offset)
-            self.advance()
-            rhs, roff, rdepth = self.parse_expr(level + 1)
-            self.require(kind, rhs, roff)
-            node = node_type(value, node, rhs)
-            depth = self.nest(max(depth, rdepth) + 1, op_off)
-            if node_type is Cmp:  # comparisons do not chain
-                return node, offset, depth
-
-    def parse_prim(self) -> tuple[PredExpr, int, int]:
-        kind, value, offset = self.peek()
-        if kind == "num":
-            if len(value) > MAX_DIGITS:
-                raise ParseError(offset, _DIGITS_EXPECTED, f"{len(value)} digits")
-            self.advance()
-            return Num(int(value)), offset, 1
-        if kind == "name":
-            if value in VARIABLES:
-                self.require_bound(value, offset)
-                self.advance()
-                return Var(value), offset, 1
-            if value == "bit":
-                self.require_bound(value, offset)
-                self.advance()
-                self.expect_sym("(")
-                index, ioff, depth = self.nested(offset, _SUM)
-                self.require("nat", index, ioff)
-                self.expect_sym(")")
-                return Bit(index), offset, depth
-            raise ParseError(offset, _PRIM_EXPECTED, f"'{value}'")
-        if kind == "sym" and value == "(":
-            self.advance()
-            node, _, depth = self.nested(offset, 1)
-            self.expect_sym(")")
-            return node, offset, depth
-        raise ParseError(offset, _PRIM_EXPECTED, value or "end of input")
+def _nest(depth: int, offset: int) -> int:
+    if depth > MAX_DEPTH:
+        raise ParseError(offset, _DEPTH_EXPECTED, "deeper nesting")
+    return depth
 
 
 def parse(text: str, names: Collection[str] | None = None) -> PredExpr:
@@ -274,13 +174,84 @@ def parse(text: str, names: Collection[str] | None = None) -> PredExpr:
     just those names ("bit" standing for bit(...)): any other variable raises
     UnboundVariable at its offset, and an arithmetic top level, ParseError.
     """
-    parser = _Parser(_tokenize(text), names)
-    node, start, _ = parser.parse_expr()
-    kind, value, offset = parser.peek()
+    tokens = _tokenize(text)
+    i = 0  # the next token
+    opened = 0  # enclosing "(", "bit(" and "not" tokens
+
+    def expect(sym: str) -> None:
+        nonlocal i
+        _, value, offset = tokens[i]
+        if value != sym:
+            raise ParseError(offset, (f"'{sym}'",), value or "end of input")
+        i += 1
+
+    def nested(offset: int, level: int) -> tuple[PredExpr, int, int]:
+        """Parse an expression of the given level one level below the "(",
+        "bit(" or "not" at offset.  Levels are counted on the way down too,
+        so deep nesting is refused early."""
+        nonlocal opened
+        opened += 1
+        _nest(opened + 1, offset)
+        node, noff, depth = expr(level)
+        opened -= 1
+        return node, noff, _nest(depth + 1, offset)
+
+    def expr(level: int) -> tuple[PredExpr, int, int]:
+        """An expression of the given precedence level or tighter, as
+        (node, offset, depth)."""
+        nonlocal i
+        if level == _ATOM:
+            kind, value, offset = tokens[i]
+            i += 1
+            if kind == "num":
+                if len(value) > MAX_DIGITS:
+                    raise ParseError(offset, _DIGITS_EXPECTED, f"{len(value)} digits")
+                return Num(int(value)), offset, 1
+            if value in VARIABLES or value == "bit":
+                if names is not None and value not in names:
+                    raise UnboundVariable(value, offset)
+                if value != "bit":
+                    return Var(value), offset, 1
+                expect("(")
+                index, ioff, depth = nested(offset, _SUM)
+                _require("nat", index, ioff)
+                expect(")")
+                return Bit(index), offset, depth
+            if value == "(":
+                node, _, depth = nested(offset, 1)
+                expect(")")
+                return node, offset, depth
+            found = f"'{value}'" if kind == "name" else value or "end of input"
+            raise ParseError(offset, _PRIM_EXPECTED, found)
+        if level == _NOT:
+            _, value, offset = tokens[i]
+            if value != "not":
+                return expr(level + 1)
+            i += 1
+            operand, ooff, depth = nested(offset, _NOT)
+            _require("bool", operand, ooff)
+            return Not(operand), offset, depth
+        node, offset, depth = expr(level + 1)
+        while True:
+            _, value, op_off = tokens[i]
+            op_level, node_type, kind, _ = _OPERATORS.get(value, (None,) * 4)
+            if op_level != level:
+                return node, offset, depth
+            _require(kind, node, offset)
+            i += 1
+            rhs, roff, rdepth = expr(level + 1)
+            _require(kind, rhs, roff)
+            node = node_type(value, node, rhs)
+            depth = _nest(max(depth, rdepth) + 1, op_off)
+            if node_type is Cmp:  # comparisons do not chain
+                return node, offset, depth
+
+    node, start, _ = expr(1)
+    kind, value, offset = tokens[i]
     if kind != "end":
         raise ParseError(offset, ("end of input",), value)
     if names is not None:
-        parser.require("bool", node, start)
+        _require("bool", node, start)
     return node
 
 

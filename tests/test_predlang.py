@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import types
 import warnings
 
@@ -437,6 +438,24 @@ class TestDepthLimit:
         assert info.value.expected == (f"at most {MAX_DEPTH} levels of nesting",)
 
 
+class TestStackUse:
+    @pytest.mark.parametrize("text", DEEPEST)
+    def test_parse_compile_and_render_stay_within_600_frames(self, text):
+        # Parentheses cost parse the most: eight frames per "(", one per
+        # precedence level and one to nest, about 510 at MAX_DEPTH.
+        caller, frame = 0, sys._getframe()
+        while frame is not None:
+            caller, frame = caller + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(caller + 600)
+        try:
+            e = parse(text)
+            predlang.compile(e, ("x", "y", "z", "bits", "len"))
+            render(e)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
 def names_in_text_order(expr) -> list[str]:
     """Every variable and "bit", in the order render(expr) spells them."""
     if isinstance(expr, Var):
@@ -545,6 +564,10 @@ class TestRefusalMessages:
             ("x ! 1", "at offset 2: expected a token, found '!'"),
             ("x mod mod 2", "at offset 6: expected a number or a variable or 'bit(' or '(', "
              "found 'mod'"),
+            ("bit = 1", "at offset 4: expected '(', found ="),
+            ("(x = 1", "at offset 6: expected ')', found end of input"),
+            ("", "at offset 0: expected a number or a variable or 'bit(' or '(', "
+             "found end of input"),
         ],
     )
     def test_exact_message(self, text, message):
