@@ -8,14 +8,17 @@ The search treats each color as a graph, renumbered once by degree so that
 the highest bit has the most neighbours (the initial order of Tomita and
 Seki's MCQ, read from the top bit down), and looks for a largest clique,
 bounding each branch by a greedy colouring of its candidates: a clique holds
-at most one vertex of each colour class.  Color 0's search only has to beat
-a greedy clique grown from each vertex, which is its witness when nothing
-does.  The clique found is the witness the lexicographically least step
-starts from, so that step asks only whether a candidate below the witness's
-next vertex starts a clique of the remaining size, and each such query has a
-ceiling: it returns at the first clique of the size asked.  None of this
-changes the canonical answer: the largest size, then the lexicographically
-least set, then color 0.
+at most one vertex of each colour class.  The first classes, too few to beat
+the best clique found, are not branched on but kept as masks: a vertex of
+the next colour beats it only with one vertex of each, so it is dropped when
+unit propagation over them fails (the failed-literal test of Li and Quan's
+MaxSAT bound).  Color 0's search only has to beat a greedy clique grown from
+each vertex, which is its witness when nothing does.  The clique found is
+the witness the lexicographically least step starts from, so that step asks
+only whether a candidate below the witness's next vertex starts a clique of
+the remaining size, and each such query has a ceiling: it returns at the
+first clique of the size asked.  None of this changes the canonical answer:
+the largest size, then the lexicographically least set, then color 0.
 """
 
 from __future__ import annotations
@@ -108,15 +111,22 @@ def _max_clique(
     highest vertex first, and branches on them in reverse colour order.  A
     vertex of colour k extends the current clique by at most k more
     vertices, so the node stops once size + k <= best; the first best - size
-    classes, which could never pass that test, are coloured but not kept.
-    On a graph numbered by _graphs the highest vertices have the most
+    classes, which could never pass that test, are not branched on but kept
+    as masks.  A vertex v of colour best - size + 1 has no candidate
+    neighbour left in its own class or a later one, so a clique through v
+    that beats best takes one vertex of each kept mask; v is dropped, with
+    no node made for it, when unit propagation over them fails (_fails).
+    Should best have risen since the node was coloured, the masks are some
+    of the classes such a clique must meet, and the test still holds.  On a
+    graph numbered by _graphs the highest vertices have the most
     neighbours, which gives fewer colours.
     """
     adj, avoid, bit = masks
     best, clique = floor, None
     # Open nodes wait on a stack as [size, candidates, vertices, colours,
-    # vertex branched on], so the depth of the search is not limited by
-    # Python's recursion, and the current clique is read off the stack.
+    # vertex branched on, masks of the classes not branched on], so the
+    # depth of the search is not limited by Python's recursion, and the
+    # current clique is read off the stack.
     stack: list[list] = []
     size = 0
     while True:
@@ -125,12 +135,14 @@ def _max_clique(
             if size == ceiling:
                 return best, clique
         uncoloured = cand
-        for _ in range(best - size):
-            free = uncoloured
+        classes = [0] * (best - size)
+        for k in range(best - size):
+            free = before = uncoloured
             while free:
                 v = free.bit_length() - 1
                 uncoloured ^= bit[v]
                 free &= avoid[v]
+            classes[k] = before ^ uncoloured
         vertices: list[int] = []
         colours: list[int] = []
         colour = best - size
@@ -143,21 +155,44 @@ def _max_clique(
                 free &= avoid[v]
                 vertices.append(v)
                 colours.append(colour)
-        stack.append([size, cand, vertices, colours, -1])
+        if vertices:
+            stack.append([size, cand, vertices, colours, -1, classes])
         # Branch on the last kept vertex of the deepest node that may still
-        # beat best; a node whose last vertex cannot is finished.
+        # beat best; a node whose last vertex cannot is finished, and a
+        # vertex that propagation drops is only taken out of the candidates.
         while stack:
             node = stack[-1]
-            size, cand, vertices, colours, _ = node
+            size, cand, vertices, colours, _, classes = node
             if vertices and size + colours[-1] > best:
                 v = vertices.pop()
-                colours.pop()
-                node[1], node[4] = cand ^ bit[v], v
-                size, cand = size + 1, cand & adj[v]
-                break
-            stack.pop()
+                node[1] = cand ^ bit[v]
+                if size + colours.pop() > best + 1 or not _fails(adj, classes, adj[v]):
+                    node[4] = v
+                    size, cand = size + 1, cand & adj[v]
+                    break
+            else:
+                stack.pop()
         else:
             return best, clique
+
+
+def _fails(adj: list[int], classes: list[int], allowed: int) -> bool:
+    """Whether no clique takes one vertex of each of classes from allowed,
+    by unit propagation: a class cut down to one vertex u forces u, and
+    every other class is cut down to u's neighbours; one cut down to nothing
+    fails.  Each class of a greedy colouring holds no two neighbours."""
+    units = 0
+    while True:
+        found = units
+        for c in classes:
+            c &= allowed
+            if not c:
+                return True
+            if not c & (c - 1) and not c & units:
+                units |= c
+                allowed &= adj[c.bit_length() - 1] | c
+        if units == found:
+            return False
 
 
 def _greedy_clique(adj: list[int]) -> list[int]:

@@ -32,6 +32,7 @@ from rkl.core import (
 )
 from rkl import oracles
 from rkl.oracles import (
+    _fails,
     _graphs,
     _greedy_clique,
     _max_clique,
@@ -66,6 +67,16 @@ def block_colorings(max_n: int = 40, max_blocks: int = 5):
         return from_function(n, lambda x, y: table[blocks[x]][blocks[y]])
 
     return st.builds(build, st.integers(0, max_n), st.integers(1, max_blocks), st.data())
+
+
+def benchmark_coloring(n: int, density: float, planted: int) -> PairColoring:
+    """A coloring of the colorings workload's shape: color 1 at the given
+    density, with planted random vertices made color-1 homogeneous."""
+    rng = random.Random(planted)
+    rows = [[int(rng.random() < density) for _ in range(y)] for y in range(n + 1)]
+    for x, y in itertools.combinations(sorted(rng.sample(range(n + 1), planted)), 2):
+        rows[y][x] = 1
+    return PairColoring(n, tuple("".join(map(str, row)) for row in rows[1:]))
 
 
 def is_clique_within(adj: list[int], cand: int, clique: list[int]) -> bool:
@@ -242,13 +253,60 @@ class TestColourBoundedSearch:
         assert ramsey_search(f, 2) == (c, N(range(401)))
 
     @pytest.mark.parametrize("planted", [0, 12])
-    def test_benchmark_sized_coloring(self, planted):
-        rng = random.Random(planted)
-        rows = [[int(rng.random() < 0.4) for _ in range(y)] for y in range(73)]
-        for x, y in itertools.combinations(sorted(rng.sample(range(73), planted)), 2):
-            rows[y][x] = 1
-        f = PairColoring(72, tuple("".join(map(str, row)) for row in rows[1:]))
+    # n 72, and the colorings workload's densest cells for color 0, where
+    # propagation drops the most vertices.
+    @pytest.mark.parametrize("n, density", [(72, 0.4), (88, 0.3), (104, 0.4)])
+    def test_benchmark_sized_coloring(self, n, density, planted):
+        f = benchmark_coloring(n, density, planted)
         assert ramsey_search(f, 2) == ref_ramsey_search(f, 2)
+
+    def test_three_thousand_seeded_colorings_match_the_reference(self):
+        # A fixed draw, not hypothesis: n up to 14 at every color-1 density.
+        rng = random.Random(3000)
+        for _ in range(3000):
+            n, density = rng.randint(0, 14), rng.random()
+            rows = ("".join("01"[rng.random() < density] for _ in range(y)) for y in range(1, n + 1))
+            f = PairColoring(n, tuple(rows))
+            assert ramsey_search(f, 2) == ref_ramsey_search(f, 2), f
+
+    @pytest.mark.parametrize("planted", [0, 12])
+    def test_propagation_drops_vertices_but_no_clique(self, planted, monkeypatch):
+        # Color 0's search on the costliest workload cell finds the same
+        # clique, and the lex step the same set, with propagation off.
+        f = benchmark_coloring(88, 0.3, planted)
+        masks = _graphs(f)[0][0]
+        universe = (1 << (f.n + 1)) - 1
+        floor = len(_greedy_clique(masks[0]))
+        verdicts = []
+        monkeypatch.setattr(oracles, "_fails", lambda *a: verdicts.append(_fails(*a)) or verdicts[-1])
+        found = _max_clique(masks, universe, floor), ramsey_search(f, 2)
+        assert verdicts.count(True) > verdicts.count(False)
+        monkeypatch.setattr(oracles, "_fails", lambda *a: False)
+        assert (_max_clique(masks, universe, floor), ramsey_search(f, 2)) == found
+
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_fails_propagates_to_a_fixpoint(self, joined):
+        # v = 0 sees classes {1, 2}, {3} and {4, 5}.  3 forces itself and
+        # cuts {4, 5} to 4, which cuts {1, 2} to nothing on the second pass
+        # unless 4 and 1 are joined, when {0, 1, 3, 4} is a clique.
+        edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (3, 4)] + [(1, 4)] * joined
+        adj = [0] * 6
+        for u, w in edges:
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+        assert _fails(adj, [0b110, 0b1000, 0b110000], adj[0]) is not joined
+
+    @given(colorings(max_n=9), st.integers(0, 1), st.data())
+    def test_fails_only_when_no_clique_meets_every_class(self, f, c, data):
+        adj = ref_adjacency(f)[c]
+        size = f.n + 1
+        v = data.draw(st.integers(0, f.n), label="v")
+        labels = data.draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size), label="labels")
+        members = [[u for u in range(size) if labels[u] == k] for k in range(4)]
+        classes = [sum(1 << u for u in us) for us in members]
+        if _fails(adj, classes, adj[v]):
+            for pick in itertools.product(*members):
+                assert not is_clique_within(adj, adj[v], list(pick))
 
     def test_clique_deeper_than_the_recursion_limit(self):
         # One search node per clique vertex: 1,100 open nodes at once.
