@@ -156,7 +156,8 @@ class PairColoring:
     """A total 2-coloring of the pairs {(x, y) : 0 <= x < y <= n}.
 
     rows[y-1] is the "01" text of the y colors of column y: its character x
-    is the color of the pair (x, y).
+    is the color of the pair (x, y).  All rows are checked in one pass over
+    their types, their lengths and their joined text.
     """
 
     __slots__ = ("n", "rows")
@@ -167,13 +168,16 @@ class PairColoring:
             raise Refusal("n must be a natural number")
         if len(rows) != n:
             raise Refusal(f"expected {n} rows, got {len(rows)}")
-        for y, row in enumerate(rows, start=1):
-            if not isinstance(row, str):
-                raise Refusal(f"row for y={y} must be a '01' text")
-            if len(row) != y:
-                raise Refusal(f"row for y={y} must have {y} entries")
-            if row.strip("01"):
-                raise Refusal(f"row for y={y} holds a non-color value")
+        # The loop runs only to name the first bad row.
+        if not ({*map(type, rows)} <= {str} and list(map(len, rows)) == list(range(1, n + 1))
+                and not "".join(rows).encode("ascii", "replace").translate(None, b"01")):
+            for y, row in enumerate(rows, start=1):
+                if not isinstance(row, str):
+                    raise Refusal(f"row for y={y} must be a '01' text")
+                if len(row) != y:
+                    raise Refusal(f"row for y={y} must have {y} entries")
+                if row.strip("01"):
+                    raise Refusal(f"row for y={y} holds a non-color value")
         self.n = n
         self.rows = rows
 
@@ -290,6 +294,8 @@ def is_homog_path(h: NatSet, t: FinTree | StringFamily) -> HomWitness | None:
     Prefers color 0 over 1, then the lexicographically least witness.
     """
     level = t.text_levels[-1] or ("",)
+    if is_homog_string(h, level[0], 0):  # the first member witnesses: skip the join
+        return HomWitness(color=0, witness=level[0])
     k, w, block = len(level), len(level[0]), "".join(level)
     ones = zeros = (1 << k) - 1  # the members showing only 1s, only 0s, on h
     for x in h:  # column x is block[x::w], member 0 on the top bit

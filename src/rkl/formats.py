@@ -150,57 +150,52 @@ def parse_sigma(text: str) -> StringFamily:
     return StringFamily._from_levels(_sorted_levels(_string_lines(text)))
 
 
-def _coloring_layout(n: int) -> tuple[bytes, list[tuple[slice, int, int]]]:
-    """The n-coloring text with every color 0, and where its colors sit.
+def _coloring_layout(n: int) -> tuple[str, list[tuple[slice, int, int, int]]]:
+    """The pair lines of the n-coloring text with every color 0, and where
+    its colors sit.
 
     The lines of a row whose x has one digit width have one length, so their
-    colors are evenly spaced: each run holds their slice of the text and
-    their span i:j in (y, x) order."""
+    colors are evenly spaced: each run holds their slice of the pair lines,
+    their y and their span x0:x1 of row y, in (y, x) order."""
     xs = [str(x) for x in range(n)]
-    lines = [f"n {n}\n"]
-    runs = []
-    start, i = len(lines[0]), 0
+    lines, runs, start = [], [], 0
     for y in range(1, n + 1):
         tail = f" {y} 0\n"
-        lines.append(tail.join(xs[:y]) + tail)
-        x = 0
+        lines += tail.join(xs[:y]), tail
+        x, size = 0, len(tail) + 1  # a line's size grows by one with each digit of x
         while x < y:
             end = min(10 * x or 10, y)  # the next power of ten
-            size = len(xs[x]) + len(tail)
             stop = start + size * (end - x)
-            runs.append((slice(start + size - 2, stop, size), i, i + end - x))
-            start, i, x = stop, i + end - x, end
-    return "".join(lines).encode(), runs
+            runs.append((slice(start + size - 2, stop, size), y, x, end))
+            start, x, size = stop, end, size + 1
+    return "".join(lines), runs
 
 
 def _canonical_coloring(text: str) -> PairColoring | None:
     """The coloring of a text exactly as render_coloring writes it, else None.
 
-    Reads n from the header and the colors at their fixed offsets, then
-    compares every other byte with the all-0 text.
+    The header must spell n as str(n) does.  The pair lines, with every 1
+    before a line feed read as 0, must be the all-0 lines; each row's colors
+    are then read from its runs.
     """
-    digits = text[2 : text.find("\n")]
-    if not (text[:2] == "n " and digits.isascii() and digits.isdigit()):
+    head, newline, body = text.partition("\n")
+    digits = head[2:]
+    if not (head[:2] == "n " and newline and digits.isascii() and digits.isdigit()):
         return None
     if len(digits) > MAX_DIGITS:
         return None  # the general parser reports it on line 1
     n = int(digits)
     # Every pair line takes at least 6 bytes, so a short text (a bare header
     # with a huge n) is turned away before the O(n²) layout is built.
-    if len(text) < 3 * n * (n + 1) or not text.isascii():
+    if len(text) < 3 * n * (n + 1) or digits != str(n):
         return None
     zero, runs = _coloring_layout(n)
-    if len(text) != len(zero):
+    if body.replace("1\n", "0\n") != zero:
         return None
-    data = bytearray(text, "ascii")
-    colors = b"".join([data[run] for run, _, _ in runs])
-    for run, _, _ in runs:
-        data[run] = zero[run]
-    if data != zero or colors.translate(None, b"01"):
-        return None
-    flat = colors.decode()
-    rows = (flat[y * (y - 1) // 2 : y * (y + 1) // 2] for y in range(1, n + 1))
-    return PairColoring(n, tuple(rows))
+    rows = [""] * (n + 1)
+    for run, y, _, _ in runs:
+        rows[y] += body[run]
+    return PairColoring(n, rows[1:])
 
 
 def parse_coloring(text: str) -> PairColoring:
@@ -288,11 +283,11 @@ render_sigma = render_tree
 
 def render_coloring(f: PairColoring) -> str:
     zero, runs = _coloring_layout(f.n)
-    text = bytearray(zero)
-    colors = "".join(f.rows).encode()
-    for run, i, j in runs:
-        text[run] = colors[i:j]
-    return text.decode()
+    text = bytearray(zero, "ascii")
+    rows = [b"", *map(str.encode, f.rows)]  # rows[y] holds row y's colors
+    for run, y, x0, x1 in runs:
+        text[run] = rows[y][x0:x1]
+    return f"n {f.n}\n" + text.decode()
 
 
 def render_natset(h: NatSet) -> str:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -182,6 +182,8 @@ class TestPairColoring:
             (("0", "011"), "row for y=2 must have 2 entries"),
             (("0", "0"), "row for y=2 must have 2 entries"),
             (("0", "21"), "row for y=2 holds a non-color value"),
+            (("0", "1\u0661"), "row for y=2 holds a non-color value"),
+            (("\u00b2", "01"), "row for y=1 holds a non-color value"),
         ],
     )
     def test_rows_are_checked_bit_texts(self, rows, message):
@@ -190,6 +192,56 @@ class TestPairColoring:
         with pytest.raises(ValueError) as info:
             PairColoring(2, rows)
         assert str(info.value) == message
+
+    @staticmethod
+    def _row_by_row_refusal(rows) -> str | None:
+        """The message of the first bad row, each row checked on its own."""
+        for y, row in enumerate(rows, start=1):
+            if not isinstance(row, str):
+                return f"row for y={y} must be a '01' text"
+            if len(row) != y:
+                return f"row for y={y} must have {y} entries"
+            if row.strip("01"):
+                return f"row for y={y} holds a non-color value"
+        return None
+
+    class Text(str):
+        pass
+
+    @given(
+        n=st.integers(1, 14),
+        data=st.data(),
+        defect=st.sampled_from(["bytes", "list", "tuple", "str subclass", "length", "character"]),
+    )
+    def test_all_rows_check_refuses_what_the_loop_refuses(self, n, data, defect):
+        """One defect in one row: the check of all rows at once accepts and
+        refuses exactly what the row-by-row loop does, with its message."""
+        rows = [data.draw(st.text("01", min_size=y, max_size=y), label=f"row {y}") for y in range(1, n + 1)]
+        y = data.draw(st.integers(1, n), label="y")
+        row = rows[y - 1]
+        if defect in ("bytes", "list", "tuple"):
+            rows[y - 1] = {"bytes": str.encode, "list": list, "tuple": tuple}[defect](row)
+        elif defect == "str subclass":
+            rows[y - 1] = self.Text(row)
+        elif defect == "length":
+            length = data.draw(st.integers(0, y + 3).filter(lambda k: k != y), label="length")
+            rows[y - 1] = (row * 4)[:length]
+        else:
+            bad = data.draw(
+                st.sampled_from("2a ?\x00\u0661\u00b2\u0662\u00e9\U0001d7ce") | st.characters(),
+                label="character",
+            )
+            assume(bad not in "01")
+            x = data.draw(st.integers(0, y - 1), label="x")
+            rows[y - 1] = row[:x] + bad + row[x + 1 :]
+        want = self._row_by_row_refusal(rows)
+        assert (want is None) == (defect == "str subclass")
+        if want is None:
+            assert PairColoring(n, rows).rows == tuple(rows)
+        else:
+            with pytest.raises(Refusal) as info:
+                PairColoring(n, rows)
+            assert str(info.value) == want
 
     def test_value_range_checks(self):
         f = from_function(3, lambda x, y: 1)
@@ -326,6 +378,21 @@ class TestIsHomogPath:
         h = NatSet.of([0, 3])
         assert is_homog_path(h, StringFamily()) == (0, "")
         assert is_homog_path(h, StringFamily()) == is_homog_path(h, downward_closure([]))
+
+    @pytest.mark.parametrize(
+        "members, h, want",
+        [
+            (["0010", "0110", "1000"], [0, 1, 3], (0, "0010")),  # the first member, color 0
+            (["0110", "1000"], [1, 2], (0, "1000")),  # the first member shows only 1s
+            (["0101", "1111"], [1, 3], (1, "0101")),  # only color 1
+            (["01", "10"], [0, 1], None),  # nothing
+        ],
+    )
+    def test_first_member_check_matches_the_reference(self, members, h, want):
+        t, h = downward_closure(members), NatSet.of(h)
+        got = is_homog_path(h, t)
+        ref = ref_closure(members)
+        assert (None if got is None else tuple(got)) == ref_homog_path(h, ref, ref.horizon) == want
 
     @given(st.one_of(trees(max_members=12), string_families(max_members=12)), natsets(max_value=10))
     @example(StringFamily(), NatSet())
