@@ -1,9 +1,9 @@
 """Command line front end.
 
-Data goes to stdout (or the -o file), diagnostics to stderr.  Exit codes: 0
-on success or a verified check, 1 only when verify's or dnr's verdict reads
-fail, 2 on every core.Refusal or OSError, a bad command line included; any
-other exception is a defect.  Identical arguments and files give identical bytes.
+Data goes to stdout (or the -o file), diagnostics to stderr.  Handlers return text;
+the exit code is 1 when its last line reads "verdict: fail", which only verify and
+dnr print, else 0, and 2 on every core.Refusal or OSError, a bad command line included;
+any other exception is a defect.  Identical arguments and files give identical bytes.
 """
 
 from __future__ import annotations
@@ -61,79 +61,79 @@ def _tree(options: dict) -> core.FinTree:
     return formats.parse_tree(text)
 
 
-def _cmd_close(options: dict) -> tuple[int, str]:
+def _cmd_close(options: dict) -> str:
     family = formats.parse_sigma(_read(options["--sigma"]))
-    return EXIT_OK, formats.render_tree(core.downward_closure(family))
+    return formats.render_tree(core.downward_closure(family))
 
 
-def _cmd_tree2color(options: dict) -> tuple[int, str]:
+def _cmd_tree2color(options: dict) -> str:
     f = reductions.tree_to_stable_coloring(_tree(options), options["-n"])
-    return EXIT_OK, formats.render_coloring(f)
+    return formats.render_coloring(f)
 
 
-def _cmd_sigma2color(options: dict) -> tuple[int, str]:
+def _cmd_sigma2color(options: dict) -> str:
     family = formats.parse_sigma(_read(options["--sigma"]))
     f = reductions.sigma_to_coloring(family, options["-n"])
-    return EXIT_OK, formats.render_coloring(f)
+    return formats.render_coloring(f)
 
 
-def _cmd_color2sigma(options: dict) -> tuple[int, str]:
+def _cmd_color2sigma(options: dict) -> str:
     f = formats.parse_coloring(_read(options["--coloring"]))
-    return EXIT_OK, formats.render_sigma(reductions.coloring_to_sigma(f))
+    return formats.render_sigma(reductions.coloring_to_sigma(f))
 
 
-def _cmd_ce2sigma(options: dict) -> tuple[int, str]:
+def _cmd_ce2sigma(options: dict) -> str:
     family = reductions.ce_tree_to_sigma(formats.parse_stages(_read(options["--stages"])))
-    return EXIT_OK, formats.render_sigma(family)
+    return formats.render_sigma(family)
 
 
-def _cmd_pi2sigma1(options: dict) -> tuple[int, str]:
+def _cmd_pi2sigma1(options: dict) -> str:
     matrix = reductions.PredMatrix.from_text
     phi = _named("--phi", matrix, options["--phi"], reductions.PI2_NAMES)
     tau = "" if options["--tau"] == "-" else _named("--tau", core._bits, options["--tau"])
     held = reductions.pi2_tree_to_sigma1(phi, tau, options["--bound"])
-    return EXIT_OK, ("true\n" if held else "false\n")
+    return "true\n" if held else "false\n"
 
 
-def _cmd_yoko(options: dict) -> tuple[int, str]:
+def _cmd_yoko(options: dict) -> str:
     matrix, names = reductions.PredMatrix.from_text, reductions.YOKO_NAMES
     theta0 = _named("--theta0", matrix, options["--theta0"], names)
     theta1 = _named("--theta1", matrix, options["--theta1"], names)
     f = reductions.yokoyama_coloring(theta0, theta1, options["-n"], options["--cap"])
-    return EXIT_OK, formats.render_coloring(f)
+    return formats.render_coloring(f)
 
 
-def _cmd_settree(options: dict) -> tuple[int, str]:
+def _cmd_settree(options: dict) -> str:
     h = formats.parse_natset(_read(options["--set"]))
-    return EXIT_OK, formats.render_tree(reductions.set_to_path_tree(h, options["--depth"]))
+    return formats.render_tree(reductions.set_to_path_tree(h, options["--depth"]))
 
 
-def _cmd_diag(options: dict) -> tuple[int, str]:
+def _cmd_diag(options: dict) -> str:
     enums = formats.parse_enum(_read(options["--enum"]))
     report = diagonal.build_diagonal_tree(enums, options["--depth"])
     counts = " ".join(str(c) for c in report.level_counts)
     fired = " ".join(f"{e}:{l}" for e, l in sorted(report.triggered)) or "none"
     out = f"# level_counts: {counts}\n# triggered: {fired}\n"
-    return EXIT_OK, out + formats.render_tree(report.tree)
+    return out + formats.render_tree(report.tree)
 
 
-def _cmd_search(options: dict) -> tuple[int, str]:
+def _cmd_search(options: dict) -> str:
     f = formats.parse_coloring(_read(options["--coloring"]))
     result = oracles.ramsey_search(f, options.get("--min-size", 2))
     if result is None:
-        return EXIT_OK, "# none\n"
+        return "# none\n"
     c, h = result
-    return EXIT_OK, f"# color: {c}\n" + formats.render_natset(h)
+    return f"# color: {c}\n" + formats.render_natset(h)
 
 
-def _cmd_path(options: dict) -> tuple[int, str]:
+def _cmd_path(options: dict) -> str:
     p = oracles.longest_path(_tree(options))
     c, h = reductions.path_pigeonhole(p)
     header = f"# path: {p or '-'}\n# color: {c}\n"
-    return EXIT_OK, header + formats.render_natset(h)
+    return header + formats.render_natset(h)
 
 
-def _cmd_stable(options: dict) -> tuple[int, str]:
+def _cmd_stable(options: dict) -> str:
     f = formats.parse_coloring(_read(options["--coloring"]))
     if "-x" in options:
         evidence = [(options["-x"], oracles.check_stable(f, options["-x"]))]
@@ -144,10 +144,10 @@ def _cmd_stable(options: dict) -> tuple[int, str]:
         f"last_change={ev.last_change} final_color={ev.final_color}\n"
         for x, ev in evidence
     ]
-    return EXIT_OK, "".join(lines)
+    return "".join(lines)
 
 
-def _cmd_verify(options: dict) -> tuple[int, str]:
+def _cmd_verify(options: dict) -> str:
     if "--close" in options and "--tree" not in options:
         raise core.Refusal("--close applies only to a --tree source")
     f = formats.parse_coloring(_read(options["--coloring"]))
@@ -157,7 +157,7 @@ def _cmd_verify(options: dict) -> tuple[int, str]:
     verdict = oracles.verify_reduction(source, f, h, options["--color"])
     if verdict.broken is not None:
         x, y = verdict.broken
-        return EXIT_FAIL, f"coloring-homogeneity: fail (x={x} y={y})\nverdict: fail\n"
+        return f"coloring-homogeneity: fail (x={x} y={y})\nverdict: fail\n"
     lines = ["coloring-homogeneity: ok"]
     ys = " ".join(str(y) for y in verdict.checked) or "none"
     if verdict.ok:
@@ -171,15 +171,15 @@ def _cmd_verify(options: dict) -> tuple[int, str]:
     else:
         lines.append(f"path-witness: color={witness.color} sigma={witness.witness or '-'}")
     lines.append("verdict: ok" if verdict.ok else "verdict: fail")
-    return (EXIT_OK if verdict.ok else EXIT_FAIL), "".join(l + "\n" for l in lines)
+    return "".join(l + "\n" for l in lines)
 
 
-def _cmd_dnr(options: dict) -> tuple[int, str]:
+def _cmd_dnr(options: dict) -> str:
     enums = formats.parse_enum(_read(options["--enum"]))
     h = formats.parse_natset(_read(options["--set"]))
     verdicts = diagonal.check_fpf(h, enums, options["--depth"])
     if verdicts is None:
-        return EXIT_FAIL, "not homogeneous for any path at the tree horizon\nverdict: fail\n"
+        return "not homogeneous for any path at the tree horizon\nverdict: fail\n"
     lines = []
     for v in verdicts:
         line = f"e={v.e} status={v.status} W={v.w_e}"
@@ -188,12 +188,11 @@ def _cmd_dnr(options: dict) -> tuple[int, str]:
         if v.distinguishing is not None:
             line += f" differs={v.distinguishing}"
         lines.append(line)
-    failed = any(v.status == "equal" for v in verdicts)
-    lines.append("verdict: fail" if failed else "verdict: ok")
-    return (EXIT_FAIL if failed else EXIT_OK), "".join(l + "\n" for l in lines)
+    lines.append("verdict: fail" if any(v.status == "equal" for v in verdicts) else "verdict: ok")
+    return "".join(l + "\n" for l in lines)
 
 
-def _cmd_info(options: dict) -> tuple[int, str]:
+def _cmd_info(options: dict) -> str:
     text = _read(options["FILE"])
     # As PurePath.suffix: from the name's last dot, unless that starts or ends it.
     name = os.path.basename(options["FILE"])
@@ -201,29 +200,27 @@ def _cmd_info(options: dict) -> tuple[int, str]:
     suffix = name[dot:] if 0 < dot < len(name) - 1 else ""
     if suffix == ".tree":
         t = formats.parse_tree(text)
-        return EXIT_OK, f"kind=tree members={len(t)} horizon={t.horizon}\n"
+        return f"kind=tree members={len(t)} horizon={t.horizon}\n"
     if suffix == ".sigma":
         fam = formats.parse_sigma(text)
         graded = "true" if fam.graded else "false"
-        return EXIT_OK, f"kind=sigma members={len(fam)} max_len={fam.n} graded={graded}\n"
+        return f"kind=sigma members={len(fam)} max_len={fam.n} graded={graded}\n"
     if suffix == ".color":
         f = formats.parse_coloring(text)
-        return EXIT_OK, f"kind=coloring n={f.n} pairs={f.n * (f.n + 1) // 2}\n"
+        return f"kind=coloring n={f.n} pairs={f.n * (f.n + 1) // 2}\n"
     if suffix == ".enum":
         en = formats.parse_enum(text)
-        return EXIT_OK, (
-            f"kind=enum events={len(en.events)} k={en.k} max_stage={en.max_stage}\n"
-        )
+        return f"kind=enum events={len(en.events)} k={en.k} max_stage={en.max_stage}\n"
     if suffix == ".set":
         h = formats.parse_natset(text)
         if h:
             extent = f" min={h.elements[0]} max={h.elements[-1]}"
         else:
             extent = ""
-        return EXIT_OK, f"kind=set size={len(h)}{extent}\n"
+        return f"kind=set size={len(h)}{extent}\n"
     if suffix == ".stages":
         stages = formats.parse_stages(text)
-        return EXIT_OK, f"kind=stages stages={len(stages)} max_stage={max(stages)}\n"
+        return f"kind=stages stages={len(stages)} max_stage={max(stages)}\n"
     raise formats.FormatError(None, f"unrecognized extension {suffix!r}")
 
 
@@ -260,9 +257,9 @@ _COMMANDS = {
 _VALUES = {**dict.fromkeys("NZLKX", _int_arg), "C": _color_arg}  # others stay text
 
 
-def _cmd_help(options: dict) -> tuple[int, str]:
+def _cmd_help(options: dict) -> str:
     rows = [f"  {name} {usage}\n      {what}\n" for name, (_, usage, what) in _COMMANDS.items()]
-    return EXIT_OK, "usage: rkl SUBCOMMAND [FLAG [VALUE]]... [-o F]\n\n" + "".join(rows)
+    return "usage: rkl SUBCOMMAND [FLAG [VALUE]]... [-o F]\n\n" + "".join(rows)
 
 
 def _parse(argv: list[str]):
@@ -318,7 +315,7 @@ _INVALID_INPUT = (core.Refusal, OSError)
 def main(argv: list[str] | None = None) -> int:
     try:
         handler, options = _parse(sys.argv[1:] if argv is None else argv)
-        code, data = handler(options)
+        data = handler(options)
         if "-o" in options:
             # In place, as closing a file truncated to zero starts its write-back
             # on ext4.  A longer file is cut to the output's length first; devices
@@ -333,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except _INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    return code
+    return EXIT_FAIL if data.endswith("verdict: fail\n") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ prefer color 0 over 1 and lexicographically least strings, with 0 < 1.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, groupby
 from operator import itemgetter
 
@@ -244,9 +244,6 @@ class NatSet:
             raise Refusal("elements must be naturals")
         return cls(sorted(set(values)))
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
@@ -287,6 +284,23 @@ def is_homog_string(h: NatSet, sigma: str, c: int) -> bool:
     return True
 
 
+def _homog_masks(level: Sequence[str], sets: Iterable[Iterable[int]]) -> Iterator[tuple[int, int]]:
+    """Per set of positions in sets, (zeros, ones): the masks of the members
+    of level, equal-length texts of width at least 1, that show 0, or 1, at
+    every position below the width, member 0 on the top bit.  The level is
+    joined once.  Positions come in any order and may repeat; those past the
+    width are ignored, as is_homog_string ignores those past a string's end."""
+    full, w, block = (1 << len(level)) - 1, len(level[0]), "".join(level)
+    for positions in sets:
+        ones = zeros = full
+        for x in positions:
+            if x < w:  # column x is block[x::w]
+                column = int(block[x::w], 2)
+                ones &= column
+                zeros &= ~column
+        yield zeros, ones
+
+
 def is_homog_path(h: NatSet, t: FinTree | StringFamily) -> HomWitness | None:
     """A single long witness: a member at the tree's horizon monochromatic on h.
     A family is read as its closure: its longest level, or the root if empty.
@@ -294,17 +308,9 @@ def is_homog_path(h: NatSet, t: FinTree | StringFamily) -> HomWitness | None:
     Prefers color 0 over 1, then the lexicographically least witness.
     """
     level = t.text_levels[-1] or ("",)
-    if is_homog_string(h, level[0], 0):  # the first member witnesses: skip the join
+    if is_homog_string(h, level[0], 0):  # the first member witnesses, the root included
         return HomWitness(color=0, witness=level[0])
-    k, w, block = len(level), len(level[0]), "".join(level)
-    ones = zeros = (1 << k) - 1  # the members showing only 1s, only 0s, on h
-    for x in h:  # column x is block[x::w], member 0 on the top bit
-        if x >= w:
-            break
-        column = int(block[x::w], 2)
-        ones &= column
-        zeros &= ~column
-    for c, keep in enumerate((zeros, ones)):
+    for c, keep in enumerate(next(_homog_masks(level, [h]))):
         if keep:  # the level is sorted, so its top bit is the least match
-            return HomWitness(color=c, witness=level[k - keep.bit_length()])
+            return HomWitness(color=c, witness=level[len(level) - keep.bit_length()])
     return None

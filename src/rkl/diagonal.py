@@ -20,7 +20,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from itertools import compress
 
-from rkl.core import FinTree, NatSet, Refusal
+from rkl.core import FinTree, NatSet, Refusal, _homog_masks
 
 
 class StagedEnum:
@@ -113,15 +113,10 @@ def build_diagonal_tree(enums: StagedEnum, depth: int) -> DiagReport:
         children[::2] = [p + "0" for p in parents]
         children[1::2] = [p + "1" for p in parents]
         if l in firing:  # so l >= 3 (a front has 3 positions below l) and l-1 > 0
-            n, block = len(parents), "".join(parents)
-            full = keep0 = keep1 = (1 << n) - 1
-            for front in firing[l]:
-                ones = zeros = full  # the parents showing only 1s, only 0s, below l-1
-                for x in front:
-                    if x != l - 1:  # column x is block[x::l-1], parent 0 on the top bit
-                        column = int(block[x::l - 1], 2)
-                        ones &= column
-                        zeros &= ~column
+            n, fronts = len(parents), firing[l]
+            keep0 = keep1 = (1 << n) - 1  # parent 0 on the top bit
+            # Per front, the parents showing only 0s, only 1s, below l-1.
+            for front, (zeros, ones) in zip(fronts, _homog_masks(parents, fronts)):
                 if l - 1 not in front:  # split unless all 0s or all 1s
                     ones = zeros = ones | zeros
                 keep0 &= ~zeros

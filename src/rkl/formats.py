@@ -221,13 +221,12 @@ def parse_coloring(text: str) -> PairColoring:
         if (x, y) in values:
             raise FormatError(lineno, f"pair ({x},{y}) given twice")
         values[(x, y)] = "01"[c]
-    for y in range(1, n + 1):
-        for x in range(y):
-            if (x, y) not in values:
-                raise FormatError(None, f"pair ({x},{y}) missing")
-    return PairColoring(
-        n, tuple("".join([values[(x, y)] for x in range(y)]) for y in range(1, n + 1))
-    )
+    try:  # rows in (y, x) order, so the first pair missing is the one reported
+        rows = tuple("".join([values[(x, y)] for x in range(y)]) for y in range(1, n + 1))
+    except KeyError as exc:
+        x, y = exc.args[0]
+        raise FormatError(None, f"pair ({x},{y}) missing") from None
+    return PairColoring(n, rows)
 
 
 def parse_enum(text: str) -> StagedEnum:

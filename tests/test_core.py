@@ -26,6 +26,7 @@ from rkl.core import (
     PairColoring,
     Refusal,
     StringFamily,
+    _homog_masks,
     downward_closure,
     is_homog_path,
     is_homog_string,
@@ -354,6 +355,30 @@ class TestIsHomogString:
     def test_at_most_one_color_when_constrained(self, h: NatSet, s: str):
         if any(x < len(s) for x in h):
             assert not (is_homog_string(h, s, 0) and is_homog_string(h, s, 1))
+
+
+class TestHomogMasks:
+    """The column-mask kernel agrees with is_homog_string on every member."""
+
+    @given(
+        st.integers(1, 6).flatmap(lambda w: st.tuples(
+            st.sets(st.text(alphabet="01", min_size=w, max_size=w), min_size=1).map(sorted),
+            st.lists(st.lists(st.integers(0, w + 3), max_size=8), max_size=4),
+        ))
+    )
+    @example((["00", "01"], [[5, 1]]))  # past the width before a position below it
+    @example((["010", "011", "110"], [[2, 0, 2], [], [7, 7]]))
+    def test_masks_match_is_homog_string(self, case):
+        """Positions unsorted, repeated and past the width; member 0 on the top bit."""
+        level, sets = case
+        got = list(_homog_masks(level, sets))
+        assert len(got) == len(sets)
+        k = len(level)
+        for positions, masks in zip(sets, got):
+            h = NatSet.of(positions)
+            for c, mask in enumerate(masks):
+                bits = [bool(mask >> (k - 1 - i) & 1) for i in range(k)]
+                assert bits == [is_homog_string(h, sigma, c) for sigma in level]
 
 
 class TestIsHomogPath:

@@ -445,6 +445,8 @@ class TestCanonicalColoring:
             ("n 2\n0 1 1\n0 2 0\n", "pair (1,2) missing"),
             ("n 2\n0 1 1\n0 2 0\n0 2 0\n", "line 4: pair (0,2) given twice"),
             ("n 2\n0 1 1\n\n0 2 0\n", "pair (1,2) missing"),
+            # (0,2) and (1,3) both absent: the first in (y, x) order is reported.
+            ("n 3\n2 3 0\n0 3 1\n1 2 0\n0 1 0\n", "pair (0,2) missing"),
             ("n 1\n0 1 \u0661\n", "line 2: non-ASCII character '\u0661'"),
         ],
     )
